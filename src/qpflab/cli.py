@@ -42,8 +42,6 @@ def main(argv=None) -> int:
         p.add_argument("--manifest", required=True, type=Path)
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; fiber loops stay sequential for determinism")
         p.add_argument("--emit-svg", action="store_true")
         p.add_argument("--depth", type=int, default=None)
         p.add_argument("--grid", type=int, default=None)
@@ -125,7 +123,8 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     sampled = pipeline.sampled_f()
     nonmin = verify_nonminimality(pipeline.tmap, pipeline.atlas,
                                   witnesses=pipeline.witnesses,
-                                  grid=min(manifest.fibers, 512), sampled=sampled)
+                                  grid=min(manifest.fibers, 512), sampled=sampled,
+                                  probe_points=manifest.probe_points)
     # per-fiber nu CDF tables on the uniform vertical grid
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
     knots = np.tile(xs, (manifest.fibers, 1))

@@ -19,6 +19,31 @@ from .minimal import FiberSet, approximate_minimal_set
 from .systems import QpfSystem
 
 
+def _mul(p: tuple, q: tuple) -> tuple:
+    """Entries of the product p @ q of 2x2 matrices given as (a, b, c, d)."""
+    return (p[0] * q[0] + p[1] * q[2],
+            p[0] * q[1] + p[1] * q[3],
+            p[2] * q[0] + p[3] * q[2],
+            p[2] * q[1] + p[3] * q[3])
+
+
+def _det(m: tuple) -> float:
+    return m[0] * m[3] - m[1] * m[2]
+
+
+def _norm(m: tuple) -> float:
+    return math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2 + m[3] ** 2)
+
+
+def _rotation(angle_over_pi: float) -> tuple:
+    t = math.pi * angle_over_pi
+    return (math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
+
+
+def _diagonal(lam: float) -> tuple:
+    return (lam, 0.0, 0.0, 1.0 / lam)
+
+
 @dataclass(frozen=True)
 class Mat2:
     a: float
@@ -26,8 +51,11 @@ class Mat2:
     c: float
     d: float
 
+    def entries(self) -> tuple:
+        return (self.a, self.b, self.c, self.d)
+
     def det(self) -> float:
-        return self.a * self.d - self.b * self.c
+        return _det(self.entries())
 
     def require_unimodular(self, tol: float = 1e-12) -> "Mat2":
         if abs(self.det() - 1.0) > tol:
@@ -35,10 +63,7 @@ class Mat2:
         return self
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(self.a * other.a + self.b * other.c,
-                    self.a * other.b + self.b * other.d,
-                    self.c * other.a + self.d * other.c,
-                    self.c * other.b + self.d * other.d)
+        return Mat2(*_mul(self.entries(), other.entries()))
 
     def renormalized(self) -> "Mat2":
         det = self.det()
@@ -46,7 +71,7 @@ class Mat2:
         return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     def norm(self) -> float:
-        return math.sqrt(self.a ** 2 + self.b ** 2 + self.c ** 2 + self.d ** 2)
+        return _norm(self.entries())
 
     @staticmethod
     def identity() -> "Mat2":
@@ -55,12 +80,11 @@ class Mat2:
     @staticmethod
     def rotation(angle_over_pi: float) -> "Mat2":
         """Rotation by pi * angle_over_pi; projective action x -> x + angle_over_pi."""
-        t = math.pi * angle_over_pi
-        return Mat2(math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
+        return Mat2(*_rotation(angle_over_pi))
 
     @staticmethod
     def diagonal(lam: float) -> "Mat2":
-        return Mat2(lam, 0.0, 0.0, 1.0 / lam)
+        return Mat2(*_diagonal(lam))
 
 
 def projective_action(m: Mat2, x: float) -> float:
@@ -83,17 +107,21 @@ class Cocycle:
     family: str              # "constant" | "rotation" | "diagonal" | "harper"
     params: tuple
 
-    def matrix(self, theta: float) -> Mat2:
+    def entries(self, theta: float) -> tuple:
+        """Entries (a, b, c, d) of the matrix at theta, as plain floats."""
         if self.family == "constant":
-            return Mat2(*self.params)
+            return self.params
         if self.family == "rotation":
-            return Mat2.rotation(self.params[0])
+            return _rotation(self.params[0])
         if self.family == "diagonal":
-            return Mat2.diagonal(self.params[0])
+            return _diagonal(self.params[0])
         if self.family == "harper":
             energy, lam = self.params
-            return Mat2(energy - 2.0 * lam * math.cos(2 * math.pi * theta), -1.0, 1.0, 0.0)
+            return (energy - 2.0 * lam * math.cos(2 * math.pi * theta), -1.0, 1.0, 0.0)
         raise PreconditionError(f"unknown cocycle family {self.family!r}")
+
+    def matrix(self, theta: float) -> Mat2:
+        return Mat2(*self.entries(theta))
 
     @staticmethod
     def constant(m: Mat2, omega=OMEGA_GOLDEN) -> "Cocycle":
@@ -154,28 +182,29 @@ def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) ->
     if n < 10**3:
         raise PreconditionError("n >= 1000 required")
     omega = float(c.omega)
-    b = Mat2.identity()
+    identity = (1.0, 0.0, 0.0, 1.0)
+    b = identity
     log_norm = 0.0
     drift_log = 0.0
     theta = theta0 % 1.0
     step = 0
     while step < n:
-        chunk = Mat2.identity()
+        chunk = identity
         for _ in range(min(renorm_every, n - step)):
-            chunk = c.matrix(theta) @ chunk
+            chunk = _mul(c.entries(theta), chunk)
             theta = (theta + omega) % 1.0
             step += 1
-        d = chunk.det()
+        d = _det(chunk)
         if d > 0:
             # |log det| of an exactly-unimodular block measures the float drift;
             # for strongly hyperbolic blocks the subtraction cancels and the
             # chunk is skipped rather than reported as fake drift
-            if chunk.norm() < 1e6:
+            if _norm(chunk) < 1e6:
                 drift_log += abs(math.log(d))
-        acc = chunk @ b
-        s = acc.norm()
+        acc = _mul(chunk, b)
+        s = _norm(acc)
         log_norm += math.log(s)
-        b = Mat2(acc.a / s, acc.b / s, acc.c / s, acc.d / s)
+        b = (acc[0] / s, acc[1] / s, acc[2] / s, acc[3] / s)
     return LyapunovEstimate(value=log_norm / n, n=n, renorm_every=renorm_every,
                             det_drift=abs(drift_log))
 

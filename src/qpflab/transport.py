@@ -321,15 +321,8 @@ def _probe_hit_time(sampled: QpfSystem, wit, height: float, npts: int, n_max: in
     th = np.repeat(thetas, k)
     x = np.tile(xs, k)
     omega = float(sampled.omega)
-    table = sampled.table
-    gsize = table.shape[0]
-    vres = table.shape[1] - 1
     for n in range(1, n_max + 1):
-        idx = np.mod(np.floor(th * gsize + 0.5).astype(int), gsize)
-        pos = np.clip(x * vres, 0.0, vres - 1e-9)
-        j = pos.astype(int)
-        frac = pos - j
-        x = (table[idx, j] * (1.0 - frac) + table[idx, j + 1] * frac) % 1.0
+        x = sampled.table_step(th, x)
         th = (th + omega) % 1.0
         in_j = np.mod(th - jlo, 1.0) <= span_j
         in_v = (x > 0.0) & (x < height)

@@ -212,7 +212,7 @@ def test_criterion_8_fiber_measure(crossed4, crossed_minimal_set):
     "blown annuli), so any faithful dense binning contains horizontally "
     "adjacent occupied bins; the vertical-segment property of the infinite "
     "construction (components of K are single-fiber segments) emerges only in "
-    "the N -> infinity limit.  See notes/decisions.md.")
+    "the N -> infinity limit.  See README.md, section 'Minimal-set vertical extent'.")
 def test_criterion_8_vertical_extent(crossed4, crossed_minimal_set):
     diag = structure_diagnostics(crossed_minimal_set, beta=float(crossed4.weights.beta))
     report("8 minimal-set-vertical-extent", diag.vertical_segments,

@@ -118,3 +118,19 @@ burnin = 100
     assert main(["cocycle", "--manifest", str(pc), "--out", str(outc)]) == 0
     hist = (outc / "cardinality_hist.csv").read_text().splitlines()
     assert hist[0] == "clusters,fibers"
+
+
+def test_blowup_passes_probe_points(tmp_path, monkeypatch):
+    from qpflab import transport
+    seen = []
+    probe = transport._probe_hit_time
+
+    def recording_probe(sampled, wit, height, npts, n_max):
+        seen.append(npts)
+        return probe(sampled, wit, height, npts, n_max)
+
+    monkeypatch.setattr(transport, "_probe_hit_time", recording_probe)
+    body = SMALL.replace("crossings = 0", "crossings = 1") + "probe_points = 16\n"
+    p = write_manifest(tmp_path, body)
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert seen and set(seen) == {16}

@@ -1,14 +1,105 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from qpflab.errors import PreconditionError
-from qpflab.minimal import (FiberSet, approximate_minimal_set, fiber_component_count,
-                            invariance_defect, minimal_set_via_projection,
-                            structure_diagnostics)
+from qpflab.minimal import (_CHUNK, FiberSet, _inverse_quantile_table, approximate_minimal_set,
+                            fiber_component_count, invariance_defect,
+                            minimal_set_via_projection, structure_diagnostics)
 from qpflab.plgraph import PLGraph
+from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import QpfSystem
+
+
+def reference_orbit(table, omega, theta0, x0, burnin, iters, bins):
+    """The orbit binning one step at a time: the oracle for the chunked kernel."""
+    g, vk = table.shape
+    vres = vk - 1
+    occ = np.zeros((bins, bins), dtype=np.bool_)
+    th = theta0
+    x = x0
+    for step in range(burnin + iters):
+        i = int(math.floor(th * g + 0.5)) % g
+        pos = x * vres
+        j = int(pos)
+        if j >= vres:
+            j = vres - 1
+        frac = pos - j
+        x = (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
+        th = (th + omega) % 1.0
+        if step >= burnin:
+            bi = int(th * bins) % bins
+            bj = int(x * bins) % bins
+            occ[bi, bj] = True
+    return occ
+
+
+def reference_projection_lift(projection, system, iters, burnin, fiber_grid, bins, seed):
+    """The projection lift with one boolean mask per fiber: the oracle for grouping."""
+    rng = np.random.default_rng(seed)
+    theta0, target0 = rng.random(), rng.random()
+    omega = float(system.omega)
+    ks = np.arange(burnin, burnin + iters, dtype=float)
+    thetas = np.mod(theta0 + ks * omega, 1.0)
+    targets = np.mod(target0 + ks * float(system.rho), 1.0)
+    fiber_idx = np.mod(np.floor(thetas * fiber_grid + 0.5).astype(int), fiber_grid)
+    xs = np.empty(iters)
+    for i in range(fiber_grid):
+        mask = fiber_idx == i
+        if not mask.any():
+            continue
+        tk, sk = _inverse_quantile_table(projection.fiber(F(i, fiber_grid)))
+        xs[mask] = np.mod(np.interp(np.mod(targets[mask] - tk[0], 1.0) + tk[0], tk, sk), 1.0)
+    occ = np.zeros((bins, bins), dtype=bool)
+    occ[(thetas * bins).astype(int) % bins, (xs * bins).astype(int) % bins] = True
+    return occ
+
+
+HARPER = cocycle_qpf(Cocycle.harper(0.0, 2.0))
+
+
+def random_sampled_system(rows=64, knots=65, seed=0):
+    """A sampled map with random increasing fiber tables (normalized lifts)."""
+    rng = np.random.default_rng(seed)
+    steps = rng.random((rows, knots - 1)) + 0.05
+    table = np.concatenate([np.zeros((rows, 1)), np.cumsum(steps, axis=1)], axis=1)
+    table = table / table[:, -1:] + rng.random((rows, 1))
+    return QpfSystem(omega=QpfSystem.translation().omega, kind="sampled", table=table,
+                     vertical_knots=np.linspace(0.0, 1.0, knots))
+
+
+RANDOM = random_sampled_system()
+
+
+@pytest.mark.parametrize("system, burnin, iters, grid, bins, start", [
+    (HARPER, 10**4, 10**5, 512, 512, None),               # the cocycle command's grids
+    (QpfSystem.translation(), 100, 20000, 256, 256, None),
+    (HARPER, 50, _CHUNK - 100, 64, 128, None),            # shorter than one chunk
+    (HARPER, 20000, 30001, 300, 200, None),               # burn-in spans chunks, ragged end
+    (QpfSystem.translation(), 20000, 5000, 256, 2048, None),  # the same, on sparse bins
+    (RANDOM, 0, 5000, 64, 4096, (0.3, 1.0 - 2.0**-53)),  # x just below 1
+    (RANDOM, 0, 5000, 64, 4096, (0.3, 1.0)),              # x * vres = vres: the j clamp
+])
+def test_orbit_kernel_matches_scalar_reference(system, burnin, iters, grid, bins, start):
+    fs = approximate_minimal_set(system, burnin=burnin, iters=iters, fiber_grid=grid,
+                                 vertical_grid=grid, bins=bins, seed=3, start=start)
+    if start is None:
+        rng = np.random.default_rng(3)
+        start = (rng.random(), rng.random())
+    table = system.table if system.kind == "sampled" else system.sample(grid, grid).table
+    ref = reference_orbit(table, float(system.omega), float(start[0]), float(start[1]),
+                          burnin, iters, bins)
+    assert np.array_equal(fs.bins, ref)
+
+
+def test_projection_lift_matches_masked_reference(small4):
+    fs = minimal_set_via_projection(small4.projection, small4.system, iters=100000,
+                                    burnin=777, fiber_grid=256, bins=256, seed=4)
+    ref = reference_projection_lift(small4.projection, small4.system, iters=100000,
+                                    burnin=777, fiber_grid=256, bins=256, seed=4)
+    assert np.array_equal(fs.bins, ref)
 
 
 def test_line_closure_single_component_per_fiber():
@@ -68,6 +159,20 @@ def test_two_constant_graphs_component_count():
     fs = FiberSet(bins=bins, resolution=64, burnin=0, iters=0, seed=0)
     comp = fiber_component_count(fs)
     assert comp.c_min == 2 and comp.attaining_fraction == 1.0
+
+
+def test_fiber_measure_bound_counts_components():
+    # three components per fiber: binning can widen each of them by two bins
+    bins = np.zeros((64, 64), dtype=bool)
+    bins[:, 5:9] = True
+    bins[:, 20:22] = True
+    bins[:, 40] = True
+    bins[7, 50] = True       # one fiber with a fourth component
+    fs = FiberSet(bins=bins, resolution=64, burnin=0, iters=0, seed=0)
+    diag = structure_diagnostics(fs, beta=0.05)
+    assert diag.max_fiber_measure == 8 / 64
+    assert diag.fiber_measure_bound == 0.05 + 2 * 4 / 64
+    assert diag.max_fiber_measure <= diag.fiber_measure_bound
 
 
 def test_rle_roundtrip():

@@ -59,6 +59,44 @@ def test_lyapunov_diagonal_and_rotation():
     assert est.det_drift <= 1e-9
 
 
+def reference_lyapunov(c, n, theta0=0.0, renorm_every=32):
+    """lyapunov's block products formed with Mat2: the oracle for the tuple loop."""
+    omega = float(c.omega)
+    b = Mat2.identity()
+    log_norm = drift_log = 0.0
+    theta = theta0 % 1.0
+    step = 0
+    while step < n:
+        chunk = Mat2.identity()
+        for _ in range(min(renorm_every, n - step)):
+            chunk = c.matrix(theta) @ chunk
+            theta = (theta + omega) % 1.0
+            step += 1
+        d = chunk.det()
+        if d > 0 and chunk.norm() < 1e6:
+            drift_log += abs(math.log(d))
+        acc = chunk @ b
+        s = acc.norm()
+        log_norm += math.log(s)
+        b = Mat2(acc.a / s, acc.b / s, acc.c / s, acc.d / s)
+    return log_norm / n, abs(drift_log)
+
+
+@pytest.mark.parametrize("cocycle, theta0", [
+    (Cocycle.harper(0.0, 2.0), 0.0),
+    (Cocycle.harper(0.3, 0.7), 0.37),
+    (Cocycle.harper(0.0, 1.6), 0.0),     # block norms on both sides of 1e6
+    (Cocycle.rotation(0.3), 0.0),
+    (Cocycle.constant(Mat2(2.0, 1.0, 1.0, 1.0)), 0.0),
+])
+def test_lyapunov_matches_mat2_reference(cocycle, theta0):
+    n = 12345  # not a multiple of the block length
+    est = lyapunov(cocycle, n, theta0=theta0)
+    value, drift = reference_lyapunov(cocycle, n, theta0=theta0)
+    assert est.value == value
+    assert est.det_drift == drift
+
+
 def test_lyapunov_harper_recorded():
     a = lyapunov(Cocycle.harper(0.0, 2.0), 10**5, theta0=0.0)
     b = lyapunov(Cocycle.harper(0.0, 2.0), 10**5, theta0=0.37)

@@ -101,6 +101,15 @@ def test_classifier_verdicts():
     assert rep3.verdict in ("bounded-suspected", "unbounded-suspected")
 
 
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_classifier_translation_bounded_at_long_horizons(n):
+    # a rigid rotation has no deviations; what float sums leave must not read as growth
+    lift = Lift(QpfSystem.translation())
+    rho = rotation_number(lift, F(0), F(0), n).value
+    rep = classify_rho_boundedness(lift, n, 8, rho=rho)
+    assert rep.verdict == "bounded-suspected"
+
+
 def test_classifier_requires_n():
     with pytest.raises(ValueError):
         classify_rho_boundedness(Lift(QpfSystem.translation()), 99, 2)
