@@ -83,12 +83,6 @@ def write_rle(path: Path, lines, resolution: int) -> None:
             fh.write(line + "\n")
 
 
-def read_rle(path: Path):
-    lines = path.read_text(encoding="ascii").splitlines()
-    resolution = int(lines[0].split("=")[1])
-    return lines[1:], resolution
-
-
 # ---------------------------------------------------------------------------
 # minimal SVG emission
 # ---------------------------------------------------------------------------

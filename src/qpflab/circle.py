@@ -51,46 +51,3 @@ OMEGA_GOLDEN: Fraction = _convergent(1, Fraction(1, 10**30))
 #: sqrt(2)-1, exact rational to 1e-30
 RHO_SILVER: Fraction = _convergent(2, Fraction(1, 10**30))
 
-
-def as_fraction(x: Scalar, max_den: int = 10**18) -> Fraction:
-    """Coerce a scalar to Fraction (floats via limit_denominator)."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x).limit_denominator(max_den)
-
-
-def arc_contains(lo: Scalar, hi: Scalar, x: Scalar) -> bool:
-    """Whether the closed circle arc [lo, hi] (hi may exceed 1) contains x."""
-    span = hi - lo
-    if span >= 1:
-        return True
-    t = mod1(x - lo)
-    return t <= span
-
-
-def arc_intersection(a: tuple, b: tuple):
-    """Intersection of two closed circle arcs (lo, hi), hi <= lo+1.
-
-    Returns a list of (lo, hi) pieces (0, 1 or 2 of them).
-    """
-    out = []
-    alo, ahi = a
-    blo, bhi = b
-    if ahi - alo >= 1:
-        return [b]
-    if bhi - blo >= 1:
-        return [a]
-    # unroll b twice against a held fixed
-    for shift in (-1, 0, 1):
-        lo = max(alo, blo + shift)
-        hi = min(ahi, bhi + shift)
-        if lo <= hi:
-            out.append((lo, hi))
-    # merge duplicates produced by the unrolling
-    dedup = []
-    for piece in out:
-        if not any(mod1(piece[0] - q[0]) == 0 and piece[1] - piece[0] == q[1] - q[0] for q in dedup):
-            dedup.append(piece)
-    return dedup

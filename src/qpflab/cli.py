@@ -226,17 +226,16 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
 
 def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     fam = manifest.cocycle_family
-    par = manifest.cocycle_params
+    omega = manifest.omega
     if fam == "harper":
-        coc = Cocycle.harper(par.get("energy", 0.0), par.get("lam", 2.0), omega=manifest.omega)
+        coc = Cocycle.harper(manifest.cocycle_energy, manifest.cocycle_lam, omega=omega)
     elif fam == "rotation":
-        coc = Cocycle.rotation(par.get("angle", 0.5), omega=manifest.omega)
+        coc = Cocycle.rotation(manifest.cocycle_angle, omega=omega)
     elif fam == "diagonal":
-        coc = Cocycle.diagonal(par.get("lam", 2.0), omega=manifest.omega)
+        coc = Cocycle.diagonal(manifest.cocycle_lam, omega=omega)
     else:
-        coc = Cocycle.constant(Mat2(par.get("a", 1.0), par.get("b", 0.0),
-                                    par.get("c", 0.0), par.get("d", 1.0)),
-                               omega=manifest.omega)
+        coc = Cocycle.constant(Mat2(manifest.cocycle_a, manifest.cocycle_b,
+                                    manifest.cocycle_c, manifest.cocycle_d), omega=omega)
     _echo_manifest(manifest, out)
     est = lyapunov(coc, max(1000, manifest.iters // 10))
     rep = minimal_fiber_cardinality(coc, fiber_grid=manifest.fibers,

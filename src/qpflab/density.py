@@ -177,20 +177,12 @@ class DensityField:
                 for (u, g) in comp:
                     pieces.append((u, 1 - coef * g))
             layer[m] = w.a(m - 1)  # analytic value of the layer integral
-        knots = {Fraction(s0), Fraction(s0) + 1}
-        for u, _ in pieces:
-            knots.add(Fraction(s0) + mod1(Fraction(u) - Fraction(s0)))
-        knot_list = sorted(knots)
-        val_map = {}
-        for u, h in pieces:
-            uu = Fraction(s0) + mod1(Fraction(u) - Fraction(s0))
-            val_map[uu] = h
-        hvals = [float(val_map.get(u, Fraction(1))) for u in knot_list]
-        kn = np.array([float(u) for u in knot_list])
-        hv = np.array(hvals)
+        knot_list, kn = _knot_table(s0, (u for u, _ in pieces))
+        val_map = {_unrolled(s0, u): h for u, h in pieces}
+        hv = np.array([float(val_map.get(u, Fraction(1))) for u in knot_list])
         if hv.min() <= 0:
             raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
-        cum = np.concatenate(([0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * np.diff(kn))))
+        cum = _trapezoid_cum(hv, kn)
         return FiberDensity(theta=theta, s0=float(s0), knots=kn, hvals=hv, cum=cum,
                             layer_integrals=layer, min_h=float(hv.min()))
 
@@ -261,41 +253,29 @@ class NuFamily:
         fb = self.bumps.fiber(theta)
         fa = self.bumps.atlas.fiber(theta)
         w = self.weights
-        s0 = fp.start
-        base = Fraction(s0)
+        base = fp.start
         bump_set = set(self.bumps.indices())
         plain = [m for m in self.projection.mu.curves if m not in bump_set]
-        knots = {base, base + 1}
-        for m in self.bumps.indices():
-            for comp in fb[m].knots:
-                for u, _ in comp:
-                    knots.add(base + mod1(Fraction(u) - base))
-        for m in plain:
-            for lo, hi in fa.u[m]:
-                knots.add(base + mod1(Fraction(lo) - base))
-                knots.add(base + mod1(Fraction(hi) - base))
-        for p in fp.plateaus:
-            knots.add(base + mod1(Fraction(p.start) - base))
-            end = p.start + p.length
-            knots.add(base + mod1(Fraction(end) - base))
-        knot_list = sorted(knots)
-        kn = np.array([float(u) for u in knot_list])
+        points = [u for m in self.bumps.indices() for comp in fb[m].knots for u, _ in comp]
+        points += [end for m in plain for arc in fa.u[m] for end in arc]
+        points += [end for p in fp.plateaus for end in (p.start, p.start + p.length)]
+        _, kn = _knot_table(base, points)
         # nu1 density: sum_m (a_{m-1}/b_m) g_m
         g = np.zeros_like(kn)
         for m in self.bumps.indices():
             coef = float(w.a(m - 1) / fb[m].integral)
             for comp in fb[m].knots:
-                cus = np.array([float(base + mod1(Fraction(u) - base)) for u, _ in comp])
+                cus = np.array([float(_unrolled(base, u)) for u, _ in comp])
                 cgs = np.array([float(gv) for _, gv in comp])
                 order = np.argsort(cus)
                 inside = (kn >= cus.min()) & (kn <= cus.max())
                 g[inside] += coef * np.interp(kn[inside], cus[order], cgs[order])
-        nu1_cum = np.concatenate(([0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(kn))))
+        nu1_cum = _trapezoid_cum(g, kn)
         # the window-edge layer has no bump in the truncated sum; it keeps
         # Lebesgue coverage, mirroring h = 1 there in the density route
         for m in plain:
             for lo, hi in fa.u[m]:
-                alo = float(base + mod1(Fraction(lo) - base))
+                alo = float(_unrolled(base, lo))
                 ahi = alo + float(hi - lo)
                 sel = (kn[:-1] >= alo - 1e-15) & (kn[1:] <= ahi + 1e-15)
                 inc = np.where(sel, np.diff(kn), 0.0)
@@ -318,8 +298,24 @@ class NuFamily:
             if np.any(np.diff(kn)[gaps] > 1e-12):
                 raise SupportGap("nu fiber measure has a support gap")
         dens = np.gradient(cum, kn, edge_order=1)
-        return FiberDensity(theta=theta, s0=float(s0), knots=kn, hvals=dens, cum=cum,
+        return FiberDensity(theta=theta, s0=float(base), knots=kn, hvals=dens, cum=cum,
                             layer_integrals={}, min_h=float(dens.min()))
+
+
+def _unrolled(base: Fraction, u) -> Fraction:
+    """The exact point u moved into [base, base + 1)."""
+    return base + mod1(Fraction(u) - base)
+
+
+def _knot_table(base: Fraction, points) -> tuple:
+    """Sorted exact knots base, base + 1 and the unrolled points, with their floats."""
+    knot_list = sorted({base, base + 1, *(_unrolled(base, u) for u in points)})
+    return knot_list, np.array([float(u) for u in knot_list])
+
+
+def _trapezoid_cum(vals: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """Prefix integral of the PL function with these knot values, from 0."""
+    return np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(knots))))
 
 
 def _pushforward_arc_mass(system: QpfSystem, theta: Fraction, y0: float, y1: float) -> float:

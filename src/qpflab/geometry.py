@@ -15,21 +15,12 @@ from .plgraph import CircIntervalSet, PLGraph, _ceil, _floor, merged_abscissas
 from .systems import QpfSystem
 
 
-def image_curve(system: QpfSystem, graph: PLGraph, n: int, check_depth: bool = True,
-                grid: int | None = None) -> PLGraph:
-    """Graph of R^n(Gamma): exact for affine bases, sampled otherwise.
-
-    Non-affine bases require a declared sampling grid and the result is an
-    approximation; every exact predicate downstream refuses such curves.
-    """
+def image_curve(system: QpfSystem, graph: PLGraph, n: int, check_depth: bool = True) -> PLGraph:
+    """Exact graph of R^n(Gamma); only affine bases (translation, PL skew) have one."""
     if check_depth and abs(n) > system.max_depth:
         raise PreconditionError(f"|n|={abs(n)} exceeds max depth {system.max_depth}")
     if not system.is_affine:
-        if grid is None:
-            raise PreconditionError(
-                "exact curve images need a translation or PL skew base; "
-                "pass grid= for a declared sampled approximation")
-        return sampled_image_curve(system, graph, n, grid)
+        raise PreconditionError("exact curve images need a translation or PL skew base")
     cur = graph
     if system.kind == "translation":
         if n == 0:
@@ -42,21 +33,6 @@ def image_curve(system: QpfSystem, graph: PLGraph, n: int, check_depth: bool = T
         # R^{-1}(Gamma): theta -> gamma(theta + w) - phi(theta)
         cur = cur.shift_theta(-system.omega).add_graph(system.phi.negate()).canonical()
     return cur
-
-
-def sampled_image_curve(system: QpfSystem, graph: PLGraph, n: int, grid: int) -> PLGraph:
-    """PL approximation of R^n(Gamma) for non-affine bases, on a declared grid."""
-    from .systems import Lift, compose_fiber
-
-    lift = Lift(system)
-    pts = []
-    for i in range(grid):
-        theta = Fraction(i, grid)
-        x = float(graph.circle_value(theta))
-        y = compose_fiber(lift, float(theta), n, x)
-        pts.append((mod1(theta + n * system.omega),
-                    Fraction(float(mod1(y))).limit_denominator(10**12)))
-    return PLGraph.from_points(pts)
 
 
 def difference_pieces(g1: PLGraph, g2: PLGraph):

@@ -8,7 +8,7 @@ and as plain numbers elsewhere.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,16 +16,6 @@ from .circle import OMEGA_GOLDEN, RHO_SILVER
 from .errors import ManifestError
 from .plgraph import PLGraph
 from .systems import QpfSystem
-
-_SCHEMA = {
-    "base": {"kind", "omega", "rho", "phi", "phi_base", "phi_amplitude"},
-    "curve": {"kind", "value", "base", "amplitude", "peak", "file"},
-    "weights": {"mode", "k", "n", "epsilon", "alpha", "s"},
-    "grids": {"fibers", "vertical", "bins"},
-    "run": {"seed", "depth", "crossings", "burnin", "iters", "anchor",
-            "waive_flatness", "probe_points"},
-    "cocycle": {"family", "energy", "lam", "angle", "a", "b", "c", "d"},
-}
 
 _NAMED = {"golden": OMEGA_GOLDEN, "sqrt2m1": RHO_SILVER}
 
@@ -38,6 +28,57 @@ def parse_fraction(text: str) -> Fraction:
         num, den = text.split("/")
         return Fraction(int(num), int(den))
     return Fraction(text).limit_denominator(10**15)
+
+
+def parse_bool(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+#: (section, key) -> (Manifest attribute, parser of the value text); the
+#: accepted keys, the loader and the echo all come from this one table
+_FIELDS = {
+    ("base", "kind"): ("base_kind", str),
+    ("base", "omega"): ("omega", parse_fraction),
+    ("base", "rho"): ("rho", parse_fraction),
+    ("base", "phi_base"): ("phi_base", parse_fraction),
+    ("base", "phi_amplitude"): ("phi_amplitude", parse_fraction),
+    ("curve", "kind"): ("curve_kind", str),
+    ("curve", "value"): ("curve_value", parse_fraction),
+    ("curve", "base"): ("curve_base", parse_fraction),
+    ("curve", "amplitude"): ("curve_amplitude", parse_fraction),
+    ("curve", "peak"): ("curve_peak", parse_fraction),
+    ("curve", "file"): ("curve_file", str),
+    ("weights", "mode"): ("weights_mode", str),
+    ("weights", "k"): ("weights_k", int),
+    ("weights", "n"): ("weights_n", int),
+    ("weights", "epsilon"): ("epsilon", parse_fraction),
+    ("weights", "alpha"): ("alpha", float),
+    ("weights", "s"): ("s", float),
+    ("grids", "fibers"): ("fibers", int),
+    ("grids", "vertical"): ("vertical", int),
+    ("grids", "bins"): ("bins", int),
+    ("run", "seed"): ("seed", int),
+    ("run", "depth"): ("depth", int),
+    ("run", "crossings"): ("crossings", int),
+    ("run", "burnin"): ("burnin", int),
+    ("run", "iters"): ("iters", int),
+    ("run", "anchor"): ("anchor", int),
+    ("run", "waive_flatness"): ("waive_flatness", parse_bool),
+    ("run", "probe_points"): ("probe_points", int),
+    ("cocycle", "family"): ("cocycle_family", str),
+    ("cocycle", "a"): ("cocycle_a", float),
+    ("cocycle", "angle"): ("cocycle_angle", float),
+    ("cocycle", "b"): ("cocycle_b", float),
+    ("cocycle", "c"): ("cocycle_c", float),
+    ("cocycle", "d"): ("cocycle_d", float),
+    ("cocycle", "energy"): ("cocycle_energy", float),
+    ("cocycle", "lam"): ("cocycle_lam", float),
+}
+
+_SCHEMA = {section: [k for s, k in _FIELDS if s == section] for section, _ in _FIELDS}
 
 
 @dataclass
@@ -71,7 +112,13 @@ class Manifest:
     waive_flatness: bool = False
     probe_points: int = 64
     cocycle_family: str = "harper"
-    cocycle_params: dict = field(default_factory=dict)
+    cocycle_a: float = 1.0
+    cocycle_angle: float = 0.5
+    cocycle_b: float = 0.0
+    cocycle_c: float = 0.0
+    cocycle_d: float = 1.0
+    cocycle_energy: float = 0.0
+    cocycle_lam: float = 2.0
 
     def base_system(self) -> QpfSystem:
         if self.base_kind == "translation":
@@ -94,24 +141,11 @@ class Manifest:
         raise ManifestError(f"unknown curve kind {self.curve_kind!r}")
 
     def normalized_text(self) -> str:
-        """Deterministic echo of the manifest used for artifact reproducibility."""
-        lines = ["[base]",
-                 f"kind={self.base_kind}", f"omega={self.omega}", f"rho={self.rho}",
-                 "[curve]",
-                 f"kind={self.curve_kind}", f"value={self.curve_value}",
-                 f"base={self.curve_base}", f"amplitude={self.curve_amplitude}",
-                 "[weights]",
-                 f"mode={self.weights_mode}", f"k={self.weights_k}", f"n={self.weights_n}",
-                 f"epsilon={self.epsilon}",
-                 "[grids]",
-                 f"fibers={self.fibers}", f"vertical={self.vertical}", f"bins={self.bins}",
-                 "[run]",
-                 f"seed={self.seed}", f"depth={self.depth}", f"crossings={self.crossings}",
-                 f"burnin={self.burnin}", f"iters={self.iters}", f"anchor={self.anchor}",
-                 "[cocycle]",
-                 f"family={self.cocycle_family}"]
-        for key in sorted(self.cocycle_params):
-            lines.append(f"{key}={self.cocycle_params[key]}")
+        """Deterministic echo of every manifest key, for artifact reproducibility."""
+        lines = []
+        for section, keys in _SCHEMA.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key}={getattr(self, _FIELDS[section, key][0])}" for key in keys]
         return "\n".join(lines) + "\n"
 
 
@@ -121,68 +155,15 @@ def load_manifest(path) -> Manifest:
     if not read:
         raise ManifestError(f"manifest {path} not found or unreadable")
     m = Manifest()
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ManifestError(f"unknown manifest section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ManifestError(f"unknown key {key!r} in section [{section}]")
     try:
-        if parser.has_section("base"):
-            sec = parser["base"]
-            m.base_kind = sec.get("kind", m.base_kind)
-            if "omega" in sec:
-                m.omega = parse_fraction(sec["omega"])
-            if "rho" in sec:
-                m.rho = parse_fraction(sec["rho"])
-            if "phi_base" in sec:
-                m.phi_base = parse_fraction(sec["phi_base"])
-            if "phi_amplitude" in sec:
-                m.phi_amplitude = parse_fraction(sec["phi_amplitude"])
-        if parser.has_section("curve"):
-            sec = parser["curve"]
-            m.curve_kind = sec.get("kind", m.curve_kind)
-            if "value" in sec:
-                m.curve_value = parse_fraction(sec["value"])
-            if "base" in sec:
-                m.curve_base = parse_fraction(sec["base"])
-            if "amplitude" in sec:
-                m.curve_amplitude = parse_fraction(sec["amplitude"])
-            if "peak" in sec:
-                m.curve_peak = parse_fraction(sec["peak"])
-            m.curve_file = sec.get("file", m.curve_file)
-        if parser.has_section("weights"):
-            sec = parser["weights"]
-            m.weights_mode = sec.get("mode", m.weights_mode)
-            m.weights_k = sec.getint("k", m.weights_k)
-            m.weights_n = sec.getint("n", m.weights_n)
-            if "epsilon" in sec:
-                m.epsilon = parse_fraction(sec["epsilon"])
-            if "alpha" in sec:
-                m.alpha = sec.getfloat("alpha")
-            if "s" in sec:
-                m.s = sec.getfloat("s")
-        if parser.has_section("grids"):
-            sec = parser["grids"]
-            m.fibers = sec.getint("fibers", m.fibers)
-            m.vertical = sec.getint("vertical", m.vertical)
-            m.bins = sec.getint("bins", m.bins)
-        if parser.has_section("run"):
-            sec = parser["run"]
-            m.seed = sec.getint("seed", m.seed)
-            m.depth = sec.getint("depth", m.depth)
-            m.crossings = sec.getint("crossings", m.crossings)
-            m.burnin = sec.getint("burnin", m.burnin)
-            m.iters = sec.getint("iters", m.iters)
-            m.anchor = sec.getint("anchor", m.anchor)
-            m.waive_flatness = sec.getboolean("waive_flatness", m.waive_flatness)
-            m.probe_points = sec.getint("probe_points", m.probe_points)
-        if parser.has_section("cocycle"):
-            sec = parser["cocycle"]
-            m.cocycle_family = sec.get("family", m.cocycle_family)
-            for key in ("energy", "lam", "angle", "a", "b", "c", "d"):
-                if key in sec:
-                    m.cocycle_params[key] = sec.getfloat(key)
+        for section in parser.sections():
+            if section not in _SCHEMA:
+                raise ManifestError(f"unknown manifest section [{section}]")
+            for key, text in parser[section].items():
+                if key not in _SCHEMA[section]:
+                    raise ManifestError(f"unknown key {key!r} in section [{section}]")
+                attr, parse = _FIELDS[section, key]
+                setattr(m, attr, parse(text))
     except (ValueError, ArithmeticError) as exc:
         raise ManifestError(f"malformed manifest value: {exc}") from exc
     _validate(m)

@@ -154,7 +154,7 @@ class MeasureFamily:
 
 
 def build_mu(curves: dict, weights: WeightScheme | None = None, masses: dict | None = None,
-             beta=None, certificate=None, waive_flatness: bool = False) -> MeasureFamily:
+             beta=None, waive_flatness: bool = False) -> MeasureFamily:
     """Assemble the measure family; pairwise flatness is verified unless waived."""
     if weights is not None:
         masses = {n: weights.a(n) for n in weights.window if n in curves}
@@ -176,7 +176,7 @@ def build_mu(curves: dict, weights: WeightScheme | None = None, masses: dict | N
                 raise LiftAmbiguous(f"curves {i} and {j} coincide")
             if proj.is_empty:
                 continue
-            if proj.degenerate_components() and not (waive_flatness or certificate):
+            if proj.degenerate_components() and not waive_flatness:
                 raise PreconditionError(
                     f"curves {i} and {j} have a non-flat intersection; "
                     "flatten first or waive explicitly")
@@ -213,16 +213,23 @@ class Plateau:
 
 @dataclass(eq=False)
 class FiberProjection:
+    """The anchored quantile of one fiber measure as a table of pieces.
+
+    The source coordinate is unrolled from ``start`` = -top_mass, where the
+    anchor atom's plateau begins.  The atoms follow in circle order from the
+    anchor; each is a plateau of its mass followed by an affine gap of slope
+    1/beta (beta > 0, distinct positions and total mass 1 make every gap
+    non-empty).  The pieces alternate, plateaus at even and gaps at odd
+    indices.
+    """
+
     theta: Fraction
     beta: Fraction
-    anchor: int
     anchor_pos: Fraction
     top_mass: Fraction            # anchor-group mass lifted below the zero section
     plateaus: tuple               # Plateau, by increasing start
-    seg_starts: np.ndarray        # piece boundaries (plateau/gap alternating)
-    seg_plateau: np.ndarray       # bool: piece is a plateau
-    seg_target: np.ndarray        # plateau target (exact atom float) or lift y0
-    seg_slope: np.ndarray         # affine slope (0 on plateaus)
+    seg_starts: np.ndarray        # piece boundaries, plateau and gap alternating
+    seg_target: np.ndarray        # plateau: atom position; gap: lifted value at its start
 
     @property
     def start(self) -> Fraction:
@@ -234,12 +241,19 @@ class FiberProjection:
         u = s0 + np.mod(np.asarray(xs, dtype=float) - s0, 1.0)
         idx = np.clip(np.searchsorted(self.seg_starts, u, side="right") - 1,
                       0, len(self.seg_starts) - 1)
-        affine = self.seg_target[idx] + self.seg_slope[idx] * (u - self.seg_starts[idx])
-        out = np.where(self.seg_plateau[idx], self.seg_target[idx], np.mod(affine, 1.0))
-        return out
+        affine = self.seg_target[idx] + (1.0 / float(self.beta)) * (u - self.seg_starts[idx])
+        return np.where(idx % 2 == 0, self.seg_target[idx], np.mod(affine, 1.0))
 
-    def map_value(self, x: float) -> float:
-        return float(self.map_array(np.array([float(x)]))[0])
+    def inverse_map_array(self, ys: np.ndarray) -> np.ndarray:
+        """Source points of target positions: map_array inverted off the plateaus.
+
+        The knots run over target positions lifted from the anchor; an atom's
+        position is a double knot at both ends of its plateau.
+        """
+        tk = np.append(np.repeat(self.seg_target[1::2], 2), self.seg_target[1] + 1.0)
+        sk = np.append(self.seg_starts, self.seg_starts[0] + 1.0)
+        return np.mod(np.interp(np.mod(np.asarray(ys, dtype=float) - tk[0], 1.0) + tk[0],
+                                tk, sk), 1.0)
 
     def plateau_of(self, curve: int) -> Plateau:
         for p in self.plateaus:
@@ -250,59 +264,46 @@ class FiberProjection:
     def preimage_of_point(self, x) -> tuple:
         """Exact preimage arc [xi-, xi+] of a target point (degenerate off atoms)."""
         x = mod1(Fraction(x))
-        chat = mod1(x - self.anchor_pos)
-        u = None
         for p in self.plateaus:
             if p.target == x:
                 return (mod1(p.start), mod1(p.start) + p.length)
-            if p.chat < chat:
-                u = p.start + p.length if u is None else max(u, p.start + p.length)
         # off-atom: invert the affine part
-        below = self.start
-        acc = Fraction(0)
-        for p in self.plateaus:
-            if p.chat < chat:
-                acc += p.length
+        chat = mod1(x - self.anchor_pos)
+        acc = sum((p.length for p in self.plateaus if p.chat < chat), Fraction(0))
         u = self.start + self.beta * chat + acc
         return (mod1(u), mod1(u))
 
 
-def build_fiber_projection(mu: MeasureFamily, n0: int, theta) -> FiberProjection:
-    theta = Fraction(theta)
-    fm = mu.fiber(theta)
-    anchor_atom = fm.atom_of(n0)
-    c0 = anchor_atom.position
-    top = sum((fm.masses[j] * fm.t_split[(j, n0)] for j in anchor_atom.members if j != n0),
-              Fraction(0))
-    ordered = sorted(fm.atoms, key=lambda a: mod1(a.position - c0))
-    plateaus = []
+def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> FiberProjection:
+    """Anchored quantile of fm: the atom at anchor_pos starts at source -top.
+
+    The projection pi lifts the anchor group's top mass below the zero
+    section; the shifted-window check uses top = 0.
+    """
+    ordered = sorted(fm.atoms, key=lambda a: mod1(a.position - anchor_pos))
+    if not ordered or ordered[0].position != anchor_pos:
+        raise PreconditionError("anchor position carries no atom")
+    plateaus, starts, targets = [], [], []
     acc = Fraction(0)
     for atom in ordered:
-        chat = mod1(atom.position - c0)
+        chat = mod1(atom.position - anchor_pos)
         start = -top + fm.beta * chat + acc
+        acc += atom.mass
         plateaus.append(Plateau(members=atom.members, start=start, length=atom.mass,
                                 target=atom.position, chat=chat))
-        acc += atom.mass
-    starts, is_plateau, targets, slopes = [], [], [], []
-    inv_beta = 1.0 / float(fm.beta)
-    for i, p in enumerate(plateaus):
-        starts.append(float(p.start))
-        is_plateau.append(True)
-        targets.append(float(p.target))
-        slopes.append(0.0)
-        gap_start = p.start + p.length
-        nxt = plateaus[i + 1].start if i + 1 < len(plateaus) else plateaus[0].start + 1
-        if nxt > gap_start:
-            starts.append(float(gap_start))
-            is_plateau.append(False)
-            targets.append(float(c0) + float(p.chat))  # affine lift start value
-            slopes.append(inv_beta)
-    return FiberProjection(theta=theta, beta=fm.beta, anchor=n0, anchor_pos=c0,
+        starts += [float(start), float(start + atom.mass)]
+        targets += [float(atom.position), float(anchor_pos) + float(chat)]
+    return FiberProjection(theta=fm.theta, beta=fm.beta, anchor_pos=anchor_pos,
                            top_mass=top, plateaus=tuple(plateaus),
-                           seg_starts=np.array(starts),
-                           seg_plateau=np.array(is_plateau, dtype=bool),
-                           seg_target=np.array(targets),
-                           seg_slope=np.array(slopes))
+                           seg_starts=np.array(starts), seg_target=np.array(targets))
+
+
+def build_fiber_projection(mu: MeasureFamily, n0: int, theta) -> FiberProjection:
+    fm = mu.fiber(Fraction(theta))
+    anchor_atom = fm.atom_of(n0)
+    top = sum((fm.masses[j] * fm.t_split[(j, n0)] for j in anchor_atom.members if j != n0),
+              Fraction(0))
+    return quantile_table(fm, anchor_atom.position, top)
 
 
 @dataclass(eq=False)

@@ -181,26 +181,12 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         lo, hi = bounds[i], bounds[i + 1]
         if lo == hi:
             continue
-        fp = projection.fiber(Fraction(i, fiber_grid))
-        tk, sk = _inverse_quantile_table(fp)
-        xs[order[lo:hi]] = np.mod(np.interp(np.mod(targets[lo:hi] - tk[0], 1.0) + tk[0],
-                                            tk, sk), 1.0)
+        xs[order[lo:hi]] = projection.fiber(Fraction(i, fiber_grid)).inverse_map_array(
+            targets[lo:hi])
     del order, targets
     occ = np.zeros((bins, bins), dtype=bool)
     occ[(thetas * bins).astype(int) % bins, (xs * bins).astype(int) % bins] = True
     return FiberSet(bins=occ, resolution=bins, burnin=burnin, iters=iters, seed=seed)
-
-
-def _inverse_quantile_table(fp) -> tuple:
-    """Knot arrays mapping target positions (lift from the anchor) to source."""
-    tk, sk = [], []
-    for p in fp.plateaus:
-        t = float(fp.anchor_pos) + float(p.chat)
-        tk.extend([t, t])
-        sk.extend([float(p.start), float(p.start + p.length)])
-    tk.append(float(fp.anchor_pos) + 1.0)
-    sk.append(float(fp.plateaus[0].start) + 1.0)
-    return np.array(tk), np.array(sk)
 
 
 @dataclass

@@ -109,7 +109,7 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
         cur, cert, witnesses = prepare_curve(system, curve, depth, crossings=crossings, seed=seed)
     family = {m: image_curve(system, cur, m) for m in range(-n, n + 2)}
     window = {m: family[m] for m in range(-n, n + 1)}
-    mu = build_mu(window, weights=weights, certificate=cert, waive_flatness=waive_flatness)
+    mu = build_mu(window, weights=weights, waive_flatness=waive_flatness)
     projection = build_pi(mu, n0)
     atlas = build_partition_atlas(mu, projection, epsilon)
     bumps = build_bumps(atlas, epsilon, variant="urysohn")
@@ -117,7 +117,7 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     shifted_masses = {m: weights.a(m - 1) for m in range(-n + 1, n + 2)}
     shifted_curves = {m: family[m] for m in range(-n + 1, n + 2)}
     mu_shifted = build_mu(shifted_curves, masses=shifted_masses, beta=weights.beta,
-                          certificate=cert, waive_flatness=waive_flatness)
+                          waive_flatness=waive_flatness)
     tmap = build_f(system, density, projection, curve0=n0, curve1=n0 + 1)
     return BlowupPipeline(system=system, curve=cur, weights=weights, epsilon=epsilon,
                           n0=n0, family=family, certificate=cert, witnesses=witnesses,

@@ -65,11 +65,6 @@ class Mat2:
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(*_mul(self.entries(), other.entries()))
 
-    def renormalized(self) -> "Mat2":
-        det = self.det()
-        s = 1.0 / math.sqrt(abs(det))
-        return Mat2(self.a * s, self.b * s, self.c * s, self.d * s)
-
     def norm(self) -> float:
         return _norm(self.entries())
 

@@ -19,7 +19,7 @@ import numpy as np
 from .atlas import PartitionAtlas
 from .circle import mod1
 from .errors import EtaNotInvertible, InvariantViolation, PreconditionError
-from .measure import FiberMeasure, MeasureFamily, Projection
+from .measure import MeasureFamily, Projection, quantile_table
 from .systems import QpfSystem
 
 
@@ -88,66 +88,6 @@ def build_f(system: QpfSystem, nu, projection: Projection,
 
 
 # ---------------------------------------------------------------------------
-# anchored quantile of a fiber measure (used by the shifted-window check)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class AnchoredQuantile:
-    """Q(u) = min{y : measure of the arc [anchor, y] >= u}, anchor atom first."""
-
-    seg_starts: np.ndarray
-    seg_plateau: np.ndarray
-    seg_target: np.ndarray
-    seg_slope: np.ndarray
-    total: float
-
-    def map_array(self, us) -> np.ndarray:
-        u = np.mod(np.asarray(us, dtype=float), self.total)
-        idx = np.clip(np.searchsorted(self.seg_starts, u, side="right") - 1,
-                      0, len(self.seg_starts) - 1)
-        affine = self.seg_target[idx] + self.seg_slope[idx] * (u - self.seg_starts[idx])
-        return np.where(self.seg_plateau[idx], self.seg_target[idx], np.mod(affine, 1.0))
-
-
-def anchored_quantile(fm: FiberMeasure, anchor_pos: Fraction) -> AnchoredQuantile:
-    anchor_pos = mod1(Fraction(anchor_pos))
-    ordered = sorted(fm.atoms, key=lambda a: mod1(a.position - anchor_pos))
-    if not ordered or mod1(ordered[0].position - anchor_pos) != 0:
-        raise PreconditionError("anchor position carries no atom")
-    starts, plateau, targets, slopes = [], [], [], []
-    u = Fraction(0)
-    prev_chat = Fraction(0)
-    inv_beta = 1.0 / float(fm.beta)
-    for i, atom in enumerate(ordered):
-        chat = mod1(atom.position - anchor_pos)
-        gap = chat - prev_chat
-        if gap > 0:
-            starts.append(float(u))
-            plateau.append(False)
-            targets.append(float(anchor_pos) + float(prev_chat))
-            slopes.append(inv_beta)
-            u += fm.beta * gap
-        starts.append(float(u))
-        plateau.append(True)
-        targets.append(float(atom.position))
-        slopes.append(0.0)
-        u += atom.mass
-        prev_chat = chat
-    if prev_chat < 1:
-        starts.append(float(u))
-        plateau.append(False)
-        targets.append(float(anchor_pos) + float(prev_chat))
-        slopes.append(inv_beta)
-        u += fm.beta * (1 - prev_chat)
-    return AnchoredQuantile(seg_starts=np.array(starts),
-                            seg_plateau=np.array(plateau, dtype=bool),
-                            seg_target=np.array(targets),
-                            seg_slope=np.array(slopes),
-                            total=float(u))
-
-
-# ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
 
@@ -196,9 +136,8 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
         res[g] = float(np.max(circ_dist_array(lhs, rhs)))
         # shifted-window identity pi' o f = R o pi at a subsample of fibers
         if g % max(1, grid // 64) == 0:
-            fm_shift = mu_shifted.fiber(theta_next)
             gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
-            quant = anchored_quantile(fm_shift, gamma1)
+            quant = quantile_table(mu_shifted.fiber(theta_next), gamma1, Fraction(0))
             fd = tmap.nu.fiber(theta_next)
             p1 = tmap.phi_minus(theta_next, tmap.curve1)
             masses = fd.mass_from(p1, fvals) / fd.total

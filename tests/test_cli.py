@@ -6,7 +6,7 @@ import pytest
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
 from qpflab.cli import main
-from qpflab.manifest import load_manifest
+from qpflab.manifest import Manifest, load_manifest
 from qpflab.errors import ManifestError
 from qpflab.plgraph import PLGraph
 
@@ -41,6 +41,22 @@ def test_unknown_section_rejected(tmp_path):
     p = write_manifest(tmp_path, "[nonsense]\nx = 1\n")
     with pytest.raises(ManifestError):
         load_manifest(p)
+
+
+def test_manifest_echo_lists_every_key(tmp_path):
+    changed = Manifest(probe_points=16, waive_flatness=True, alpha=0.3)
+    assert changed.normalized_text() != Manifest().normalized_text()
+    p = write_manifest(tmp_path, "[curve]\npeak = 1/3\n[weights]\ns = 0.25\n"
+                                 "[run]\nwaive_flatness = yes\nprobe_points = 16\n")
+    echo = load_manifest(p).normalized_text().splitlines()
+    for line in ("peak=1/3", "s=0.25", "waive_flatness=True", "probe_points=16"):
+        assert line in echo
+
+
+def test_unparsed_key_rejected(tmp_path):
+    # [base] phi was accepted and then ignored; no manifest field reads it
+    with pytest.raises(ManifestError):
+        load_manifest(write_manifest(tmp_path, "[base]\nphi = 1/2\n"))
 
 
 def test_missing_certificate_exit_3(tmp_path):

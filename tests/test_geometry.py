@@ -7,6 +7,7 @@ from qpflab.errors import PreconditionError
 from qpflab.geometry import (crosses_over, image_curve, intersection_projection,
                              is_flat_intersection)
 from qpflab.plgraph import PLGraph
+from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import Lift, QpfSystem, compose_fiber
 
 
@@ -22,6 +23,12 @@ def test_image_rejects_deep():
     system = QpfSystem.translation()
     with pytest.raises(PreconditionError):
         image_curve(system, PLGraph.constant(F(0)), system.max_depth + 1)
+
+
+def test_image_refuses_non_affine_base():
+    harper = cocycle_qpf(Cocycle.harper(0.0, 2.0))
+    with pytest.raises(PreconditionError):
+        image_curve(harper, PLGraph.constant(F(1, 5)), 1)
 
 
 def test_image_skew_pointwise_oracle():

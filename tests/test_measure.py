@@ -2,12 +2,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from qpflab import pipeline
+from qpflab.circle import mod1
 from qpflab.errors import NotSameMeasure, PreconditionError
 from qpflab.geometry import image_curve
-from qpflab.measure import (build_mu, build_pi, find_conjugating_rotation,
-                            kolmogorov_distance, preimage_interval)
+from qpflab.measure import (FiberAtom, FiberMeasure, build_mu, build_pi,
+                            find_conjugating_rotation, kolmogorov_distance, preimage_interval,
+                            quantile_table)
 from qpflab.plgraph import PLGraph
+from qpflab.surgery import FlattenCertificate
 from qpflab.systems import QpfSystem
 from qpflab.weights import make_weights
 
@@ -117,3 +122,63 @@ def test_flatness_precondition_gate():
         build_mu(fam, masses={0: F(1, 8), 1: F(1, 8)}, beta=F(3, 4))
     mu = build_mu(fam, masses={0: F(1, 8), 1: F(1, 8)}, beta=F(3, 4), waive_flatness=True)
     assert mu.beta == F(3, 4)
+
+
+def test_run_blowup_refuses_unflat_certificate(monkeypatch):
+    # a certificate that says the curve is not flat must not waive the refusal
+    tent = PLGraph.tent(F(1, 5), F(7, 10))
+    cert = FlattenCertificate(depth=3, steps=[], components={}, flat=False)
+    monkeypatch.setattr(pipeline, "prepare_curve", lambda *a, **k: (tent, cert, []))
+    w = make_weights("quadratic", k=4, half_width=1, epsilon=F(1, 2))
+    with pytest.raises(PreconditionError, match="non-flat"):
+        pipeline.run_blowup(R, tent, w, F(1, 2), fiber_grid=16, vertical_grid=16)
+
+
+@st.composite
+def atom_layouts(draw):
+    """A fiber measure of total mass 1, an anchor atom and a top mass (0 or not)."""
+    positions = draw(st.lists(st.fractions(0, 1, max_denominator=997).filter(lambda x: x < 1),
+                              min_size=1, max_size=6, unique=True))
+    weights = draw(st.lists(st.integers(1, 50), min_size=len(positions),
+                            max_size=len(positions)))
+    beta = draw(st.fractions(F(1, 10), F(9, 10), max_denominator=97))
+    scale = (1 - beta) / sum(weights)
+    atoms = tuple(sorted((FiberAtom(position=x, members=(i,), mass=wt * scale)
+                          for i, (x, wt) in enumerate(zip(positions, weights))),
+                         key=lambda a: a.position))
+    fm = FiberMeasure(theta=F(0), beta=beta, atoms=atoms,
+                      masses={a.members[0]: a.mass for a in atoms}, t_split={})
+    anchor = draw(st.sampled_from(atoms))
+    top = draw(st.one_of(st.just(F(0)), st.fractions(0, 1, max_denominator=97)
+                         .map(lambda t: t * anchor.mass)))
+    return fm, anchor, top
+
+
+@given(atom_layouts())
+def test_quantile_table_properties(layout):
+    fm, anchor, top = layout
+    fp = quantile_table(fm, anchor.position, top)
+    assert fm.total_mass() == 1
+    # each plateau maps to its atom's position
+    for p in fp.plateaus:
+        mids = np.array([float(mod1(p.start + p.length * t)) for t in (F(1, 3), F(1, 2), F(2, 3))])
+        assert np.all(fp.map_array(mids) == float(p.target))
+    # off the plateaus the inverse undoes map_array
+    xs = (np.arange(997) + 0.5) / 997
+    off = np.ones(len(xs), dtype=bool)
+    for p in fp.plateaus:
+        off &= np.mod(xs - float(p.start) + 1e-9, 1.0) > float(p.length) + 2e-9
+    back = fp.inverse_map_array(fp.map_array(xs[off]))
+    d = np.mod(back - xs[off], 1.0)
+    assert np.all(np.minimum(d, 1.0 - d) <= 1e-12)
+    # the anchor plateau starts at -top; the top-0 table starts at 0
+    assert fp.plateau_of(anchor.members[0]).start == -top
+    if top == 0:
+        assert fp.start == 0 and fp.seg_starts[0] == 0.0
+        assert fp.map_array(np.array([0.0]))[0] == float(anchor.position)
+
+
+def test_quantile_table_needs_an_anchor_atom():
+    mu = build_mu({0: PLGraph.constant(F(0))}, masses={0: F(1, 2)}, beta=F(1, 2))
+    with pytest.raises(PreconditionError):
+        quantile_table(mu.fiber(F(1, 3)), F(1, 4), F(0))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpflab.errors import PreconditionError
-from qpflab.minimal import (_CHUNK, FiberSet, _inverse_quantile_table, approximate_minimal_set,
+from qpflab.minimal import (_CHUNK, FiberSet, approximate_minimal_set,
                             fiber_component_count, invariance_defect,
                             minimal_set_via_projection, structure_diagnostics)
 from qpflab.plgraph import PLGraph
@@ -50,8 +50,7 @@ def reference_projection_lift(projection, system, iters, burnin, fiber_grid, bin
         mask = fiber_idx == i
         if not mask.any():
             continue
-        tk, sk = _inverse_quantile_table(projection.fiber(F(i, fiber_grid)))
-        xs[mask] = np.mod(np.interp(np.mod(targets[mask] - tk[0], 1.0) + tk[0], tk, sk), 1.0)
+        xs[mask] = projection.fiber(F(i, fiber_grid)).inverse_map_array(targets[mask])
     occ = np.zeros((bins, bins), dtype=bool)
     occ[(thetas * bins).astype(int) % bins, (xs * bins).astype(int) % bins] = True
     return occ
