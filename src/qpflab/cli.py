@@ -84,6 +84,18 @@ def _echo_manifest(manifest: Manifest, out: Path) -> None:
     (out / "manifest.echo.txt").write_text(manifest.normalized_text(), encoding="ascii")
 
 
+def _run_blowup(manifest: Manifest, system):
+    """The blowup pipeline on the manifest's weights, curve and grids."""
+    weights = make_weights(manifest.weights_mode, manifest.weights_k, manifest.weights_n,
+                           manifest.epsilon, alpha=manifest.alpha, s=manifest.s)
+    return run_blowup(system, manifest.initial_curve(), weights, manifest.epsilon,
+                      n0=manifest.anchor, crossings=manifest.crossings,
+                      seed=manifest.seed, fiber_grid=manifest.fibers,
+                      vertical_grid=manifest.vertical,
+                      flatten=manifest.curve_kind != "file",
+                      waive_flatness=manifest.waive_flatness)
+
+
 def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     system = manifest.base_system()
     curve = manifest.initial_curve()
@@ -106,16 +118,7 @@ def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
 
 
 def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
-    system = manifest.base_system()
-    curve = manifest.initial_curve()
-    weights = make_weights(manifest.weights_mode, manifest.weights_k, manifest.weights_n,
-                           manifest.epsilon, alpha=manifest.alpha, s=manifest.s)
-    pipeline = run_blowup(system, curve, weights, manifest.epsilon,
-                          n0=manifest.anchor, crossings=manifest.crossings,
-                          seed=manifest.seed, fiber_grid=manifest.fibers,
-                          vertical_grid=manifest.vertical,
-                          flatten=manifest.curve_kind != "file",
-                          waive_flatness=manifest.waive_flatness)
+    pipeline = _run_blowup(manifest, manifest.base_system())
     _echo_manifest(manifest, out)
     atlas_audit = pipeline.atlas_audit()
     density_audit = pipeline.density_audit(grid=min(manifest.fibers, 512))
@@ -159,7 +162,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
         "atlas_max_components": {str(k): v for k, v in atlas_audit.max_components.items()},
         "annulus_height": nonmin.annulus_height,
         "probe_hit_fraction": nonmin.hit_fraction,
-        "beta": float(weights.beta),
+        "beta": float(pipeline.weights.beta),
     }
     artifacts.write_jsonl(out / "report.jsonl", [summary])
     if emit_svg:
@@ -188,14 +191,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     records = [{"target": "base", "rho": est.value, "verdict": verdict.verdict,
                 "ratio": verdict.ratio, "sup_dev": verdict.sup_full}]
     # blowup target: build the pipeline at the configured grids and classify f
-    weights = make_weights(manifest.weights_mode, manifest.weights_k, manifest.weights_n,
-                           manifest.epsilon, alpha=manifest.alpha, s=manifest.s)
-    pipeline = run_blowup(system, manifest.initial_curve(), weights, manifest.epsilon,
-                          n0=manifest.anchor, crossings=manifest.crossings,
-                          seed=manifest.seed, fiber_grid=manifest.fibers,
-                          vertical_grid=manifest.vertical,
-                          flatten=manifest.curve_kind != "file",
-                          waive_flatness=manifest.waive_flatness)
+    pipeline = _run_blowup(manifest, system)
     f_sys = pipeline.f_system
     f_lift = Lift(f_sys)
     f_verdict = classify_rho_boundedness(f_lift, 512, 4)
@@ -206,7 +202,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
                                     fiber_grid=manifest.fibers, bins=manifest.bins,
                                     seed=manifest.seed)
     comp = fiber_component_count(fs)
-    diag = structure_diagnostics(fs, beta=float(weights.beta), seed=manifest.seed)
+    diag = structure_diagnostics(fs, beta=float(pipeline.weights.beta), seed=manifest.seed)
     records.append({
         "target": "blowup-f-minimal-set",
         "c_min": comp.c_min,

@@ -137,27 +137,9 @@ class Cocycle:
 
 def cocycle_qpf(c: Cocycle) -> QpfSystem:
     """The qpf circle system induced by the projective action."""
-
-    def fiber_fn(theta, x):
-        return projective_action(c.matrix(float(theta)), float(x))
-
-    def fiber_inv_fn(theta, y):
-        m = c.matrix(float(theta))
-        inv = Mat2(m.d, -m.b, -m.c, m.a)
-        return projective_action(inv, float(y))
-
-    def fiber_vec_fn(theta, xs):
-        m = c.matrix(float(theta))
-        vals = projective_action_array(m, np.asarray(xs, dtype=float) % 1.0)
-        f0 = projective_action(m, 0.0)
-        lift = f0 + np.mod(vals - f0, 1.0)
-        xs = np.asarray(xs, dtype=float)
-        lift[xs >= 1.0] = f0 + 1.0
-        return lift
-
-    return QpfSystem.from_callable(c.omega, fiber_fn, fiber_inv_fn=fiber_inv_fn,
-                                   fiber_vec_fn=fiber_vec_fn,
-                                   kind="cocycle", label=f"cocycle:{c.family}")
+    return QpfSystem.from_callable(
+        c.omega, lambda theta, xs: projective_action_array(c.matrix(float(theta)), xs),
+        kind="cocycle", label=f"cocycle:{c.family}")
 
 
 @dataclass

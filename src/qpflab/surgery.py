@@ -72,31 +72,34 @@ def _orbit_point(system: QpfSystem, theta, x, k: int):
     return mod1(theta), mod1(x)
 
 
+def _return_times(meets, n: int, horizon: int, timeout: Exception) -> Itinerary:
+    """Times k with meets(k), searched forward and backward from 0 in gaps <= n.
+
+    More than horizon returns in all raise the given timeout error.
+    """
+    times = [0]
+    for direction in (+1, -1):
+        k = 0
+        while True:
+            hit = next((k + direction * d for d in range(1, n + 1)
+                        if meets(k + direction * d)), None)
+            if hit is None:
+                break
+            times.append(hit)
+            k = hit
+            if len(times) > horizon + 1:
+                raise timeout
+    return Itinerary(tuple(sorted(times)), n)
+
+
 def itinerary_of_point(system: QpfSystem, graph: PLGraph, z, n: int, horizon: int) -> Itinerary:
     """Finite return-time set N(z) of a point z on the graph, gaps <= n."""
     theta, x = Fraction(z[0]), Fraction(z[1])
     if not graph.contains_point(theta, x):
         raise PreconditionError("itinerary base point must lie on the graph")
-    times = [0]
-    steps = 0
-    for direction in (+1, -1):
-        k = 0
-        while True:
-            hit = None
-            for d in range(1, n + 1):
-                th, xx = _orbit_point(system, theta, x, k + direction * d)
-                if graph.contains_point(th, xx):
-                    hit = k + direction * d
-                    break
-            if hit is None:
-                break
-            times.append(hit)
-            k = hit
-            steps += 1
-            if steps > horizon:
-                raise EscapeTimeout(
-                    f"first-return orbit did not terminate within {horizon} steps")
-    return Itinerary(tuple(sorted(times)), n)
+    return _return_times(
+        lambda k: graph.contains_point(*_orbit_point(system, theta, x, k)), n, horizon,
+        EscapeTimeout(f"first-return orbit did not terminate within {horizon} steps"))
 
 
 def itinerary_of_interval(system: QpfSystem, graph: PLGraph, arc, n: int,
@@ -108,25 +111,8 @@ def itinerary_of_interval(system: QpfSystem, graph: PLGraph, arc, n: int,
         proj = intersection_projection(image_curve(system, graph, -k), graph)
         return not proj.intersect_arc(lo, hi).is_empty
 
-    times = [0]
-    steps = 0
-    for direction in (+1, -1):
-        k = 0
-        while True:
-            hit = None
-            for d in range(1, n + 1):
-                if meets(k + direction * d):
-                    hit = k + direction * d
-                    break
-            if hit is None:
-                break
-            times.append(hit)
-            k = hit
-            steps += 1
-            if steps > horizon:
-                raise IntervalTooWide(
-                    "interval has no terminating itinerary; bisect and retry")
-    return Itinerary(tuple(sorted(times)), n)
+    return _return_times(meets, n, horizon, IntervalTooWide(
+        "interval has no terminating itinerary; bisect and retry"))
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,20 @@ EXACT_KINDS = ("translation", "skew")
 
 @dataclass(frozen=True, eq=False)
 class QpfSystem:
-    """A family of monotone degree-one circle fiber maps over theta -> theta + omega."""
+    """A family of monotone degree-one circle fiber maps over theta -> theta + omega.
+
+    Affine kinds carry a displacement (rho or phi); the sampled kind carries a
+    table of normalized lifts; every other kind carries one vectorized map
+    circle_fn(theta, xs) -> f_theta(xs) mod 1, from which the lift, its
+    inverse and the sampled table are all derived.
+    """
 
     omega: Fraction
     kind: str
     rho: Optional[Fraction] = None
     phi: Optional[PLGraph] = None
-    fiber_fn: Optional[Callable] = None
-    fiber_inv_fn: Optional[Callable] = None
-    fiber_lift_fn: Optional[Callable] = None
-    fiber_vec_fn: Optional[Callable] = None  # vectorized normalized-lift values
+    circle_fn: Optional[Callable] = None
     table: Optional[np.ndarray] = None
-    vertical_knots: Optional[np.ndarray] = None
     max_depth: int = 128
     label: str = ""
 
@@ -52,11 +54,8 @@ class QpfSystem:
         return QpfSystem(omega=Fraction(omega), kind="skew", phi=phi)
 
     @staticmethod
-    def from_callable(omega, fiber_fn, fiber_inv_fn=None, fiber_vec_fn=None,
-                      fiber_lift_fn=None, kind="cocycle", label="") -> "QpfSystem":
-        return QpfSystem(omega=Fraction(omega), kind=kind, fiber_fn=fiber_fn,
-                         fiber_inv_fn=fiber_inv_fn, fiber_vec_fn=fiber_vec_fn,
-                         fiber_lift_fn=fiber_lift_fn, label=label)
+    def from_callable(omega, circle_fn, kind="cocycle", label="") -> "QpfSystem":
+        return QpfSystem(omega=Fraction(omega), kind=kind, circle_fn=circle_fn, label=label)
 
     @property
     def is_affine(self) -> bool:
@@ -74,56 +73,54 @@ class QpfSystem:
             return _pl_value_float(self.phi, float(theta))
         raise ValueError(f"{self.kind} systems have no affine displacement")
 
-    def fiber_circle(self, theta, x):
-        """Circle value f_theta(x) in [0, 1)."""
+    def circle_values(self, theta, xs) -> np.ndarray:
+        """Circle values f_theta(xs) in [0, 1) at an array of points of one fiber."""
+        xs = np.asarray(xs, dtype=float)
         if self.is_affine:
-            return mod1(x + self.displacement(theta))
+            return np.mod(xs + float(self.displacement(theta)), 1.0)
         if self.kind == "sampled":
-            return mod1(self._table_lift(theta, x))
-        return mod1(self.fiber_fn(theta, x))
+            return self.table_step(float(theta), xs)
+        return self.circle_fn(theta, xs)
 
     def fiber_circle_inv(self, theta, y):
-        """Inverse fiber map on the circle."""
+        """Inverse fiber map on the circle: exact for affine kinds, else bisection."""
         if self.is_affine:
             return mod1(y - self.displacement(theta))
-        if self.fiber_inv_fn is not None:
-            return mod1(self.fiber_inv_fn(theta, y))
-        return _bisect_inverse(lambda x: float(self.fiber_circle(theta, x)), y)
+        return _bisect_inverse(lambda x: float(self.circle_values(theta, [x])[0]), y)
 
-    def table_step(self, th: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def table_step(self, th, x: np.ndarray) -> np.ndarray:
         """Circle values of the tabulated fiber maps at arrays of points (th, x).
 
         Each point takes the nearest fiber row of the table, then linear
-        interpolation in x between the vertical knots.
+        interpolation in x between the vertical knots; x = 1 uses the last
+        cell, as the orbit kernel does.
         """
         table = self.table
         vres = table.shape[1] - 1
         i = nearest_rows(th, table.shape[0])
-        pos = np.clip(x * vres, 0.0, vres - 1e-9)
-        j = pos.astype(int)
+        pos = x * vres
+        j = np.minimum(pos.astype(int), vres - 1)
         frac = pos - j
         return (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
 
-    def _table_lift(self, theta, x):
-        g = self.table.shape[0]
-        i = int(math.floor(float(theta) * g + 0.5)) % g
-        m = math.floor(x)
-        r = x - m
-        return m + float(np.interp(r, self.vertical_knots, self.table[i]))
-
     def sample(self, fiber_grid: int, vertical_grid: int) -> "QpfSystem":
-        """Tabulate normalized-lift fiber maps on a grid (the 'sampled' kind)."""
+        """Tabulate normalized-lift fiber maps on a grid (the 'sampled' kind).
+
+        Each row is the lift with F_theta(0) = f_theta(0) in [0, 1), rising by
+        exactly 1 over the fiber.
+        """
         knots = np.linspace(0.0, 1.0, vertical_grid + 1)
-        lift = Lift(self)
         rows = np.empty((fiber_grid, vertical_grid + 1))
         for i in range(fiber_grid):
-            theta = Fraction(i, fiber_grid) if self.is_affine else i / fiber_grid
-            if self.fiber_vec_fn is not None:
-                rows[i] = self.fiber_vec_fn(float(theta), knots)
-            else:
-                rows[i] = [float(lift.value(theta, float(x))) for x in knots]
+            if self.is_affine:
+                rows[i] = knots + float(mod1(self.displacement(Fraction(i, fiber_grid))))
+                continue
+            vals = self.circle_values(i / fiber_grid, knots)
+            f0 = vals[0]
+            rows[i] = f0 + np.mod(vals - f0, 1.0)
+            rows[i, -1] = f0 + 1.0
         return QpfSystem(omega=self.omega, kind="sampled", table=rows,
-                         vertical_knots=knots, label=f"sampled({self.label or self.kind})")
+                         label=f"sampled({self.label or self.kind})")
 
 
 def nearest_rows(th: np.ndarray, g: int) -> np.ndarray:
@@ -169,41 +166,43 @@ class Lift:
     def value(self, theta, x):
         if self.base.is_affine:
             return x + mod1(self.base.displacement(theta))
-        if self.base.fiber_lift_fn is not None:
-            return self.base.fiber_lift_fn(theta, x)
         m = math.floor(x)
-        r = x - m
-        f0 = float(self.base.fiber_circle(theta, 0.0))
-        if r == 0:
-            return m + f0
-        delta = (float(self.base.fiber_circle(theta, r)) - f0) % 1.0
-        return m + f0 + delta
+        f0, fr = self.base.circle_values(theta, [0.0, x - m]).tolist()
+        return m + f0 + (fr - f0) % 1.0
 
     def inverse(self, theta, y):
         """x with F_theta(x) = y."""
         if self.base.is_affine:
             return y - mod1(self.base.displacement(theta))
-        f0 = float(self.base.fiber_circle(theta, 0.0))
-        w = (y - f0) % 1.0
-        k = round(y - f0 - w)
-        r = float(self.base.fiber_circle_inv(theta, y % 1.0))
-        return k + r
+        f0 = float(self.base.circle_values(theta, [0.0])[0])
+        return math.floor(y - f0) + float(self.base.fiber_circle_inv(theta, y % 1.0))
+
+
+def _base_arithmetic(base: QpfSystem, theta):
+    """theta and omega as exact numbers for affine kinds, as floats otherwise."""
+    if base.is_affine:
+        return theta, base.omega
+    return float(theta), float(base.omega)
+
+
+def _orbit(lift: Lift, theta, x, n: int) -> list:
+    """The iterates F^1_theta(x), ..., F^n_theta(x)."""
+    theta, omega = _base_arithmetic(lift.base, theta)
+    orbit = []
+    for k in range(n):
+        x = lift.value(mod1(theta + k * omega), x)
+        orbit.append(x)
+    return orbit
 
 
 def compose_fiber(lift: Lift, theta, n: int, x):
     """n-step fiber composition F^n_theta(x); n may be negative."""
-    base = lift.base
-    omega = base.omega if base.is_affine else float(base.omega)
-    if not base.is_affine:
-        theta = float(theta)
-    cur = x
     if n >= 0:
-        for k in range(n):
-            cur = lift.value(mod1(theta + k * omega), cur)
-    else:
-        for k in range(1, -n + 1):
-            cur = lift.inverse(mod1(theta - k * omega), cur)
-    return cur
+        return _orbit(lift, theta, x, n)[-1] if n else x
+    theta, omega = _base_arithmetic(lift.base, theta)
+    for k in range(1, -n + 1):
+        x = lift.inverse(mod1(theta - k * omega), x)
+    return x
 
 
 @dataclass
@@ -217,19 +216,11 @@ def rotation_number(lift: Lift, theta0, x0, n: int) -> RotationEstimate:
     """Birkhoff estimate (F^n(x)-x)/n with the N vs N/2 Cauchy gap."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    base = lift.base
-    omega = base.omega if base.is_affine else float(base.omega)
-    if not base.is_affine:
-        theta0 = float(theta0)
-    cur = x0
+    orbit = _orbit(lift, theta0, x0, n)
     half = max(1, n // 2)
-    est_half = None
-    for k in range(n):
-        cur = lift.value(mod1(theta0 + k * omega), cur)
-        if k + 1 == half:
-            est_half = (float(cur) - float(x0)) / half
-    est = (float(cur) - float(x0)) / n
-    return RotationEstimate(value=est, cauchy_gap=abs(est - (est_half if est_half is not None else est)), n=n)
+    est = (float(orbit[-1]) - float(x0)) / n
+    est_half = (float(orbit[half - 1]) - float(x0)) / half
+    return RotationEstimate(value=est, cauchy_gap=abs(est - est_half), n=n)
 
 
 @dataclass
@@ -243,18 +234,11 @@ class DeviationTrace:
 
 
 def deviations(lift: Lift, theta, x, n: int, rho: float | None = None) -> DeviationTrace:
-    """D_k = F^k_theta(x) - x - k*rho for k = 1..n."""
+    """D_k = F^k_theta(x) - x - k*rho for k = 1..n; rho defaults to (F^n(x) - x)/n."""
+    orbit = np.array([float(v) for v in _orbit(lift, theta, x, n)])
     if rho is None:
-        rho = rotation_number(lift, theta, x, n).value
-    base = lift.base
-    omega = base.omega if base.is_affine else float(base.omega)
-    if not base.is_affine:
-        theta = float(theta)
-    devs = np.empty(n)
-    cur = x
-    for k in range(n):
-        cur = lift.value(mod1(theta + k * omega), cur)
-        devs[k] = float(cur) - float(x) - (k + 1) * float(rho)
+        rho = (orbit[-1] - float(x)) / n
+    devs = orbit - float(x) - np.arange(1, n + 1) * float(rho)
     return DeviationTrace(rho_estimate=float(rho), devs=devs,
                           sup_growth=np.maximum.accumulate(np.abs(devs)))
 

@@ -53,27 +53,12 @@ class TransportedMap:
         us = np.mod(np.asarray(xs, dtype=float) - p0, 1.0) * fd.total
         return fd.quantile_from(p1, us)
 
-    def fiber_lift(self, theta, xs) -> np.ndarray:
-        """Normalized lift values (F_theta(0) in [0,1)) on sorted xs in [0,1]."""
-        xs = np.asarray(xs, dtype=float)
-        vals = self.fiber_values(theta, np.mod(xs, 1.0))
-        f0 = float(self.fiber_values(theta, np.array([0.0]))[0])
-        lift = f0 + np.mod(vals - f0, 1.0)
-        wrap = xs >= 1.0
-        lift[wrap] = f0 + 1.0 + np.mod(vals[wrap] - f0, 1.0)
-        return lift
-
     def as_system(self) -> QpfSystem:
-        def fiber_fn(theta, x):
+        def circle_fn(theta, xs):
             th = theta if isinstance(theta, Fraction) else Fraction(theta).limit_denominator(10**15)
-            return float(self.fiber_values(th, np.array([float(x) % 1.0]))[0])
+            return self.fiber_values(th, xs)
 
-        def fiber_vec_fn(theta, xs):
-            th = theta if isinstance(theta, Fraction) else Fraction(theta).limit_denominator(10**15)
-            return self.fiber_lift(th, xs)
-
-        return QpfSystem.from_callable(self.system.omega, fiber_fn,
-                                       fiber_vec_fn=fiber_vec_fn,
+        return QpfSystem.from_callable(self.system.omega, circle_fn,
                                        kind="blowup", label="blowup-built")
 
 
@@ -130,9 +115,7 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
         fvals = tmap.fiber_values(theta, xs)
         lhs = pi.fiber(theta_next).map_array(fvals)
         pivals = pi.fiber(theta).map_array(xs)
-        rhs = np.mod(pivals + float(system.displacement(theta)), 1.0) \
-            if system.is_affine else np.array(
-                [float(system.fiber_circle(float(theta), v)) for v in pivals])
+        rhs = system.circle_values(theta, pivals)
         res[g] = float(np.max(circ_dist_array(lhs, rhs)))
         # shifted-window identity pi' o f = R o pi at a subsample of fibers
         if g % max(1, grid // 64) == 0:

@@ -53,6 +53,13 @@ def test_manifest_echo_lists_every_key(tmp_path):
         assert line in echo
 
 
+def test_readme_example_manifest_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    m = load_manifest(write_manifest(tmp_path, block))
+    assert (m.fibers, m.depth, m.iters) == (4096, 4, 10000000)
+
+
 def test_unparsed_key_rejected(tmp_path):
     # [base] phi was accepted and then ignored; no manifest field reads it
     with pytest.raises(ManifestError):

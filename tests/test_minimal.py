@@ -13,21 +13,26 @@ from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import QpfSystem
 
 
-def reference_orbit(table, omega, theta0, x0, burnin, iters, bins):
-    """The orbit binning one step at a time: the oracle for the chunked kernel."""
+def reference_step(table, th, x):
+    """One step of the tabulated map at the point (th, x), on Python scalars."""
     g, vk = table.shape
     vres = vk - 1
+    i = int(math.floor(th * g + 0.5)) % g
+    pos = x * vres
+    j = int(pos)
+    if j >= vres:
+        j = vres - 1
+    frac = pos - j
+    return (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
+
+
+def reference_orbit(table, omega, theta0, x0, burnin, iters, bins):
+    """The orbit binning one step at a time: the oracle for the chunked kernel."""
     occ = np.zeros((bins, bins), dtype=np.bool_)
     th = theta0
     x = x0
     for step in range(burnin + iters):
-        i = int(math.floor(th * g + 0.5)) % g
-        pos = x * vres
-        j = int(pos)
-        if j >= vres:
-            j = vres - 1
-        frac = pos - j
-        x = (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
+        x = reference_step(table, th, x)
         th = (th + omega) % 1.0
         if step >= burnin:
             bi = int(th * bins) % bins
@@ -65,8 +70,7 @@ def random_sampled_system(rows=64, knots=65, seed=0):
     steps = rng.random((rows, knots - 1)) + 0.05
     table = np.concatenate([np.zeros((rows, 1)), np.cumsum(steps, axis=1)], axis=1)
     table = table / table[:, -1:] + rng.random((rows, 1))
-    return QpfSystem(omega=QpfSystem.translation().omega, kind="sampled", table=table,
-                     vertical_knots=np.linspace(0.0, 1.0, knots))
+    return QpfSystem(omega=QpfSystem.translation().omega, kind="sampled", table=table)
 
 
 RANDOM = random_sampled_system()
@@ -91,6 +95,15 @@ def test_orbit_kernel_matches_scalar_reference(system, burnin, iters, grid, bins
     ref = reference_orbit(table, float(system.omega), float(start[0]), float(start[1]),
                           burnin, iters, bins)
     assert np.array_equal(fs.bins, ref)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0 - 2.0**-53])
+def test_table_step_matches_orbit_step(x):
+    # the array step and the orbit kernel's step are one map, last cell included
+    thetas = np.linspace(0.0, 1.0, 37, endpoint=False)
+    got = RANDOM.table_step(thetas, np.full(len(thetas), x))
+    want = [reference_step(RANDOM.table, float(th), x) for th in thetas]
+    assert got.tolist() == want
 
 
 def test_projection_lift_matches_masked_reference(small4):

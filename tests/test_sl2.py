@@ -7,6 +7,7 @@ from qpflab.errors import DegenerateTriple
 from qpflab.minimal import approximate_minimal_set
 from qpflab.sl2 import (Cocycle, Mat2, cocycle_qpf, lyapunov, minimal_fiber_cardinality,
                         projective_action, triple_map)
+from qpflab.systems import Lift, compose_fiber
 
 
 def test_projective_action_basics():
@@ -113,6 +114,34 @@ def test_cocycle_qpf_feeds_minimal_sets():
     for i in rows:
         occ = fs.fiber_occupancy(int(i))
         assert all(min(j, 128 - j) <= 1 for j in occ)
+
+
+@pytest.mark.parametrize("cocycle", [
+    Cocycle.harper(0.0, 2.0),
+    Cocycle.diagonal(2.0),
+    Cocycle.rotation(0.5),
+    Cocycle.rotation(math.sqrt(2) / 3),
+])
+def test_sampled_cocycle_rows_are_normalized_lifts(cocycle):
+    # every row rises monotonically by exactly one turn from f_theta(0)
+    table = cocycle_qpf(cocycle).sample(512, 512).table
+    assert np.all(np.diff(table, axis=1) >= 0.0)
+    assert np.max(np.abs(table[:, -1] - table[:, 0] - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("cocycle, n", [
+    (Cocycle.harper(0.0, 2.0), 3),
+    (Cocycle.diagonal(2.0), 4),
+    (Cocycle.rotation(math.sqrt(2) / 3), 6),
+])
+def test_cocycle_lift_inverse(cocycle, n):
+    lift = Lift(cocycle_qpf(cocycle))
+    omega = float(cocycle.omega)
+    for theta in np.linspace(0.0, 1.0, 16, endpoint=False):
+        for x in (0.1, 0.37, 0.8, 1.6, -0.45):
+            assert abs(lift.inverse(theta, lift.value(theta, x)) - x) <= 1e-12
+            y = compose_fiber(lift, theta, n, x)
+            assert abs(compose_fiber(lift, theta + n * omega, -n, y) - x) <= 1e-10
 
 
 def test_cardinality_verdicts():

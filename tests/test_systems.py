@@ -87,6 +87,17 @@ def test_deviations_coboundary_telescopes():
     assert trace.sup() <= 0.1  # 2 * ||psi||_inf
 
 
+def test_rotation_estimates_and_default_rho_come_from_the_orbit():
+    # one orbit walk gives the estimate, its Cauchy gap and the deviations from it
+    lift = Lift(QpfSystem.skew(TENT_PHI))
+    est = rotation_number(lift, F(1, 7), 0.25, 300)
+    est_half = (compose_fiber(lift, F(1, 7), 150, 0.25) - 0.25) / 150
+    assert est.cauchy_gap == abs(est.value - est_half)
+    trace = deviations(lift, F(1, 7), 0.25, 300)
+    assert trace.rho_estimate == est.value
+    assert np.array_equal(trace.devs, deviations(lift, F(1, 7), 0.25, 300, rho=est.value).devs)
+
+
 def test_classifier_verdicts():
     lift = Lift(QpfSystem.translation())
     rep = classify_rho_boundedness(lift, 200, 4, rho=float(QpfSystem.translation().rho))
