@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
+from .chamber import Affine, ChamberTable, Probe
 from .errors import AtlasInvariantViolation, CoverFailure, PreconditionError
 from .measure import MeasureFamily, Projection, allocation_rank
 
@@ -90,18 +91,25 @@ class PartitionAtlas:
             raise PreconditionError("allocation order must start at the anchor curve")
         if not (0 < self.epsilon < 1):
             raise CoverFailure("epsilon must lie in (0,1) for a compact shrinking")
-        self._cache = lru_cache(maxsize=32768)(self._fiber_uncached)
 
     @property
     def mu(self) -> MeasureFamily:
         return self.projection.mu
 
+    @cached_property
+    def chambers(self) -> ChamberTable:
+        """The projection's chambers, split where the plateau allocation switches."""
+        return ChamberTable(self.projection.chambers.cuts, lambda probe: self._allocate(
+            None, self.mu.chambers.template_on(probe),
+            self.projection.chambers.template_on(probe)))
+
     def fiber(self, theta) -> FiberAtlas:
-        return self._cache(Fraction(theta))
+        return self.chambers.fiber(theta, self._fiber_uncached)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberAtlas:
-        fm = self.mu.fiber(theta)
-        fp = self.projection.fiber(theta)
+        return self._allocate(theta, self.mu.fiber(theta), self.projection.fiber(theta))
+
+    def _allocate(self, theta, fm, fp) -> FiberAtlas:
         u: dict = {}
         for plateau in fp.plateaus:
             arcs = _allocate_plateau(list(plateau.members), fm.masses, fm.t_split,
@@ -113,42 +121,57 @@ class PartitionAtlas:
 
     def audit_fiber(self, theta) -> None:
         """Raise AtlasInvariantViolation if any invariant fails at this fiber."""
-        fa = self.fiber(theta)
-        fm = self.mu.fiber(theta)
-        fp = self.projection.fiber(theta)
+        self._check(self.fiber(theta), self.projection.fiber(theta), f"theta={float(theta)}")
+
+    def audit_chamber(self, ch) -> None:
+        """Raise AtlasInvariantViolation unless the invariants hold on the whole chamber."""
+        probe = Probe(ch.a, ch.b)
+        self._check(self.chambers.template_on(probe), self.projection.chambers.template_on(probe),
+                    f"theta in ({float(ch.a)}, {float(ch.b)})", (ch.a, ch.b))
+
+    def _check(self, fa: FiberAtlas, fp, where: str, ends=None) -> None:
+        """The invariants of one fiber, or of one chamber through its closed ends.
+
+        Each invariant is x <= y or x < y between values affine on the
+        chamber: x <= y at both ends gives it on the chamber, and x < y on the
+        open chamber needs x < y at one end more.
+        """
+        def le(x, y, strict=False):
+            if ends is None:
+                return x < y if strict else x <= y
+            d = y - x
+            at = [d.at(t) for t in ends] if isinstance(d, Affine) else [d]
+            return min(at) >= 0 and (not strict or max(at) > 0)
+
+        plateau = {n: p for p in fp.plateaus for n in p.members}
         all_arcs = []
         for n in self.order:
-            arcs = fa.u[n]
-            if fa.u_width(n) != fm.masses[n]:
+            arcs, mass = fa.u[n], self.mu.masses[n]
+            width = fa.u_width(n)
+            if not (le(width, mass) and le(mass, width)):
+                raise AtlasInvariantViolation(f"{where}: width of U_{n} is not a_{n}")
+            if len(arcs) > 2 * abs(n) + 1:
                 raise AtlasInvariantViolation(
-                    f"theta={float(theta)}: width of U_{n} is {float(fa.u_width(n))}")
-            bound = 2 * abs(n) + 1
-            if len(arcs) > bound:
-                raise AtlasInvariantViolation(
-                    f"theta={float(theta)}: U_{n} has {len(arcs)} components > {bound}")
-            plateau = fp.plateau_of(n)
-            for lo, hi in arcs:
-                if not (plateau.start <= lo and hi <= plateau.start + plateau.length):
-                    raise AtlasInvariantViolation(
-                        f"theta={float(theta)}: U_{n} leaves its plateau")
-            if fa.v_width(n) < (1 - self.epsilon) * fm.masses[n]:
-                raise AtlasInvariantViolation(
-                    f"theta={float(theta)}: V_{n} too small")
-            for (lo, hi), (vlo, vhi) in zip(arcs, fa.v[n]):
-                if not (lo < vlo and vhi < hi):
-                    raise AtlasInvariantViolation(
-                        f"theta={float(theta)}: V_{n} not interior to U_{n}")
+                    f"{where}: U_{n} has {len(arcs)} components > {2 * abs(n) + 1}")
+            start = plateau[n].start
+            end = start + plateau[n].length
+            if not all(le(start, lo) and le(hi, end) for lo, hi in arcs):
+                raise AtlasInvariantViolation(f"{where}: U_{n} leaves its plateau")
+            if not le((1 - self.epsilon) * mass, fa.v_width(n)):
+                raise AtlasInvariantViolation(f"{where}: V_{n} too small")
+            if not all(le(lo, vlo, True) and le(vhi, hi, True)
+                       for (lo, hi), (vlo, vhi) in zip(arcs, fa.v[n])):
+                raise AtlasInvariantViolation(f"{where}: V_{n} not interior to U_{n}")
             all_arcs.extend(arcs)
-        all_arcs.sort()
-        for (alo, ahi), (blo, bhi) in zip(all_arcs, all_arcs[1:]):
-            if blo < ahi:
-                raise AtlasInvariantViolation(
-                    f"theta={float(theta)}: allocations overlap at {float(blo)}")
+        all_arcs.sort(key=lambda arc: arc[0])
+        if not all(le(ahi, blo) for (_, ahi), (blo, _) in zip(all_arcs, all_arcs[1:])):
+            raise AtlasInvariantViolation(f"{where}: allocations overlap")
 
 
 @dataclass
 class AtlasAudit:
     fibers: int
+    chambers: int            # chambers certified exactly, besides their cut points
     max_components: dict
     min_v_fraction: float
     passed: bool
@@ -164,7 +187,17 @@ def build_partition_atlas(mu: MeasureFamily, projection: Projection,
 
 
 def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
-    """Full-grid audit; raises AtlasInvariantViolation on the first failure."""
+    """Every-theta certificate, then the grid audit as a cross-check.
+
+    The certificate covers each chamber through its closed ends and each cut
+    point through its direct build.  Raises AtlasInvariantViolation on the
+    first failure.
+    """
+    table = atlas.chambers
+    for ch in table.chambers:
+        atlas.audit_chamber(ch)
+    for cut in table.cuts:
+        atlas.audit_fiber(cut)
     max_components = {n: 0 for n in atlas.order}
     min_v_frac = 1.0
     for g in range(grid):
@@ -175,8 +208,8 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
             max_components[n] = max(max_components[n], fa.components(n))
             frac = float(fa.v_width(n) / atlas.mu.masses[n])
             min_v_frac = min(min_v_frac, frac)
-    return AtlasAudit(fibers=grid, max_components=max_components,
-                      min_v_fraction=min_v_frac, passed=True)
+    return AtlasAudit(fibers=grid, chambers=len(table.chambers),
+                      max_components=max_components, min_v_fraction=min_v_frac, passed=True)
 
 
 def shrink_to_compact(atlas: PartitionAtlas, epsilon, grid: int = 64) -> dict:

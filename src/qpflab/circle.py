@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
+import numpy as np
+
 Scalar = Union[int, float, Fraction]
 
 
@@ -21,6 +23,16 @@ def mod1(x: Scalar) -> Scalar:
     if isinstance(x, Fraction):
         return x - (x.numerator // x.denominator)
     return x % 1 if isinstance(x, int) else x % 1.0
+
+
+def mod1_array(x):
+    """Float arrays reduced to [0, 1): bit for bit np.mod(x, 1.0) on finite values.
+
+    The exact part x - trunc(x) and the one rounding after adding 1 to a
+    negative remainder are the same in both, and x - floor(x) skips the
+    divmod that makes np.mod an order of magnitude slower.
+    """
+    return x - np.floor(x)
 
 
 def circ_dist(a: Scalar, b: Scalar) -> Scalar:

@@ -160,6 +160,8 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
         "min_h": density_audit["min_h"],
         "min_h_floor": density_audit["floor"],
         "atlas_max_components": {str(k): v for k, v in atlas_audit.max_components.items()},
+        "min_v_fraction": atlas_audit.min_v_fraction,
+        "v_fraction_floor": float(1 - pipeline.epsilon),
         "annulus_height": nonmin.annulus_height,
         "probe_hit_fraction": nonmin.hit_fraction,
         "beta": float(pipeline.weights.beta),

@@ -12,15 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .circle import mod1
-from .errors import BumpBoundViolation, DensityNonpositive, PreconditionError, SupportGap
+from .chamber import ChamberTable
+from .circle import mod1, mod1_array
+from .errors import BumpBoundViolation, DensityNonpositive, PreconditionError
 from .atlas import PartitionAtlas
-from .measure import Projection
-from .systems import QpfSystem
 from .weights import WeightScheme
 
 
@@ -44,7 +43,6 @@ class BumpFamily:
             raise PreconditionError(f"unknown bump variant {self.variant!r}")
         if self.variant == "hoelder" and not (self.alpha and 0 < self.alpha < 0.5):
             raise PreconditionError("hoelder bumps need alpha in (0, 1/2)")
-        self._cache = lru_cache(maxsize=32768)(self._fiber_uncached)
 
     def indices(self):
         w = self.atlas.mu.weights
@@ -52,11 +50,21 @@ class BumpFamily:
             return list(w.bump_indices())
         return sorted(self.atlas.mu.curves.keys())
 
+    @cached_property
+    def chambers(self) -> ChamberTable:
+        """The atlas chambers; urysohn bumps are affine wherever the atlas is."""
+        return ChamberTable(self.atlas.chambers.cuts,
+                            lambda probe: self._bumps(None, self.atlas.chambers.template_on(probe)))
+
     def fiber(self, theta) -> dict:
-        return self._cache(Fraction(theta))
+        if self.variant == "hoelder":  # float profiles, evaluated per theta
+            return self._fiber_uncached(Fraction(theta))
+        return self.chambers.fiber(theta, self._fiber_uncached)
 
     def _fiber_uncached(self, theta: Fraction) -> dict:
-        fa = self.atlas.fiber(theta)
+        return self._bumps(theta, self.atlas.fiber(theta))
+
+    def _bumps(self, theta, fa) -> dict:
         masses = self.atlas.mu.masses
         out = {}
         for m in self.indices():
@@ -75,7 +83,7 @@ class BumpFamily:
             hi_ok = bump.integral <= masses[m]
             if not (lo_ok and hi_ok):
                 raise BumpBoundViolation(
-                    f"b_{m}({float(theta)}) = {float(bump.integral)} outside "
+                    f"b_{m}({theta}) = {float(bump.integral)} outside "
                     f"[(1-eps)a, a] = [{float((1-self.epsilon)*masses[m])}, {float(masses[m])}]")
             out[m] = bump
         return out
@@ -131,7 +139,7 @@ class FiberDensity:
         return float(self.cum[-1])
 
     def _unroll(self, xs):
-        return self.s0 + np.mod(np.asarray(xs, dtype=float) - self.s0, 1.0)
+        return self.s0 + mod1_array(np.asarray(xs, dtype=float) - self.s0)
 
     def eval_h(self, xs) -> np.ndarray:
         return np.interp(self._unroll(xs), self.knots, self.hvals)
@@ -146,7 +154,7 @@ class FiberDensity:
         """y with nu[x0, y] = u (mod total); inverse of mass_from."""
         cum0 = float(np.interp(self._unroll(np.array([x0]))[0], self.knots, self.cum))
         target = np.mod(cum0 + np.asarray(us, dtype=float), self.total)
-        return np.mod(np.interp(target, self.cum, self.knots), 1.0)
+        return mod1_array(np.interp(target, self.cum, self.knots))
 
 
 @dataclass(eq=False)
@@ -158,18 +166,26 @@ class DensityField:
     def __post_init__(self):
         if self.weights.boundary_ratio >= 1:
             raise DensityNonpositive("weight scheme admits a nonpositive density")
-        self._cache = lru_cache(maxsize=32768)(self._fiber_uncached)
+
+    @cached_property
+    def chambers(self) -> ChamberTable:
+        """The bump chambers, split where two density knots cross."""
+        return ChamberTable(self.bumps.chambers.cuts, lambda probe: self._knots(
+            self.atlas.projection.chambers.template_on(probe),
+            self.bumps.chambers.template_on(probe)))
 
     def fiber(self, theta) -> FiberDensity:
-        return self._cache(Fraction(theta))
+        return self.chambers.fiber(theta, self._fiber_uncached, _density_fiber)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
-        fa = self.atlas.fiber(theta)
-        fb = self.bumps.fiber(theta)
-        fp = self.atlas.projection.fiber(theta)
+        return _density_fiber(theta, self._knots(self.atlas.projection.fiber(theta),
+                                                 self.bumps.fiber(theta)))
+
+    def _knots(self, fp, fb) -> tuple:
+        """Exact (s0, sorted knots, h at the knots, layer integrals) of one fiber."""
         w = self.weights
         s0 = fp.start
-        pieces = []  # (u, h) knot pairs, exact Fractions
+        pieces = []  # (u, h) knot pairs, exact
         layer = {}
         for m in self.bumps.indices():
             coef = (w.a(m) - w.a(m - 1)) / fb[m].integral
@@ -177,14 +193,20 @@ class DensityField:
                 for (u, g) in comp:
                     pieces.append((u, 1 - coef * g))
             layer[m] = w.a(m - 1)  # analytic value of the layer integral
-        knot_list, kn = _knot_table(s0, (u for u, _ in pieces))
+        knots = sorted({s0, s0 + 1, *(_unrolled(s0, u) for u, _ in pieces)})
         val_map = {_unrolled(s0, u): h for u, h in pieces}
-        hv = np.array([float(val_map.get(u, Fraction(1))) for u in knot_list])
-        if hv.min() <= 0:
-            raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
-        cum = _trapezoid_cum(hv, kn)
-        return FiberDensity(theta=theta, s0=float(s0), knots=kn, hvals=hv, cum=cum,
-                            layer_integrals=layer, min_h=float(hv.min()))
+        return s0, tuple(knots), tuple(val_map.get(u, Fraction(1)) for u in knots), layer
+
+
+def _density_fiber(theta, exact: tuple) -> FiberDensity:
+    s0, knots, hvals, layer = exact
+    kn = np.array([float(u) for u in knots])
+    hv = np.array([float(h) for h in hvals])
+    if hv.min() <= 0:
+        raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
+    cum = np.concatenate(([0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * np.diff(kn))))
+    return FiberDensity(theta=theta, s0=float(s0), knots=kn, hvals=hv, cum=cum,
+                        layer_integrals=layer, min_h=float(hv.min()))
 
 
 def build_bumps(atlas: PartitionAtlas, epsilon, variant: str = "urysohn",
@@ -228,112 +250,7 @@ def audit_density(field: DensityField, grid: int, tol_cells: float = 10.0,
     return {"min_h": min_h, "floor": floor, "worst_layer_defect": worst_layer}
 
 
-# ---------------------------------------------------------------------------
-# the measure nu for general (not necessarily Lebesgue-preserving) bases
-# ---------------------------------------------------------------------------
-
-
-@dataclass(eq=False)
-class NuFamily:
-    """Fiber measures nu_theta as CDF knot tables (nu1 + nu2 construction)."""
-
-    system: QpfSystem
-    projection: Projection
-    bumps: BumpFamily
-    weights: WeightScheme
-
-    def __post_init__(self):
-        self._cache = lru_cache(maxsize=32768)(self._fiber_uncached)
-
-    def fiber(self, theta) -> FiberDensity:
-        return self._cache(Fraction(theta))
-
-    def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
-        fp = self.projection.fiber(theta)
-        fb = self.bumps.fiber(theta)
-        fa = self.bumps.atlas.fiber(theta)
-        w = self.weights
-        base = fp.start
-        bump_set = set(self.bumps.indices())
-        plain = [m for m in self.projection.mu.curves if m not in bump_set]
-        points = [u for m in self.bumps.indices() for comp in fb[m].knots for u, _ in comp]
-        points += [end for m in plain for arc in fa.u[m] for end in arc]
-        points += [end for p in fp.plateaus for end in (p.start, p.start + p.length)]
-        _, kn = _knot_table(base, points)
-        # nu1 density: sum_m (a_{m-1}/b_m) g_m
-        g = np.zeros_like(kn)
-        for m in self.bumps.indices():
-            coef = float(w.a(m - 1) / fb[m].integral)
-            for comp in fb[m].knots:
-                cus = np.array([float(_unrolled(base, u)) for u, _ in comp])
-                cgs = np.array([float(gv) for _, gv in comp])
-                order = np.argsort(cus)
-                inside = (kn >= cus.min()) & (kn <= cus.max())
-                g[inside] += coef * np.interp(kn[inside], cus[order], cgs[order])
-        nu1_cum = _trapezoid_cum(g, kn)
-        # the window-edge layer has no bump in the truncated sum; it keeps
-        # Lebesgue coverage, mirroring h = 1 there in the density route
-        for m in plain:
-            for lo, hi in fa.u[m]:
-                alo = float(_unrolled(base, lo))
-                ahi = alo + float(hi - lo)
-                sel = (kn[:-1] >= alo - 1e-15) & (kn[1:] <= ahi + 1e-15)
-                inc = np.where(sel, np.diff(kn), 0.0)
-                nu1_cum[1:] += np.cumsum(inc)
-        # nu2: beta * (R_* Leb) o pi, continuous and flat across plateaus
-        targets = fp.map_array(np.mod(kn, 1.0))
-        nu2_cum = np.zeros_like(kn)
-        inv = self.system
-        prev = 0.0
-        for i in range(1, len(kn)):
-            seg = _pushforward_arc_mass(inv, theta, targets[i - 1], targets[i])
-            prev += float(self.projection.mu.beta) * seg
-            nu2_cum[i] = prev
-        cum = nu1_cum + nu2_cum
-        if np.any(np.diff(cum) < -1e-15):
-            raise SupportGap("nu fiber CDF decreased")
-        if np.any(np.diff(cum) <= 1e-15):
-            gaps = np.where(np.diff(cum) <= 1e-15)[0]
-            # zero increments are legal only on zero-length knot intervals
-            if np.any(np.diff(kn)[gaps] > 1e-12):
-                raise SupportGap("nu fiber measure has a support gap")
-        dens = np.gradient(cum, kn, edge_order=1)
-        return FiberDensity(theta=theta, s0=float(base), knots=kn, hvals=dens, cum=cum,
-                            layer_integrals={}, min_h=float(dens.min()))
-
-
 def _unrolled(base: Fraction, u) -> Fraction:
     """The exact point u moved into [base, base + 1)."""
-    return base + mod1(Fraction(u) - base)
+    return base + mod1(u - base)
 
-
-def _knot_table(base: Fraction, points) -> tuple:
-    """Sorted exact knots base, base + 1 and the unrolled points, with their floats."""
-    knot_list = sorted({base, base + 1, *(_unrolled(base, u) for u in points)})
-    return knot_list, np.array([float(u) for u in knot_list])
-
-
-def _trapezoid_cum(vals: np.ndarray, knots: np.ndarray) -> np.ndarray:
-    """Prefix integral of the PL function with these knot values, from 0."""
-    return np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(knots))))
-
-
-def _pushforward_arc_mass(system: QpfSystem, theta: Fraction, y0: float, y1: float) -> float:
-    """(R_* Leb)_theta mass of a short positively-oriented target arc [y0, y1].
-
-    Adjacent knots are at most a fraction of the circle apart; a gap close to
-    a full turn is a float wobble across a plateau boundary, not a real arc.
-    """
-    span = (y1 - y0) % 1.0
-    if span == 0.0 or span > 0.5:
-        return 0.0
-    prev = theta - system.omega
-    x0 = float(system.fiber_circle_inv(prev, y0))
-    x1 = float(system.fiber_circle_inv(prev, y1))
-    d = (x1 - x0) % 1.0
-    return 0.0 if d > 0.5 else d
-
-
-def build_nu_general(system: QpfSystem, projection: Projection, bumps: BumpFamily,
-                     weights: WeightScheme) -> NuFamily:
-    return NuFamily(system=system, projection=projection, bumps=bumps, weights=weights)

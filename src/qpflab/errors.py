@@ -83,10 +83,6 @@ class DensityNonpositive(InvariantViolation):
     """The transported density lost positivity."""
 
 
-class SupportGap(InvariantViolation):
-    """A fiber measure that must have full support has a gap."""
-
-
 class EtaNotInvertible(QpfLabError):
     """The fiberwise mass coordinate is not invertible (atom upstream)."""
 

@@ -10,13 +10,14 @@ data is recorded exactly and reused by the partition atlas.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .circle import mod1
+from .chamber import ChamberTable, Probe, affine
+from .circle import mod1, mod1_array
 from .errors import LiftAmbiguous, NotSameMeasure, PreconditionError
 from .geometry import _branch_sign_near, intersection_projection
 from .plgraph import PLGraph
@@ -46,7 +47,7 @@ class OverlapRecord:
     def t_at(self, theta: Fraction) -> Fraction:
         if self.hi == self.lo:
             return Fraction(self.t_left)
-        w = mod1(Fraction(theta) - self.lo) / (self.hi - self.lo)
+        w = mod1(theta - self.lo) / (self.hi - self.lo)
         return Fraction(self.t_left) + (Fraction(self.t_right) - Fraction(self.t_left)) * w
 
 
@@ -116,16 +117,33 @@ class MeasureFamily:
         total = self.beta + sum(self.masses.values())
         if total != 1:
             raise PreconditionError(f"total mass {float(total)} != 1")
-        self._fiber_cache = lru_cache(maxsize=32768)(self._fiber_uncached)
 
     def indices(self):
         return sorted(self.curves.keys())
 
+    @cached_property
+    def chambers(self) -> ChamberTable:
+        """Cut at the real kinks of the window curves, refined by the runs."""
+        kinks = {t for c in self.curves.values() for t in c.kinks()}
+        return ChamberTable(kinks, self._template)
+
+    def _template(self, probe: Probe) -> FiberMeasure:
+        """The fiber on one chamber: no kink inside, so each curve is one affine piece."""
+        positions = {}
+        for n, c in self.curves.items():
+            va, vb = c.value(probe.a), c.value(probe.b)
+            slope = (vb - va) / (probe.b - probe.a)
+            positions[n] = mod1(affine(va - slope * probe.a, slope, probe))
+        return replace(self._measure(probe.theta, positions), theta=None)
+
     def fiber(self, theta) -> FiberMeasure:
-        return self._fiber_cache(Fraction(theta))
+        return self.chambers.fiber(theta, self._fiber_uncached)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberMeasure:
-        positions = {n: self.curves[n].circle_value(theta) for n in self.curves}
+        return self._measure(theta, {n: c.circle_value(theta) for n, c in self.curves.items()})
+
+    def _measure(self, theta, positions: dict) -> FiberMeasure:
+        """Atoms from exact curve positions, Fractions or chamber forms."""
         groups: dict = {}
         for n, p in positions.items():
             groups.setdefault(p, []).append(n)
@@ -228,8 +246,14 @@ class FiberProjection:
     anchor_pos: Fraction
     top_mass: Fraction            # anchor-group mass lifted below the zero section
     plateaus: tuple               # Plateau, by increasing start
-    seg_starts: np.ndarray        # piece boundaries, plateau and gap alternating
-    seg_target: np.ndarray        # plateau: atom position; gap: lifted value at its start
+    seg_starts: np.ndarray = field(init=False)  # piece boundaries, plateau and gap alternating
+    seg_target: np.ndarray = field(init=False)  # plateau: atom position; gap: lifted value at its start
+
+    def __post_init__(self):
+        self.seg_starts = np.array([float(x) for p in self.plateaus
+                                    for x in (p.start, p.start + p.length)])
+        self.seg_target = np.array([x for p in self.plateaus
+                                    for x in (float(p.target), float(self.anchor_pos) + float(p.chat))])
 
     @property
     def start(self) -> Fraction:
@@ -238,11 +262,11 @@ class FiberProjection:
 
     def map_array(self, xs: np.ndarray) -> np.ndarray:
         s0 = float(self.start)
-        u = s0 + np.mod(np.asarray(xs, dtype=float) - s0, 1.0)
+        u = s0 + mod1_array(np.asarray(xs, dtype=float) - s0)
         idx = np.clip(np.searchsorted(self.seg_starts, u, side="right") - 1,
                       0, len(self.seg_starts) - 1)
         affine = self.seg_target[idx] + (1.0 / float(self.beta)) * (u - self.seg_starts[idx])
-        return np.where(idx % 2 == 0, self.seg_target[idx], np.mod(affine, 1.0))
+        return np.where(idx % 2 == 0, self.seg_target[idx], mod1_array(affine))
 
     def inverse_map_array(self, ys: np.ndarray) -> np.ndarray:
         """Source points of target positions: map_array inverted off the plateaus.
@@ -252,8 +276,8 @@ class FiberProjection:
         """
         tk = np.append(np.repeat(self.seg_target[1::2], 2), self.seg_target[1] + 1.0)
         sk = np.append(self.seg_starts, self.seg_starts[0] + 1.0)
-        return np.mod(np.interp(np.mod(np.asarray(ys, dtype=float) - tk[0], 1.0) + tk[0],
-                                tk, sk), 1.0)
+        return mod1_array(np.interp(mod1_array(np.asarray(ys, dtype=float) - tk[0]) + tk[0],
+                                    tk, sk))
 
     def plateau_of(self, curve: int) -> Plateau:
         for p in self.plateaus:
@@ -283,27 +307,27 @@ def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> Fib
     ordered = sorted(fm.atoms, key=lambda a: mod1(a.position - anchor_pos))
     if not ordered or ordered[0].position != anchor_pos:
         raise PreconditionError("anchor position carries no atom")
-    plateaus, starts, targets = [], [], []
+    plateaus = []
     acc = Fraction(0)
     for atom in ordered:
         chat = mod1(atom.position - anchor_pos)
-        start = -top + fm.beta * chat + acc
+        plateaus.append(Plateau(members=atom.members, start=-top + fm.beta * chat + acc,
+                                length=atom.mass, target=atom.position, chat=chat))
         acc += atom.mass
-        plateaus.append(Plateau(members=atom.members, start=start, length=atom.mass,
-                                target=atom.position, chat=chat))
-        starts += [float(start), float(start + atom.mass)]
-        targets += [float(atom.position), float(anchor_pos) + float(chat)]
     return FiberProjection(theta=fm.theta, beta=fm.beta, anchor_pos=anchor_pos,
-                           top_mass=top, plateaus=tuple(plateaus),
-                           seg_starts=np.array(starts), seg_target=np.array(targets))
+                           top_mass=top, plateaus=tuple(plateaus))
 
 
-def build_fiber_projection(mu: MeasureFamily, n0: int, theta) -> FiberProjection:
-    fm = mu.fiber(Fraction(theta))
+def anchored_projection(fm: FiberMeasure, n0: int) -> FiberProjection:
+    """pi on one fiber: the anchor group's mass lifted below curve n0 sits under zero."""
     anchor_atom = fm.atom_of(n0)
     top = sum((fm.masses[j] * fm.t_split[(j, n0)] for j in anchor_atom.members if j != n0),
               Fraction(0))
     return quantile_table(fm, anchor_atom.position, top)
+
+
+def build_fiber_projection(mu: MeasureFamily, n0: int, theta) -> FiberProjection:
+    return anchored_projection(mu.fiber(Fraction(theta)), n0)
 
 
 @dataclass(eq=False)
@@ -314,11 +338,15 @@ class Projection:
     def __post_init__(self):
         if self.n0 not in self.mu.curves:
             raise PreconditionError(f"anchor {self.n0} not in the curve window")
-        self._cache = lru_cache(maxsize=32768)(
-            lambda theta: build_fiber_projection(self.mu, self.n0, theta))
+
+    @cached_property
+    def chambers(self) -> ChamberTable:
+        return ChamberTable(self.mu.chambers.cuts, lambda probe: anchored_projection(
+            self.mu.chambers.template_on(probe), self.n0))
 
     def fiber(self, theta) -> FiberProjection:
-        return self._cache(Fraction(theta))
+        return self.chambers.fiber(
+            theta, lambda th: build_fiber_projection(self.mu, self.n0, th))
 
     def annulus_height(self) -> Fraction:
         return self.mu.masses[self.n0]

@@ -112,9 +112,21 @@ class PLGraph:
 
     def canonical(self) -> "PLGraph":
         """Drop interior breakpoints that are exactly collinear."""
-        n = len(self.thetas)
-        if n <= 2:
+        if len(self.thetas) <= 2:
             return self
+        keep = self._kink_indices() or [0]  # globally affine: keep a single anchor
+        return PLGraph(
+            tuple(self.thetas[i] for i in keep),
+            tuple(self.values[i] for i in keep),
+            self.degree,
+        )
+
+    def kinks(self) -> tuple:
+        """Breakpoints where the slope changes; collinear ones are no kinks."""
+        return tuple(self.thetas[i] for i in self._kink_indices())
+
+    def _kink_indices(self) -> list:
+        n = len(self.thetas)
         keep = []
         for i in range(n):
             tp, vp = self.thetas[i - 1], self.values[i - 1]
@@ -127,13 +139,7 @@ class PLGraph:
                 tn, vn = tn + 1, vn + self.degree
             if (v - vp) * (tn - t) != (vn - v) * (t - tp):
                 keep.append(i)
-        if not keep:  # globally affine: keep a single anchor
-            keep = [0]
-        return PLGraph(
-            tuple(self.thetas[i] for i in keep),
-            tuple(self.values[i] for i in keep),
-            self.degree,
-        )
+        return keep
 
     def splice(self, lo, hi, path) -> "PLGraph":
         """Replace the curve over the closed arc [lo, hi] by a PL path.

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .circle import OMEGA_GOLDEN, RHO_SILVER, mod1
+from .circle import OMEGA_GOLDEN, RHO_SILVER, mod1, mod1_array
 from .plgraph import PLGraph
 
 EXACT_KINDS = ("translation", "skew")
@@ -77,7 +77,7 @@ class QpfSystem:
         """Circle values f_theta(xs) in [0, 1) at an array of points of one fiber."""
         xs = np.asarray(xs, dtype=float)
         if self.is_affine:
-            return np.mod(xs + float(self.displacement(theta)), 1.0)
+            return mod1_array(xs + float(self.displacement(theta)))
         if self.kind == "sampled":
             return self.table_step(float(theta), xs)
         return self.circle_fn(theta, xs)

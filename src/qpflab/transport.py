@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .atlas import PartitionAtlas
-from .circle import mod1
+from .circle import mod1, mod1_array
 from .errors import EtaNotInvertible, InvariantViolation, PreconditionError
 from .measure import MeasureFamily, Projection, quantile_table
 from .systems import QpfSystem
@@ -28,7 +28,7 @@ class TransportedMap:
     """Fiberwise f_theta = eta_{theta+w}^{-1} o Leb[phi0^-(theta), .]."""
 
     system: QpfSystem            # the base R (supplies omega)
-    nu: object                   # DensityField or NuFamily: per-fiber CDF tables
+    nu: object                   # per-fiber CDF tables (a DensityField)
     projection: Projection
     curve0: int = 0
     curve1: int = 1
@@ -50,7 +50,7 @@ class TransportedMap:
             raise EtaNotInvertible("nu fiber mass coordinate is not invertible")
         p0 = self.phi_minus(theta, self.curve0)
         p1 = self.phi_minus(theta + self.system.omega, self.curve1)
-        us = np.mod(np.asarray(xs, dtype=float) - p0, 1.0) * fd.total
+        us = mod1_array(np.asarray(xs, dtype=float) - p0) * fd.total
         return fd.quantile_from(p1, us)
 
     def as_system(self) -> QpfSystem:
@@ -78,7 +78,7 @@ def build_f(system: QpfSystem, nu, projection: Projection,
 
 
 def circ_dist_array(a, b) -> np.ndarray:
-    d = np.mod(np.asarray(a) - np.asarray(b), 1.0)
+    d = mod1_array(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.minimum(d, 1.0 - d)
 
 

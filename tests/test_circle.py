@@ -1,8 +1,9 @@
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, strategies as st
 
-from qpflab.circle import OMEGA_GOLDEN, RHO_SILVER, circ_dist, mod1, signed_gap
+from qpflab.circle import OMEGA_GOLDEN, RHO_SILVER, circ_dist, mod1, mod1_array, signed_gap
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=997)
 
@@ -37,3 +38,10 @@ def test_signed_gap_consistency(a, b):
     g = signed_gap(a, b)
     assert -Fraction(1, 2) < g <= Fraction(1, 2)
     assert mod1(a + g - b) == 0
+
+
+def test_mod1_array_is_np_mod_bit_for_bit():
+    rng = np.random.default_rng(3)
+    xs = np.concatenate([rng.normal(size=4000) * scale for scale in (1e-18, 1e-3, 1.0, 1e6, 1e15)]
+                        + [[0.0, -0.0, 1.0, -1.0, -5e-324, 2.0**-53 - 1.0, -(2.0**-54), 2.0**52]])
+    assert np.array_equal(mod1_array(xs).view(np.int64), np.mod(xs, 1.0).view(np.int64))

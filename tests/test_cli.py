@@ -1,4 +1,5 @@
 import filecmp
+import json
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +99,8 @@ def test_blowup_artifacts_and_determinism(tmp_path):
                           "atlas.jsonl", "manifest.echo.txt"}
     for name in names:
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+    report = json.loads((out_a / "report.jsonl").read_text())
+    assert report["min_v_fraction"] >= report["v_fraction_floor"] == 0.5
     knots, values = read_cdf_tables(out_a / "nu_cdf.bin")
     assert knots.shape == values.shape == (128, 129)
     assert np.all(np.diff(values, axis=1) >= -1e-12)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qpflab.atlas import build_partition_atlas
-from qpflab.density import audit_density, build_bumps, build_density_h, build_nu_general
+from qpflab.density import audit_density, build_bumps, build_density_h
 from qpflab.errors import DensityNonpositive, PreconditionError
 from qpflab.geometry import image_curve
 from qpflab.measure import build_mu, build_pi
@@ -68,39 +68,6 @@ def test_density_total_telescopes(stack4):
     for g in range(8):
         fd = field.fiber(F(g, 8))
         assert abs(fd.total - 1.0) < 1e-14  # symmetric weights: a_N - a_{-N} = 0
-
-
-def test_nu_general_cross_validates(stack4):
-    w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2))
-    dens = build_density_h(w, atlas, bumps)
-    nug = build_nu_general(R, pi, bumps, w)
-    for g in range(4):
-        theta = F(g, 4)
-        fd_h, fd_g = dens.fiber(theta), nug.fiber(theta)
-        assert abs(fd_h.total - fd_g.total) < 1e-12
-        fp = pi.fiber(theta)
-        for p in fp.plateaus:  # both routes transport the same atom masses
-            lo = float(p.start) % 1.0
-            hi = lo + float(p.length)
-            mh = float(fd_h.mass_from(lo, np.array([hi]))[0])
-            mg = float(fd_g.mass_from(lo, np.array([hi]))[0])
-            assert abs(mh - mg) < 1e-12
-
-
-def test_nu_general_atom_transport_masses(stack4):
-    # nu over the layer above U_{m} projects to mass a_{m-1} on the image curve
-    w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2))
-    nug = build_nu_general(R, pi, bumps, w)
-    theta = F(1, 3)
-    fd = nug.fiber(theta)
-    fa = atlas.fiber(theta)
-    for m in bumps.indices():
-        mass = 0.0
-        for lo, hi in fa.u[m]:
-            mass += float(fd.mass_from(float(lo) % 1.0, np.array([float(lo) % 1.0 + float(hi - lo)]))[0])
-        assert abs(mass - float(w.a(m - 1))) < 1e-12
 
 
 def test_density_positive_everywhere(stack4):

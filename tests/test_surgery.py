@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from qpflab.circle import mod1
-from qpflab.errors import (BoxNotFound, EscapeTimeout, OrbitSearchTimeout,
+from qpflab.errors import (BoxNotFound, EscapeTimeout, IntervalTooWide, OrbitSearchTimeout,
                            PreconditionError)
 from qpflab.geometry import crosses_over, image_curve, intersection_projection, is_flat_intersection
 from qpflab.plgraph import PLGraph
@@ -15,6 +15,7 @@ from qpflab.systems import QpfSystem
 
 R = QpfSystem.translation()
 CONST = PLGraph.constant(F(1, 5))
+FROZEN = QpfSystem.translation(rho=F(0))
 
 
 def test_point_itinerary_constant_curve():
@@ -51,6 +52,21 @@ def test_escape_timeout_on_invariant_graph():
     frozen = QpfSystem.translation(rho=F(0))
     with pytest.raises(EscapeTimeout):
         itinerary_of_point(frozen, CONST, (F(1, 7), F(1, 5)), n=1, horizon=10)
+
+
+@pytest.mark.parametrize("itinerary, timeout", [
+    (lambda g, horizon: itinerary_of_point(FROZEN, g, (F(1, 2), F(1, 5)), 5, horizon),
+     EscapeTimeout),
+    (lambda g, horizon: itinerary_of_interval(FROZEN, g, (F(49, 100), F(51, 100)), 5, horizon),
+     IntervalTooWide),
+])
+def test_return_horizon_is_exact(itinerary, timeout):
+    # the curve sits at 1/5 over [2/5, 3/5] only: with rho = 0 the fiber point returns
+    # exactly when theta + k*omega lands there, six times with gaps <= 5
+    g = PLGraph.from_points([(F(2, 5), F(1, 5)), (F(3, 5), F(1, 5)), (F(4, 5), F(1, 2))])
+    assert itinerary(g, 6).times == (-13, -8, -5, 0, 5, 8, 13)
+    with pytest.raises(timeout):
+        itinerary(g, 5)
 
 
 def test_find_box_validates():
