@@ -211,27 +211,3 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
     return AtlasAudit(fibers=grid, chambers=len(table.chambers),
                       max_components=max_components, min_v_fraction=min_v_frac, passed=True)
 
-
-def shrink_to_compact(atlas: PartitionAtlas, epsilon, grid: int = 64) -> dict:
-    """Compact V_n family at a given epsilon, with a neighbour-fiber cover check.
-
-    Returns {n: per-grid-fiber arc lists}; raises CoverFailure when the
-    requested fraction cannot be certified (epsilon = 0 by design).
-    """
-    epsilon = Fraction(epsilon)
-    if not (0 < epsilon < 1):
-        raise CoverFailure("epsilon must lie in (0,1); epsilon=0 admits no compact shrink")
-    out: dict = {n: [] for n in atlas.order}
-    worst = 1.0
-    for g in range(grid):
-        theta = Fraction(g, grid)
-        fa = atlas.fiber(theta)
-        for n in atlas.order:
-            arcs = _shrink_arcs(list(fa.u[n]), epsilon)
-            got = sum((hi - lo for lo, hi in arcs), Fraction(0))
-            frac = float(got / atlas.mu.masses[n])
-            worst = min(worst, frac)
-            out[n].append(tuple(arcs))
-    if worst < float(1 - epsilon) - 1e-12:
-        raise CoverFailure(f"achieved fraction {worst:.6f} below 1-eps")
-    return out

@@ -9,7 +9,8 @@ of the compared difference is recorded.  A run that records no root strictly
 inside its chamber has the same combinatorics at every point of it; otherwise
 the chamber is split at the roots and run again.  ``fiber(theta)`` evaluates
 the template of the chamber holding theta, and a theta on a cut point goes to
-the stage's direct builder.
+the stage's direct builder.  Float readers skip the Fractions: ``floats``
+reads a template's numbers from integer rows, rounded as float() rounds them.
 """
 
 from __future__ import annotations
@@ -151,6 +152,40 @@ class Chamber:
         map_leaves(template, lambda x: found.append(x) or x)
         self.constant = not found
         self.fixed = None           # the finished fiber of a constant template
+        self.rows = {}              # (leaves, reduce) -> compiled floats, made on first use
+
+    def floats(self, t: Fraction, leaves, reduce=False) -> list:
+        """float() of the numbers leaves(template) lists, at unrolled t; of them mod 1 with reduce.
+
+        A theta-dependent number c0 + c1*t over the common denominator m of c0
+        and c1 is the integer row (c0*m, c1*m, m), and at t = p/q its value is
+        (c0*m*q + c1*m*p) / (m*q).  Python's int division rounds that quotient
+        correctly, as float() of the Fraction does, so the two agree bit for
+        bit.  Constant numbers are rounded once.
+        """
+        key = (leaves, reduce)
+        if key not in self.rows:
+            self.rows[key] = _compile(leaves(self.template), reduce)
+        fixed, rows = self.rows[key]
+        out = fixed.copy()
+        p, q = t.numerator, t.denominator
+        for i, a, c, m in rows:
+            num, den = a * q + c * p, m * q
+            out[i] = (num % den if reduce else num) / den
+        return out
+
+
+def _compile(numbers, reduce: bool) -> tuple:
+    """Floats of the constant numbers, and a row (index, c0*m, c1*m, m) per Affine."""
+    fixed, rows = [], []
+    for i, x in enumerate(numbers):
+        if isinstance(x, Affine):
+            m = math.lcm(x.c0.denominator, x.c1.denominator)
+            rows.append((i, x.c0.numerator * (m // x.c0.denominator),
+                         x.c1.numerator * (m // x.c1.denominator), m))
+            x = 0
+        fixed.append(float(mod1(x) if reduce else x))
+    return fixed, rows
 
 
 class ChamberTable:
@@ -185,30 +220,42 @@ class ChamberTable:
         if whole and (cuts or not self.chambers[0].constant):
             cuts.add(Fraction(0))       # the trial turn from 0 ends at a real cut
         self.cuts = sorted(cuts)
+        self.float_cuts = [float(c) for c in self.cuts]
         self.chambers.sort(key=lambda c: c.a)
 
     def locate(self, theta):
         """(chamber, unrolled t) holding theta, or (None, theta mod 1) on a cut point."""
         r = mod1(Fraction(theta))
-        i = bisect_right(self.cuts, r) - 1
-        if i >= 0 and self.cuts[i] == r:
+        x = float(r)
+        i = bisect_right(self.float_cuts, x) - 1
+        # float() is monotone, so only a cut that rounds to x itself can lie past r or on it
+        while i >= 0 and self.float_cuts[i] == x and self.cuts[i] > r:
+            i -= 1
+        if i >= 0 and self.float_cuts[i] == x and self.cuts[i] == r:
             return None, r
         ch = self.chambers[i]
-        return ch, (r if r > ch.a else r + 1)
+        return ch, (r if i >= 0 or r > ch.a else r + 1)
 
     def template_on(self, probe: Probe):
         """The template of the chamber that holds the probe's, bound to the probe."""
         ch, t = self.locate(probe.ref)
         return rebind(ch.template, probe, t - probe.ref)
 
-    def fiber(self, theta, direct, finish=restamp):
-        """The exact fiber at theta: its chamber's template evaluated, or direct(theta)."""
+    def fiber(self, theta, direct, finish=restamp, leaves=None):
+        """The fiber at theta: direct(theta) on a cut point, else finish(theta, x).
+
+        x is the chamber's template evaluated at theta or, given leaves, the
+        floats of the numbers leaves(template) lists (Chamber.floats).
+        """
         theta = Fraction(theta)
         ch, t = self.locate(theta)
         if ch is None:
             return direct(theta)
+        if ch.constant and ch.fixed is not None:
+            return restamp(theta, ch.fixed)
+        fiber = finish(theta, ch.floats(t, leaves) if leaves
+                       else map_leaves(ch.template, lambda x: x.at(t)))
         if not ch.constant:
-            return finish(theta, map_leaves(ch.template, lambda x: x.at(t)))
-        if ch.fixed is None:
-            ch.fixed = finish(theta, ch.template)
-        return restamp(theta, ch.fixed)
+            return fiber
+        ch.fixed = fiber
+        return restamp(theta, fiber)

@@ -131,7 +131,6 @@ class FiberDensity:
     knots: np.ndarray           # sorted in [s0, s0 + 1]
     hvals: np.ndarray
     cum: np.ndarray             # exact trapezoid prefix integral, cum[0] = 0
-    layer_integrals: dict       # bump index -> Fraction, analytic
     min_h: float
 
     @property
@@ -175,38 +174,42 @@ class DensityField:
             self.bumps.chambers.template_on(probe)))
 
     def fiber(self, theta) -> FiberDensity:
-        return self.chambers.fiber(theta, self._fiber_uncached, _density_fiber)
+        return self.chambers.fiber(theta, self._fiber_uncached, _density_fiber, _density_leaves)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
-        return _density_fiber(theta, self._knots(self.atlas.projection.fiber(theta),
-                                                 self.bumps.fiber(theta)))
+        exact = self._knots(self.atlas.projection.fiber(theta), self.bumps.fiber(theta))
+        return _density_fiber(theta, [float(x) for x in _density_leaves(exact)])
 
     def _knots(self, fp, fb) -> tuple:
-        """Exact (s0, sorted knots, h at the knots, layer integrals) of one fiber."""
+        """Exact (sorted knots from s0 to s0 + 1, h at the knots) of one fiber."""
         w = self.weights
         s0 = fp.start
         pieces = []  # (u, h) knot pairs, exact
-        layer = {}
         for m in self.bumps.indices():
             coef = (w.a(m) - w.a(m - 1)) / fb[m].integral
             for comp in fb[m].knots:
                 for (u, g) in comp:
                     pieces.append((u, 1 - coef * g))
-            layer[m] = w.a(m - 1)  # analytic value of the layer integral
         knots = sorted({s0, s0 + 1, *(_unrolled(s0, u) for u, _ in pieces)})
         val_map = {_unrolled(s0, u): h for u, h in pieces}
-        return s0, tuple(knots), tuple(val_map.get(u, Fraction(1)) for u in knots), layer
+        return tuple(knots), tuple(val_map.get(u, Fraction(1)) for u in knots)
 
 
-def _density_fiber(theta, exact: tuple) -> FiberDensity:
-    s0, knots, hvals, layer = exact
-    kn = np.array([float(u) for u in knots])
-    hv = np.array([float(h) for h in hvals])
+def _density_leaves(exact: tuple) -> tuple:
+    """The numbers a FiberDensity is made of: the knots, then h at the knots."""
+    knots, hvals = exact
+    return (*knots, *hvals)
+
+
+def _density_fiber(theta, floats: list) -> FiberDensity:
+    """The float fiber from the floats of _density_leaves (s0 is the first knot)."""
+    k = len(floats) // 2
+    kn, hv = np.array(floats[:k]), np.array(floats[k:])
     if hv.min() <= 0:
         raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * np.diff(kn))))
-    return FiberDensity(theta=theta, s0=float(s0), knots=kn, hvals=hv, cum=cum,
-                        layer_integrals=layer, min_h=float(hv.min()))
+    return FiberDensity(theta=theta, s0=floats[0], knots=kn, hvals=hv, cum=cum,
+                        min_h=float(hv.min()))
 
 
 def build_bumps(atlas: PartitionAtlas, epsilon, variant: str = "urysohn",

@@ -38,18 +38,27 @@ class TransportedMap:
             raise PreconditionError(f"image curve {self.curve1} missing from the family")
 
     def phi_minus(self, theta, curve: int) -> float:
-        """Bottom edge of the blown curve: inf pi^{-1}(Gamma_curve) at this fiber."""
-        plateau = self.projection.fiber(theta).plateau_of(curve)
-        return float(mod1(plateau.start))
+        """Bottom edge of the blown curve: inf pi^{-1}(Gamma_curve) at this fiber.
+
+        Off the cut points it is read from the projection chamber's integer rows.
+        """
+        ch, t = self.projection.chambers.locate(theta)
+        if ch is None:
+            return float(mod1(self.projection.fiber(theta).plateau_of(curve).start))
+        for i, plateau in enumerate(ch.template.plateaus):
+            if curve in plateau.members:
+                return ch.floats(t, _plateau_starts, reduce=True)[i]
+        raise KeyError(curve)
 
     def fiber_values(self, theta, xs) -> np.ndarray:
         """Circle values of f_theta on an array of source points."""
         theta = Fraction(theta)
-        fd = self.nu.fiber(theta + self.system.omega)
+        theta_next = theta + self.system.omega
+        fd = self.nu.fiber(theta_next)
         if fd.total <= 0 or np.any(np.diff(fd.cum) < 0):
             raise EtaNotInvertible("nu fiber mass coordinate is not invertible")
         p0 = self.phi_minus(theta, self.curve0)
-        p1 = self.phi_minus(theta + self.system.omega, self.curve1)
+        p1 = self.phi_minus(theta_next, self.curve1)
         us = mod1_array(np.asarray(xs, dtype=float) - p0) * fd.total
         return fd.quantile_from(p1, us)
 
@@ -60,6 +69,10 @@ class TransportedMap:
 
         return QpfSystem.from_callable(self.system.omega, circle_fn,
                                        kind="blowup", label="blowup-built")
+
+
+def _plateau_starts(fp) -> list:
+    return [p.start for p in fp.plateaus]
 
 
 def build_f(system: QpfSystem, nu, projection: Projection,

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from qpflab.atlas import audit_atlas, build_partition_atlas, shrink_to_compact
+from qpflab.atlas import audit_atlas, build_partition_atlas
 from qpflab.errors import CoverFailure
 from qpflab.measure import build_mu, build_pi
 from qpflab.plgraph import PLGraph
@@ -80,13 +80,12 @@ def test_allocation_continuity_across_overlap_edge():
 
 def test_shrink_and_cover_failure(small4):
     atlas = small4.atlas
-    v = shrink_to_compact(atlas, F(1, 2), grid=16)
-    for n, rows in v.items():
-        for arcs in rows:
-            got = sum((hi - lo for lo, hi in arcs), F(0))
-            assert got >= (1 - F(1, 2)) * atlas.mu.masses[n]
     with pytest.raises(CoverFailure):
-        shrink_to_compact(atlas, 0)
+        build_partition_atlas(atlas.mu, atlas.projection, 0)
+    for g in range(small4.fiber_grid):
+        fa = atlas.fiber(F(g, small4.fiber_grid))
+        for n in atlas.order:
+            assert fa.v_width(n) >= (1 - atlas.epsilon) * atlas.mu.masses[n]
 
 
 def test_default_pipeline_atlas_audit(small4):

@@ -4,10 +4,13 @@ Each stage's ``fiber(theta)`` evaluates its chamber table; ``_fiber_uncached``
 (``build_fiber_projection`` for pi) builds the same fiber directly.  The
 direct builder of a stage reads the stages below through their ``fiber``, so
 equality stage by stage, from mu upwards, gives equality of the whole stack.
+The float readers (the density fiber, ``phi_minus`` and so f) must equal the
+floats of the direct builds bit for bit.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -16,14 +19,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.atlas import audit_atlas, build_partition_atlas
-from qpflab.chamber import Affine, Probe
-from qpflab.circle import OMEGA_GOLDEN, mod1
+from qpflab.chamber import Affine, Chamber, Probe
+from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
 from qpflab.density import audit_density
 from qpflab.errors import AtlasInvariantViolation, LiftAmbiguous
 from qpflab.measure import MeasureFamily, build_fiber_projection, build_mu, build_pi
 from qpflab.pipeline import default_pipeline, run_blowup
 from qpflab.plgraph import PLGraph
-from qpflab.systems import QpfSystem
+from qpflab.systems import Lift, QpfSystem, rotation_number
 from qpflab.transport import verify_semiconjugacy
 from qpflab.weights import make_weights
 
@@ -60,10 +63,12 @@ def switching_atlas(shift=0):
 
 
 def thetas(cuts):
-    """Random rationals, multiples of omega, the cut points and points next to them."""
+    """Random rationals, the thetas of the f walk, multiples of omega, the cut
+    points and points next to them."""
     near = st.tuples(st.sampled_from(cuts), st.integers(6, 18), st.sampled_from((-1, 1)))
     return st.one_of(
         st.fractions(0, 1, max_denominator=10**9),
+        st.floats(0, 1, exclude_max=True).map(lambda x: F(x).limit_denominator(10**15)),
         st.integers(-60, 60).map(lambda k: k * OMEGA_GOLDEN),
         st.sampled_from(cuts),
         near.map(lambda c: c[0] + c[2] * F(1, 10**c[1])))
@@ -80,8 +85,27 @@ def assert_stack_exact(pipe, theta):
     assert (a.u, a.v) == (b.u, b.v)
     assert pipe.bumps.fiber(theta) == pipe.bumps._fiber_uncached(theta)
     a, b = density.fiber(theta), density._fiber_uncached(theta)
-    for name in ("knots", "hvals", "cum"):
+    assert a.theta == b.theta
+    for name in ("s0", "knots", "hvals", "cum"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+def exact_fiber_values(pipe, theta, xs):
+    """TransportedMap.fiber_values from the direct builds of pi and the density."""
+    tmap, nxt = pipe.tmap, theta + pipe.system.omega
+    fd = pipe.density._fiber_uncached(nxt)
+    p0, p1 = (float(mod1(build_fiber_projection(pipe.mu, pipe.projection.n0, th)
+                         .plateau_of(c).start))
+              for th, c in ((theta, tmap.curve0), (nxt, tmap.curve1)))
+    return fd.quantile_from(p1, mod1_array(xs - p0) * fd.total)
+
+
+def assert_floats_exact(pipe, theta):
+    for c in pipe.mu.curves:
+        plateau = pipe.projection.fiber(theta).plateau_of(c)
+        assert pipe.tmap.phi_minus(theta, c) == float(mod1(plateau.start))
+    xs = np.linspace(0.0, 1.0, 33)
+    assert np.array_equal(pipe.tmap.fiber_values(theta, xs), exact_fiber_values(pipe, theta, xs))
 
 
 @pytest.mark.parametrize("curve", ["constant", "tent", "crossed"])
@@ -93,6 +117,52 @@ def test_chamber_fibers_equal_direct_builds(stacks, curve, data):
     theta = data.draw(thetas(cuts))
     assert_stack_exact(pipe, theta)
     assert_stack_exact(pipe, theta + pipe.system.omega)
+    assert_floats_exact(pipe, theta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c0=st.fractions(-3, 3, max_denominator=10**40), c1=st.fractions(-3, 3, max_denominator=10**20),
+       t=st.fractions(0, 2, max_denominator=10**30), reduce=st.booleans())
+def test_floats_are_float_of_the_exact_values(c0, c1, t, reduce):
+    probe = Probe(F(0), F(2))
+    numbers = (c0, Affine(c0, c1, probe) if c1 else c0, c1)
+    exact = [x.at(t) if isinstance(x, Affine) else x for x in numbers]
+    want = [float(mod1(x) if reduce else x) for x in exact]
+    assert Chamber(F(0), F(2), numbers).floats(t, tuple, reduce) == want
+
+
+def test_f_walk_reads_no_template_in_fractions(stacks, monkeypatch):
+    pipe = stacks["crossed"]
+    f_lift = Lift(pipe.f_system)
+    rotation_number(f_lift, 0.0, 0.0, 8)           # builds the chamber tables
+    calls = []
+    at = Affine.at
+    monkeypatch.setattr(Affine, "at", lambda x, t: calls.append(t) or at(x, t))
+    est = rotation_number(f_lift, 0.0, 0.0, 512)
+    assert calls == [] and 0 < est.value < 1
+
+
+def fraction_locate(table, theta):
+    """ChamberTable.locate by a bisect over the Fraction cuts alone."""
+    r = mod1(F(theta))
+    i = bisect_right(table.cuts, r) - 1
+    if i >= 0 and table.cuts[i] == r:
+        return None, r
+    ch = table.chambers[i]
+    return ch, (r if r > ch.a else r + 1)
+
+
+def test_locate_matches_fraction_bisect(stacks):
+    degree_one = build_mu({0: PLGraph((F(0),), (F(1, 3),), 1)}, masses={0: F(1, 4)},
+                          beta=F(3, 4)).chambers
+    for table in (degree_one, stacks["crossed"].density.chambers,
+                  stacks["tent"].projection.chambers):
+        assert table.cuts
+        for cut in table.cuts:
+            for d in (0, F(1, 10**6), F(1, 10**17), F(1, 10**30)):
+                for theta in (cut - d, cut + d, cut + d + 1):
+                    assert table.locate(theta) == fraction_locate(table, theta)
+    assert degree_one.cuts[0] == 0
 
 
 def test_chamber_cuts(stacks):

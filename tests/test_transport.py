@@ -92,7 +92,7 @@ def test_identity_transport_when_mu_is_lebesgue():
             from qpflab.density import FiberDensity
             kn = np.array([0.0, 1.0])
             return FiberDensity(theta=theta, s0=0.0, knots=kn, hvals=np.array([1.0, 1.0]),
-                                cum=np.array([0.0, 1.0]), layer_integrals={}, min_h=1.0)
+                                cum=np.array([0.0, 1.0]), min_h=1.0)
 
     mu = build_mu({0: PLGraph.constant(F(0)), 1: PLGraph.constant(F(1, 2))},
                   masses={0: F(1, 100), 1: F(1, 100)}, beta=F(49, 50))
