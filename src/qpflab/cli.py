@@ -86,8 +86,7 @@ def _echo_manifest(manifest: Manifest, out: Path) -> None:
 
 def _run_blowup(manifest: Manifest, system):
     """The blowup pipeline on the manifest's weights, curve and grids."""
-    weights = make_weights(manifest.weights_mode, manifest.weights_k, manifest.weights_n,
-                           manifest.epsilon, alpha=manifest.alpha, s=manifest.s)
+    weights = make_weights(manifest.weights_k, manifest.weights_n, manifest.epsilon)
     return run_blowup(system, manifest.initial_curve(), weights, manifest.epsilon,
                       n0=manifest.anchor, crossings=manifest.crossings,
                       seed=manifest.seed, fiber_grid=manifest.fibers,
@@ -204,7 +203,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
                                     fiber_grid=manifest.fibers, bins=manifest.bins,
                                     seed=manifest.seed)
     comp = fiber_component_count(fs)
-    diag = structure_diagnostics(fs, beta=float(pipeline.weights.beta), seed=manifest.seed)
+    diag = structure_diagnostics(fs, beta=float(pipeline.weights.beta))
     records.append({
         "target": "blowup-f-minimal-set",
         "c_min": comp.c_min,

@@ -1,8 +1,8 @@
 """Bump functions on the atlas and the transported density.
 
-The bump g_n is supported exactly on U_n with unit plateau on V_n (Urysohn
-variant) or the Hoelder profile min{1, (C d(x, U^c))^alpha}; its fiber
-integral b_n(theta) sits in [(1-eps)a_n, a_n].  The density
+The bump g_n is the Urysohn profile: supported exactly on U_n, linear on
+the two ends of U_n outside V_n and 1 on V_n; its fiber integral b_n(theta)
+sits in [(1-eps)a_n, a_n].  The density
 h = 1 - sum (a_{n+1}-a_n) g_{n+1}/b_{n+1} stays above 1 - boundary_ratio and
 integrates to a_n over each layer U_{n+1}, which is what transports
 mass a_n onto the image curve Gamma_{n+1} at finite truncation.
@@ -18,7 +18,7 @@ import numpy as np
 
 from .chamber import ChamberTable
 from .circle import mod1, mod1_array
-from .errors import BumpBoundViolation, DensityNonpositive, PreconditionError
+from .errors import BumpBoundViolation, DensityNonpositive
 from .atlas import PartitionAtlas
 from .weights import WeightScheme
 
@@ -27,22 +27,13 @@ from .weights import WeightScheme
 class FiberBump:
     index: int
     knots: tuple        # ((u0,g0),(u1,g1),...) per component, unrolled coords
-    integral: Fraction  # b_n(theta), exact for the urysohn variant
-    hoelder_constant: float | None = None
+    integral: Fraction  # b_n(theta), exact
 
 
 @dataclass(eq=False)
 class BumpFamily:
     atlas: PartitionAtlas
     epsilon: Fraction
-    variant: str                 # "urysohn" | "hoelder"
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in ("urysohn", "hoelder"):
-            raise PreconditionError(f"unknown bump variant {self.variant!r}")
-        if self.variant == "hoelder" and not (self.alpha and 0 < self.alpha < 0.5):
-            raise PreconditionError("hoelder bumps need alpha in (0, 1/2)")
 
     def indices(self):
         w = self.atlas.mu.weights
@@ -52,13 +43,11 @@ class BumpFamily:
 
     @cached_property
     def chambers(self) -> ChamberTable:
-        """The atlas chambers; urysohn bumps are affine wherever the atlas is."""
+        """The atlas chambers; the bumps are affine wherever the atlas is."""
         return ChamberTable(self.atlas.chambers.cuts,
                             lambda probe: self._bumps(None, self.atlas.chambers.template_on(probe)))
 
     def fiber(self, theta) -> dict:
-        if self.variant == "hoelder":  # float profiles, evaluated per theta
-            return self._fiber_uncached(Fraction(theta))
         return self.chambers.fiber(theta, self._fiber_uncached)
 
     def _fiber_uncached(self, theta: Fraction) -> dict:
@@ -68,55 +57,20 @@ class BumpFamily:
         masses = self.atlas.mu.masses
         out = {}
         for m in self.indices():
-            arcs = fa.u[m]
-            if self.variant == "urysohn":
-                knots = []
-                total = Fraction(0)
-                for (lo, hi), (vlo, vhi) in zip(arcs, fa.v[m]):
-                    knots.append(((lo, Fraction(0)), (vlo, Fraction(1)),
-                                  (vhi, Fraction(1)), (hi, Fraction(0))))
-                    total += (hi - lo) - ((vlo - lo) + (hi - vhi)) / 2
-                bump = FiberBump(index=m, knots=tuple(knots), integral=total)
-            else:
-                bump = self._hoelder_bump(m, arcs, masses[m])
-            lo_ok = bump.integral >= (1 - self.epsilon) * masses[m]
-            hi_ok = bump.integral <= masses[m]
+            knots = []
+            total = Fraction(0)
+            for (lo, hi), (vlo, vhi) in zip(fa.u[m], fa.v[m]):
+                knots.append(((lo, Fraction(0)), (vlo, Fraction(1)),
+                              (vhi, Fraction(1)), (hi, Fraction(0))))
+                total += (hi - lo) - ((vlo - lo) + (hi - vhi)) / 2
+            lo_ok = total >= (1 - self.epsilon) * masses[m]
+            hi_ok = total <= masses[m]
             if not (lo_ok and hi_ok):
                 raise BumpBoundViolation(
-                    f"b_{m}({theta}) = {float(bump.integral)} outside "
+                    f"b_{m}({theta}) = {float(total)} outside "
                     f"[(1-eps)a, a] = [{float((1-self.epsilon)*masses[m])}, {float(masses[m])}]")
-            out[m] = bump
+            out[m] = FiberBump(index=m, knots=tuple(knots), integral=total)
         return out
-
-    def _hoelder_bump(self, m: int, arcs, mass: Fraction) -> FiberBump:
-        alpha = float(self.alpha)
-        c = float((4 * abs(m) + 2) / (self.epsilon * mass))
-        # piecewise profile sampled on each component; integral computed analytically
-        total = 0.0
-        knots = []
-        d_star = (1.0 / c)
-        for lo, hi in arcs:
-            length = float(hi - lo)
-            half = length / 2
-            pts = [(float(lo), 0.0)]
-            for frac in (0.125, 0.25, 0.375, 0.5):
-                d = half * 2 * frac if half * 2 * frac <= half else half
-                g = min(1.0, (c * d) ** alpha)
-                pts.append((float(lo) + d, g))
-            for frac in (0.625, 0.75, 0.875):
-                d = length * (1 - frac)
-                pts.append((float(lo) + length * frac, min(1.0, (c * d) ** alpha)))
-            pts.append((float(hi), 0.0))
-            if half <= d_star:
-                part = 2 * (c ** alpha) * half ** (alpha + 1) / (alpha + 1)
-            else:
-                part = 2 * ((c ** alpha) * d_star ** (alpha + 1) / (alpha + 1) + (half - d_star))
-            total += part
-            knots.append(tuple((Fraction(p).limit_denominator(10**12), Fraction(g).limit_denominator(10**12))
-                               for p, g in pts))
-        return FiberBump(index=m, knots=tuple(knots),
-                         integral=Fraction(total).limit_denominator(10**12),
-                         hoelder_constant=c ** alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -139,9 +93,6 @@ class FiberDensity:
 
     def _unroll(self, xs):
         return self.s0 + mod1_array(np.asarray(xs, dtype=float) - self.s0)
-
-    def eval_h(self, xs) -> np.ndarray:
-        return np.interp(self._unroll(xs), self.knots, self.hvals)
 
     def mass_from(self, x0: float, xs) -> np.ndarray:
         """nu-mass of the positively-oriented arc [x0, x]."""
@@ -212,14 +163,11 @@ def _density_fiber(theta, floats: list) -> FiberDensity:
                         min_h=float(hv.min()))
 
 
-def build_bumps(atlas: PartitionAtlas, epsilon, variant: str = "urysohn",
-                alpha: float | None = None) -> BumpFamily:
-    return BumpFamily(atlas=atlas, epsilon=Fraction(epsilon), variant=variant, alpha=alpha)
+def build_bumps(atlas: PartitionAtlas, epsilon) -> BumpFamily:
+    return BumpFamily(atlas=atlas, epsilon=Fraction(epsilon))
 
 
 def build_density_h(weights: WeightScheme, atlas: PartitionAtlas, bumps: BumpFamily) -> DensityField:
-    if bumps.variant != "urysohn":
-        raise PreconditionError("the transported pipeline uses the urysohn bump variant")
     return DensityField(weights=weights, atlas=atlas, bumps=bumps)
 
 

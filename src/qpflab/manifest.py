@@ -55,8 +55,6 @@ _FIELDS = {
     ("weights", "k"): ("weights_k", int),
     ("weights", "n"): ("weights_n", int),
     ("weights", "epsilon"): ("epsilon", parse_fraction),
-    ("weights", "alpha"): ("alpha", float),
-    ("weights", "s"): ("s", float),
     ("grids", "fibers"): ("fibers", int),
     ("grids", "vertical"): ("vertical", int),
     ("grids", "bins"): ("bins", int),
@@ -98,8 +96,6 @@ class Manifest:
     weights_k: int = 4
     weights_n: int = 8
     epsilon: Fraction = Fraction(1, 2)
-    alpha: float | None = None
-    s: float | None = None
     fibers: int = 4096
     vertical: int = 4096
     bins: int = 4096
@@ -175,7 +171,7 @@ def _validate(m: Manifest) -> None:
         raise ManifestError(f"base kind {m.base_kind!r} not supported")
     if m.curve_kind not in ("constant", "tent", "file"):
         raise ManifestError(f"curve kind {m.curve_kind!r} not supported")
-    if m.weights_mode not in ("quadratic", "hoelder"):
+    if m.weights_mode != "quadratic":
         raise ManifestError(f"weights mode {m.weights_mode!r} not supported")
     for name, val in (("fibers", m.fibers), ("vertical", m.vertical), ("bins", m.bins)):
         if val < 16 or val > 2**20:

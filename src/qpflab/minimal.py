@@ -3,7 +3,7 @@
 One long orbit is binned on a torus grid (the uniqueness of the minimal set
 for transitive or strip-free maps licenses the single-orbit shortcut; a
 second seed cross-checks it).  Diagnostics test the vertical-segment
-property, fiber interval coverage of projections, and Cantor proxies.
+property and bound the occupied measure of each fiber (a Cantor proxy).
 """
 
 from __future__ import annotations
@@ -211,54 +211,21 @@ def fiber_component_count(fs: FiberSet) -> ComponentReport:
 class StructureReport:
     vertical_segments: bool          # no occupied bin pair is horizontally adjacent
     max_horizontal_extent: int
-    rectangle_hits: int
-    rectangle_interval_ok: int
-    interior_emptiness_fraction: float
     max_fiber_measure: float
     fiber_measure_bound: float | None
     open_question_flag: str | None
 
 
-def structure_diagnostics(fs: FiberSet, beta: float | None = None,
-                          rect_samples: int = 16, gap_window: int = 8,
-                          seed: int = 0) -> StructureReport:
-    """Vertical-segment, interval-projection and Cantor-proxy diagnostics."""
+def structure_diagnostics(fs: FiberSet, beta: float | None = None) -> StructureReport:
+    """Vertical-segment and fiber-measure diagnostics of a binned fiber set."""
     b = fs.bins
     n = fs.resolution
-    # (a) components are vertical segments: under 4-connectivity a component
+    # components are vertical segments: under 4-connectivity a component
     # spans >1 fiber column iff two horizontally adjacent bins are occupied
     horiz = b & np.roll(b, -1, axis=0)
     vertical_ok = not bool(horiz.any())
     max_extent = _max_horizontal_extent(b) if not vertical_ok else 1
-    # (b) projections of open rectangles meeting the set cover fiber intervals
-    rng = np.random.default_rng(seed)
-    hits = 0
-    interval_ok = 0
-    for _ in range(rect_samples):
-        i0 = int(rng.integers(0, n))
-        j0 = int(rng.integers(0, n))
-        wi = n // 16
-        wj = n // 16
-        block = np.take(b, range(i0, i0 + wi), axis=0, mode="wrap")
-        block = np.take(block, range(j0, j0 + wj), axis=1, mode="wrap")
-        cols = block.any(axis=1)
-        if not cols.any():
-            continue  # empty rectangle samples are skipped, not counted
-        hits += 1
-        run = _longest_true_run(cols)
-        if run >= min(3, wi):
-            interval_ok += 1
-    # Cantor proxy 1: every occupied bin has an unoccupied bin within the window
-    occupied_rows = np.flatnonzero(b.any(axis=1))
-    good = 0
-    for i in occupied_rows:
-        row = b[i]
-        near_empty = np.zeros_like(row)
-        for d in range(1, gap_window + 1):
-            near_empty |= ~np.roll(row, d) | ~np.roll(row, -d)
-        good += int(np.all(~row | near_empty))
-    emptiness = good / max(1, len(occupied_rows))
-    # Cantor proxy 2: fiber occupied measure; binning widens each component of
+    # Cantor proxy: fiber occupied measure; binning widens each component of
     # a fiber by up to two bins
     measures = b.sum(axis=1) / n
     bound = None if beta is None else beta + 2.0 * int(fs.component_counts().max()) / n
@@ -269,9 +236,6 @@ def structure_diagnostics(fs: FiberSet, beta: float | None = None,
     return StructureReport(
         vertical_segments=vertical_ok,
         max_horizontal_extent=max_extent,
-        rectangle_hits=hits,
-        rectangle_interval_ok=interval_ok,
-        interior_emptiness_fraction=emptiness,
         max_fiber_measure=float(measures.max()),
         fiber_measure_bound=bound,
         open_question_flag=flag,

@@ -112,7 +112,7 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     mu = build_mu(window, weights=weights, waive_flatness=waive_flatness)
     projection = build_pi(mu, n0)
     atlas = build_partition_atlas(mu, projection, epsilon)
-    bumps = build_bumps(atlas, epsilon, variant="urysohn")
+    bumps = build_bumps(atlas, epsilon)
     density = build_density_h(weights, atlas, bumps)
     shifted_masses = {m: weights.a(m - 1) for m in range(-n + 1, n + 2)}
     shifted_curves = {m: family[m] for m in range(-n + 1, n + 2)}
@@ -132,7 +132,7 @@ def default_pipeline(half_width: int = 8, k: int = 4, epsilon=Fraction(1, 2),
                      seed: int = 0) -> BlowupPipeline:
     """The spec-default run: minimal translation base, constant initial curve."""
     system = QpfSystem.translation()
-    weights = make_weights("quadratic", k=k, half_width=half_width, epsilon=epsilon)
+    weights = make_weights(k=k, half_width=half_width, epsilon=epsilon)
     curve = PLGraph.constant(curve_value)
     return run_blowup(system, curve, weights, epsilon, crossings=crossings, seed=seed,
                       fiber_grid=fiber_grid, vertical_grid=vertical_grid)

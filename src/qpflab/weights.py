@@ -1,10 +1,10 @@
-"""Atom weight schemes for the blown-up measure.
+"""Atom weights for the blown-up measure: a_n = (|n|+k)^-2.
 
-Quadratic mode a_n = (|n|+k)^-2; Hoelder mode a_n = |n+k|^-s with
-s in (1, 1/alpha - 1).  Weights are exact rationals over the truncation
-window |n| <= N; beta = 1 - sum a_n must stay positive, and the density
-deficit ratio that controls positivity of the transported density is
-recorded at construction time.
+The weights are exact rationals over the truncation window |n| <= N.  They
+are symmetric (a_n = a_-n), which the transported map needs: the density
+total telescopes to 1 only when a_N = a_-N.  beta = 1 - sum a_n must stay
+positive, and the density deficit ratio that controls positivity of the
+transported density is recorded at construction time.
 """
 
 from __future__ import annotations
@@ -17,16 +17,12 @@ from .errors import WeightsInvalid
 
 @dataclass(frozen=True)
 class WeightScheme:
-    mode: str                    # "quadratic" | "hoelder"
     k: int
     half_width: int              # N: atoms carried for |n| <= N
     epsilon: Fraction            # shrinking parameter used downstream
     weights: dict                # n -> Fraction, |n| <= N
     beta: Fraction
     boundary_ratio: Fraction     # max_n (a_{n+1}-a_n)^+ / ((1-eps) a_{n+1})
-    alpha: float | None = None
-    s: float | None = None
-    hoelder_sup: float | None = None   # realized sup |n|^a |a_{n+1}-a_n| / a_n^(1+a)
 
     def a(self, n: int) -> Fraction:
         return self.weights[n]
@@ -46,8 +42,7 @@ class WeightScheme:
         return all(self.weights[n] == self.weights[-n] for n in self.window)
 
 
-def make_weights(mode: str, k: int, half_width: int, epsilon,
-                 alpha: float | None = None, s=None) -> WeightScheme:
+def make_weights(k: int, half_width: int, epsilon) -> WeightScheme:
     """Build and validate a weight scheme; names the violated inequality on failure."""
     epsilon = Fraction(epsilon)
     if not (0 < epsilon < 1):
@@ -56,31 +51,7 @@ def make_weights(mode: str, k: int, half_width: int, epsilon,
         raise WeightsInvalid("k >= 1 required")
     if half_width < 1:
         raise WeightsInvalid("half-width N >= 1 required")
-    window = range(-half_width, half_width + 1)
-    hoelder_sup = None
-    if mode == "quadratic":
-        weights = {n: Fraction(1, (abs(n) + k) ** 2) for n in window}
-    elif mode == "hoelder":
-        if alpha is None or s is None:
-            raise WeightsInvalid("hoelder mode needs alpha and s")
-        if not (0 < alpha < Fraction(1, 2)):
-            raise WeightsInvalid("alpha must lie in (0, 1/2)")
-        s = Fraction(s)
-        if not (1 < s < 1 / Fraction(alpha) - 1):
-            raise WeightsInvalid("s must lie in (1, 1/alpha - 1)")
-        if k <= half_width:
-            raise WeightsInvalid("hoelder truncation needs k > N so that n + k >= 1 on the window")
-        # rational weights: |n+k|^-s evaluated via a fixed-precision rational power
-        weights = {n: _rational_power(n + k, s) for n in window}
-        ratios = []
-        for n in window:
-            if n + 1 not in weights or n == 0:
-                continue
-            num = abs(n) ** float(alpha) * abs(float(weights[n + 1] - weights[n]))
-            ratios.append(num / float(weights[n]) ** (1 + float(alpha)))
-        hoelder_sup = max(ratios) if ratios else 0.0
-    else:
-        raise WeightsInvalid(f"unknown mode {mode!r}")
+    weights = {n: Fraction(1, (abs(n) + k) ** 2) for n in range(-half_width, half_width + 1)}
     total = sum(weights.values())
     beta = 1 - total
     if beta <= 0:
@@ -93,14 +64,5 @@ def make_weights(mode: str, k: int, half_width: int, epsilon,
     if ratio >= 1:
         raise WeightsInvalid(
             f"density deficit ratio {float(ratio):.4f} >= 1 (weights change too fast)")
-    return WeightScheme(mode=mode, k=k, half_width=half_width, epsilon=epsilon,
-                        weights=weights, beta=beta, boundary_ratio=ratio,
-                        alpha=None if alpha is None else float(alpha),
-                        s=None if s is None else float(s),
-                        hoelder_sup=hoelder_sup)
-
-
-def _rational_power(base: int, s: Fraction, precision: int = 10**12) -> Fraction:
-    """Fixed rational approximation of base^-s (deterministic)."""
-    value = float(base) ** float(-s)
-    return Fraction(round(value * precision), precision)
+    return WeightScheme(k=k, half_width=half_width, epsilon=epsilon, weights=weights,
+                        beta=beta, boundary_ratio=ratio)

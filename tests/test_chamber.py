@@ -33,7 +33,7 @@ from qpflab.weights import make_weights
 
 @pytest.fixture(scope="module")
 def stacks():
-    tent_weights = make_weights("quadratic", k=4, half_width=1, epsilon=F(1, 2))
+    tent_weights = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     return {
         "constant": default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64),
         "tent": run_blowup(QpfSystem.translation(), PLGraph.tent(F(1, 5), F(7, 10)),

@@ -7,7 +7,7 @@ import pytest
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
 from qpflab.cli import main
-from qpflab.manifest import Manifest, load_manifest
+from qpflab.manifest import _SCHEMA, Manifest, load_manifest
 from qpflab.errors import ManifestError
 from qpflab.plgraph import PLGraph
 
@@ -45,20 +45,44 @@ def test_unknown_section_rejected(tmp_path):
 
 
 def test_manifest_echo_lists_every_key(tmp_path):
-    changed = Manifest(probe_points=16, waive_flatness=True, alpha=0.3)
+    changed = Manifest(probe_points=16, waive_flatness=True, weights_k=5)
     assert changed.normalized_text() != Manifest().normalized_text()
-    p = write_manifest(tmp_path, "[curve]\npeak = 1/3\n[weights]\ns = 0.25\n"
+    p = write_manifest(tmp_path, "[curve]\npeak = 1/3\n[weights]\nk = 5\n"
                                  "[run]\nwaive_flatness = yes\nprobe_points = 16\n")
     echo = load_manifest(p).normalized_text().splitlines()
-    for line in ("peak=1/3", "s=0.25", "waive_flatness=True", "probe_points=16"):
+    for line in ("peak=1/3", "k=5", "waive_flatness=True", "probe_points=16"):
         assert line in echo
 
 
+def test_weights_mode_other_than_quadratic_rejected(tmp_path):
+    p = write_manifest(tmp_path, SMALL.replace("[weights]\n", "[weights]\nmode = hoelder\n"))
+    with pytest.raises(ManifestError, match="mode"):
+        load_manifest(p)
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_weights_alpha_is_unknown_key(tmp_path):
+    with pytest.raises(ManifestError, match="unknown key 'alpha'"):
+        load_manifest(write_manifest(tmp_path, "[weights]\nalpha = 0.3\n"))
+
+
+def _readme() -> str:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def test_readme_example_manifest_loads(tmp_path):
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    block = _readme().split("```ini\n", 1)[1].split("```", 1)[0]
     m = load_manifest(write_manifest(tmp_path, block))
     assert (m.fibers, m.depth, m.iters) == (4096, 4, 10000000)
+
+
+def test_readme_accepted_keys_match_schema():
+    sentence = " ".join(_readme().split("Accepted keys: ", 1)[1].split(".", 1)[0].split())
+    listed = {}
+    for part in sentence.split("`[")[1:]:
+        section, keys = part.split("]`", 1)
+        listed[section] = [k.strip() for k in keys.strip(" ;").split(",")]
+    assert listed == _SCHEMA
 
 
 def test_unparsed_key_rejected(tmp_path):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +11,7 @@ from qpflab.geometry import image_curve
 from qpflab.measure import build_mu, build_pi
 from qpflab.plgraph import PLGraph
 from qpflab.systems import QpfSystem
+from qpflab.transport import build_f
 from qpflab.weights import make_weights
 
 R = QpfSystem.translation()
@@ -17,7 +19,7 @@ R = QpfSystem.translation()
 
 @pytest.fixture(scope="module")
 def stack4():
-    w = make_weights("quadratic", k=4, half_width=4, epsilon=F(1, 2))
+    w = make_weights(k=4, half_width=4, epsilon=F(1, 2))
     fam = {n: image_curve(R, PLGraph.constant(F(1, 5)), n) for n in range(-4, 5)}
     mu = build_mu(fam, weights=w)
     pi = build_pi(mu, 0)
@@ -27,7 +29,7 @@ def stack4():
 
 def test_urysohn_bumps_g1_g2(stack4):
     w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2), variant="urysohn")
+    bumps = build_bumps(atlas, F(1, 2))
     for g in range(16):
         theta = F(g, 16)
         fb = bumps.fiber(theta)
@@ -41,19 +43,9 @@ def test_urysohn_bumps_g1_g2(stack4):
                 assert all(v > 0 for _, v in comp[1:-1])
 
 
-def test_hoelder_bumps_constant_and_bounds(stack4):
-    w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2), variant="hoelder", alpha=1 / 3)
-    fb = bumps.fiber(F(1, 3))
-    for m in bumps.indices():
-        expected = ((4 * abs(m) + 2) / (0.5 * float(w.a(m)))) ** (1 / 3)
-        assert fb[m].hoelder_constant <= expected + 1e-9
-        assert (1 - F(1, 2)) * w.a(m) <= fb[m].integral <= w.a(m)
-
-
 def test_density_floor_and_layers(stack4):
     w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2), variant="urysohn")
+    bumps = build_bumps(atlas, F(1, 2))
     field = build_density_h(w, atlas, bumps)
     audit = audit_density(field, grid=64, vertical=512)
     assert audit["min_h"] >= float(w.min_density_bound()) - 1e-12
@@ -74,14 +66,23 @@ def test_density_positive_everywhere(stack4):
     w, mu, pi, atlas = stack4
     field = build_density_h(w, atlas, build_bumps(atlas, F(1, 2)))
     fd = field.fiber(F(0))
-    xs = np.linspace(0, 1, 257)
-    assert np.all(fd.eval_h(xs) > 0)
+    # h is linear between its knots, so positive knot values make it positive
+    assert fd.min_h > 0
+    assert np.all(fd.hvals > 0)
 
 
-def test_density_rejects_nonsymmetric_or_bad_ratio():
-    with pytest.raises(PreconditionError):
-        w = make_weights("hoelder", k=5, half_width=3, epsilon=F(1, 2), alpha=1 / 3, s=1.5)
-        fam = {n: image_curve(R, PLGraph.constant(F(1, 5)), n) for n in range(-3, 4)}
-        mu = build_mu(fam, masses={n: w.a(n) for n in range(-3, 4)}, beta=w.beta)
-        atlas = build_partition_atlas(mu, build_pi(mu, 0), F(1, 2))
-        build_density_h(w, atlas, build_bumps(atlas, F(1, 2), variant="hoelder", alpha=1 / 3))
+def test_density_rejects_nonsymmetric_or_bad_ratio(stack4):
+    w, mu, pi, atlas = stack4
+    bumps = build_bumps(atlas, F(1, 2))
+    # a deficit ratio of 1 admits h = 0 somewhere
+    with pytest.raises(DensityNonpositive, match="nonpositive density"):
+        build_density_h(replace(w, boundary_ratio=F(1)), atlas, bumps)
+    # moving mass from a_4 to a_-4 keeps the total at 1 - beta but breaks the
+    # symmetry the density total needs
+    moved = {**w.weights, 4: w.a(4) / 2, -4: w.a(-4) + w.a(4) / 2}
+    skewed = replace(w, weights=moved)
+    assert sum(skewed.weights.values()) == 1 - w.beta and not skewed.is_symmetric()
+    skewed_pi = build_pi(build_mu(mu.curves, weights=skewed), 0)
+    field = build_density_h(w, atlas, bumps)
+    with pytest.raises(PreconditionError, match="symmetric"):
+        build_f(R, field, skewed_pi)

@@ -20,7 +20,7 @@ R = QpfSystem.translation()
 
 
 def default_family(half_width=8):
-    w = make_weights("quadratic", k=4, half_width=half_width, epsilon=F(1, 2))
+    w = make_weights(k=4, half_width=half_width, epsilon=F(1, 2))
     fam = {n: image_curve(R, PLGraph.constant(F(1, 5)), n)
            for n in range(-half_width, half_width + 1)}
     return w, build_mu(fam, weights=w)
@@ -108,7 +108,7 @@ def test_conjugating_rotation_identity_and_anchor():
 
 def test_conjugating_rotation_rejects_different_measure():
     _, mu = default_family(half_width=4)
-    w2 = make_weights("quadratic", k=5, half_width=4, epsilon=F(1, 2))
+    w2 = make_weights(k=5, half_width=4, epsilon=F(1, 2))
     fam = {n: image_curve(R, PLGraph.constant(F(1, 5)), n) for n in range(-4, 5)}
     mu2 = build_mu(fam, weights=w2)
     with pytest.raises(NotSameMeasure):
@@ -129,7 +129,7 @@ def test_run_blowup_refuses_unflat_certificate(monkeypatch):
     tent = PLGraph.tent(F(1, 5), F(7, 10))
     cert = FlattenCertificate(depth=3, steps=[], components={}, flat=False)
     monkeypatch.setattr(pipeline, "prepare_curve", lambda *a, **k: (tent, cert, []))
-    w = make_weights("quadratic", k=4, half_width=1, epsilon=F(1, 2))
+    w = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     with pytest.raises(PreconditionError, match="non-flat"):
         pipeline.run_blowup(R, tent, w, F(1, 2), fiber_grid=16, vertical_grid=16)
 

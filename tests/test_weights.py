@@ -7,7 +7,7 @@ from qpflab.weights import make_weights
 
 
 def test_quadratic_defaults_against_summation_oracle():
-    w = make_weights("quadratic", k=4, half_width=8, epsilon=F(1, 2))
+    w = make_weights(k=4, half_width=8, epsilon=F(1, 2))
     total = sum(F(1, (abs(n) + 4) ** 2) for n in range(-8, 9))
     assert w.beta == 1 - total
     # frozen value of the direct summation
@@ -17,7 +17,7 @@ def test_quadratic_defaults_against_summation_oracle():
 
 
 def test_boundary_ratio_frozen():
-    w = make_weights("quadratic", k=4, half_width=8, epsilon=F(1, 2))
+    w = make_weights(k=4, half_width=8, epsilon=F(1, 2))
     # deficit ratio (a_0 - a_{-1}) / ((1-eps) a_0) = (9/25) / (1/2) = 18/25
     assert w.boundary_ratio == F(18, 25)
     assert w.min_density_bound() == F(7, 25)  # = 0.28
@@ -26,31 +26,11 @@ def test_boundary_ratio_frozen():
 
 def test_quadratic_k1_invalid():
     with pytest.raises(WeightsInvalid):
-        make_weights("quadratic", k=1, half_width=8, epsilon=F(1, 2))
-
-
-def test_hoelder_valid_window():
-    w = make_weights("hoelder", k=10, half_width=3, epsilon=F(1, 2), alpha=1 / 3, s=1.5)
-    assert 1 < w.s < 2  # s in (1, 1/alpha - 1)
-    assert w.beta > 0
-    assert w.hoelder_sup is not None
-
-
-def test_hoelder_rejects_bad_parameters():
-    with pytest.raises(WeightsInvalid):
-        make_weights("hoelder", k=10, half_width=3, epsilon=F(1, 2), alpha=0.6, s=1.5)
-    with pytest.raises(WeightsInvalid):
-        make_weights("hoelder", k=10, half_width=3, epsilon=F(1, 2), alpha=1 / 3, s=3.0)
-    with pytest.raises(WeightsInvalid):
-        # truncation needs k > N so |n+k| >= 1 on the window
-        make_weights("hoelder", k=4, half_width=8, epsilon=F(1, 2), alpha=1 / 3, s=1.5)
-    with pytest.raises(WeightsInvalid):
-        # and far enough above N that the window mass stays below 1
-        make_weights("hoelder", k=4, half_width=3, epsilon=F(1, 2), alpha=1 / 3, s=1.5)
+        make_weights(k=1, half_width=8, epsilon=F(1, 2))
 
 
 def test_epsilon_validation():
     with pytest.raises(WeightsInvalid):
-        make_weights("quadratic", k=4, half_width=8, epsilon=F(0))
+        make_weights(k=4, half_width=8, epsilon=F(0))
     with pytest.raises(WeightsInvalid):
-        make_weights("quadratic", k=4, half_width=8, epsilon=F(1))
+        make_weights(k=4, half_width=8, epsilon=F(1))
