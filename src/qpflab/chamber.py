@@ -236,6 +236,13 @@ class ChamberTable:
         ch = self.chambers[i]
         return ch, (r if i >= 0 or r > ch.a else r + 1)
 
+    def constant_at(self, theta):
+        """The constant chamber holding theta; None on a cut point or in a non-constant one."""
+        if not self.cuts:               # one constant chamber, the whole circle
+            return self.chambers[0]
+        ch, _ = self.locate(theta)
+        return ch if ch is not None and ch.constant else None
+
     def template_on(self, probe: Probe):
         """The template of the chamber that holds the probe's, bound to the probe."""
         ch, t = self.locate(probe.ref)
@@ -259,3 +266,29 @@ class ChamberTable:
             return fiber
         ch.fixed = fiber
         return restamp(theta, fiber)
+
+
+def grid_classes(grid: int, reads, tag=None) -> list:
+    """For each g < grid, the first g' whose grid fiber theta = g'/grid has g's inputs.
+
+    A grid pass reads, at theta, the fiber of each table at theta + shift
+    for the (table, shift) pairs in reads.  g and g' are in one class when
+    every table holds their two thetas in the same constant chamber (chambers
+    keyed by identity) and tag(g) == tag(g'): then every fiber the pass reads
+    is the same restamped one, and so is its result.  A g with some theta +
+    shift on a cut point or in a non-constant chamber is its own class.
+    """
+    first: dict = {}
+    out = []
+    shifts = list({shift for _, shift in reads})
+    slots = [(table, shifts.index(shift)) for table, shift in reads]
+    for g in range(grid):
+        theta = Fraction(g, grid)
+        at = [theta + shift for shift in shifts]     # one Fraction sum per distinct shift
+        key = [table.constant_at(at[i]) for table, i in slots]
+        if None in key:
+            out.append(g)
+            continue
+        key = (*map(id, key), tag(g) if tag else None)
+        out.append(first.setdefault(key, g))
+    return out

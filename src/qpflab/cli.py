@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import artifacts
+from .chamber import grid_classes
 from .errors import (ConfigError, InvariantViolation, PreconditionError,
                      QpfLabError, TimeoutError_)
 from .manifest import Manifest, load_manifest
@@ -127,11 +128,15 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
                                   witnesses=pipeline.witnesses,
                                   grid=min(manifest.fibers, 512), sampled=sampled,
                                   probe_points=manifest.probe_points)
-    # per-fiber nu CDF tables on the uniform vertical grid
+    # per-fiber nu CDF tables on the uniform vertical grid, one row per grid class
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
     knots = np.tile(xs, (manifest.fibers, 1))
     values = np.empty_like(knots)
+    reps = grid_classes(manifest.fibers, [(pipeline.density.chambers, 0)])
     for g in range(manifest.fibers):
+        if reps[g] != g:
+            values[g] = values[reps[g]]
+            continue
         fd = pipeline.density.fiber(Fraction(g, manifest.fibers))
         values[g] = fd.mass_from(0.0, xs)
         values[g, -1] = fd.total
@@ -139,13 +144,14 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     artifacts.write_curve(out / "curve.txt", pipeline.curve)
     atlas_rows = []
     step = max(1, manifest.fibers // 256)
+    reps = grid_classes(manifest.fibers, [(pipeline.atlas.chambers, 0)])
+    arcs_of = {}                # grid class -> the U arcs of its fibers
     for g in range(0, manifest.fibers, step):
-        fa = pipeline.atlas.fiber(Fraction(g, manifest.fibers))
-        atlas_rows.append({
-            "fiber": g,
-            "u": {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]]
-                  for n in pipeline.atlas.order},
-        })
+        if reps[g] not in arcs_of:
+            fa = pipeline.atlas.fiber(Fraction(g, manifest.fibers))
+            arcs_of[reps[g]] = {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]]
+                                for n in pipeline.atlas.order}
+        atlas_rows.append({"fiber": g, "u": arcs_of[reps[g]]})
     artifacts.write_jsonl(out / "atlas.jsonl", atlas_rows)
     artifacts.write_csv(out / "residual.csv", ["fiber", "residual"],
                         [(i, float(r)) for i, r in enumerate(report.residual_per_fiber)])

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chamber import ChamberTable
+from .chamber import ChamberTable, grid_classes
 from .circle import mod1, mod1_array
 from .errors import BumpBoundViolation, DensityNonpositive
 from .atlas import PartitionAtlas
@@ -177,16 +177,21 @@ def audit_density(field: DensityField, grid: int, tol_cells: float = 10.0,
 
     Layer integrals are recomputed from the assembled knot table (the
     trapezoid rule is exact on the PL density), not from the identity that
-    produced them.
+    produced them.  The audit reads the density and atlas fibers, so it runs
+    once per grid class of those two tables (chamber.grid_classes).
     """
     w = field.weights
     floor = float(w.min_density_bound())
-    min_h = 1.0
+    min_h, min_at = 1.0, Fraction(0)
     worst_layer = 0.0
+    reps = grid_classes(grid, [(field.chambers, 0), (field.atlas.chambers, 0)])
     for g in range(grid):
+        if reps[g] != g:
+            continue
         theta = Fraction(g, grid)
         fd = field.fiber(theta)
-        min_h = min(min_h, fd.min_h)
+        if fd.min_h < min_h:
+            min_h, min_at = fd.min_h, theta
         fa = field.atlas.fiber(theta)
         for m in field.bumps.indices():
             arcs = np.array([[float(lo), float(hi)] for lo, hi in fa.u[m]])
@@ -195,7 +200,8 @@ def audit_density(field: DensityField, grid: int, tol_cells: float = 10.0,
             integral = float(np.sum(np.mod(chi - clo, fd.total)))
             worst_layer = max(worst_layer, abs(integral - float(w.a(m - 1))))
     if min_h < floor - 1e-12:
-        raise DensityNonpositive(f"min h {min_h} below the derived floor {floor}")
+        raise DensityNonpositive(
+            f"min h {min_h} at theta={float(min_at)} below the derived floor {floor}")
     if worst_layer > tol_cells / vertical:
         raise DensityNonpositive(f"layer integral defect {worst_layer}")
     return {"min_h": min_h, "floor": floor, "worst_layer_defect": worst_layer}

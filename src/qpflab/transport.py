@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .atlas import PartitionAtlas
+from .chamber import grid_classes, map_leaves
 from .circle import mod1, mod1_array
 from .errors import EtaNotInvertible, InvariantViolation, PreconditionError
 from .measure import MeasureFamily, Projection, quantile_table
@@ -103,7 +104,6 @@ class SemiconjugacyReport:
     residual_per_fiber: np.ndarray
     bound: float                     # a_N / beta + 4 cells
     shifted_residual: float          # sup of d(pi' o f, R o pi), pi' from R_* mu
-    atom_image_defect: float         # interval-image check on sampled atoms
     tv_defect: float                 # |pi_* nu - R_* mu| averaged over audited fibers
     tv_expected: float               # a_N + a_{-N}
 
@@ -113,25 +113,44 @@ class SemiconjugacyReport:
 
 
 def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
-                         grid: int, vertical: int,
-                         atom_samples: int = 16) -> SemiconjugacyReport:
-    """Sup of d(pi o f, R o pi) over the grid, plus the two-sided checks."""
+                         grid: int, vertical: int) -> SemiconjugacyReport:
+    """Sup of d(pi o f, R o pi) over the grid, plus the two-sided checks.
+
+    Over a translation base R_theta is the same rotation at every theta, so
+    the residual at theta reads only fibers: pi at theta and theta + w, and
+    nu, mu_shifted and mu (for gamma_1) at theta + w.  It is then computed
+    once per grid class of those tables (chamber.grid_classes), split by
+    whether the fiber is in the shifted-window subsample, and the other
+    members take the representative's value.  Over other bases every fiber
+    is its own class.
+    """
     system = tmap.system
     pi = tmap.projection
     w = pi.mu.weights
+    omega = system.omega
     xs = np.arange(vertical) / vertical
     res = np.empty(grid)
     shifted_sup = 0.0
+    stride = max(1, grid // 64)
+    reps = range(grid)
+    if system.kind == "translation":
+        reps = grid_classes(grid, [(pi.chambers, 0), (pi.chambers, omega),
+                                   (tmap.nu.chambers, omega), (mu_shifted.chambers, omega),
+                                   (pi.mu.chambers, omega)],
+                            tag=lambda g: g % stride == 0)
     for g in range(grid):
+        if reps[g] != g:
+            res[g] = res[reps[g]]
+            continue
         theta = Fraction(g, grid)
-        theta_next = theta + system.omega
+        theta_next = theta + omega
         fvals = tmap.fiber_values(theta, xs)
         lhs = pi.fiber(theta_next).map_array(fvals)
         pivals = pi.fiber(theta).map_array(xs)
         rhs = system.circle_values(theta, pivals)
         res[g] = float(np.max(circ_dist_array(lhs, rhs)))
         # shifted-window identity pi' o f = R o pi at a subsample of fibers
-        if g % max(1, grid // 64) == 0:
+        if g % stride == 0:
             gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
             quant = quantile_table(mu_shifted.fiber(theta_next), gamma1, Fraction(0))
             fd = tmap.nu.fiber(theta_next)
@@ -139,25 +158,13 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
             masses = fd.mass_from(p1, fvals) / fd.total
             lhs_shift = quant.map_array(masses)
             shifted_sup = max(shifted_sup, float(np.max(circ_dist_array(lhs_shift, rhs))))
-    # interval-image check: f maps atom preimage edges onto the image edges
-    atom_defect = 0.0
-    idxs = [n for n in pi.mu.curves if n + 1 in pi.mu.curves]
-    for s in range(atom_samples):
-        theta = Fraction(s, atom_samples)
-        n = idxs[s % len(idxs)]
-        lo = tmap.phi_minus(theta, n)
-        lo_img = tmap.fiber_values(theta, np.array([lo]))[0]
-        expect = tmap.phi_minus(theta + system.omega, n + 1)
-        d = float(circ_dist_array(np.array([lo_img]), np.array([expect]))[0])
-        atom_defect = max(atom_defect, d)
     # truncation defect: positionwise atom masses of pi_* nu vs R_* mu
     tv = _tv_defect(tmap, mu_shifted, fibers=8)
     bound = float(w.a(w.half_width) / w.beta) + 4.0 / vertical if w is not None else float("nan")
     return SemiconjugacyReport(
         grid=grid, vertical=vertical,
         residual=float(res.max()), residual_per_fiber=res, bound=bound,
-        shifted_residual=shifted_sup, atom_image_defect=atom_defect,
-        tv_defect=tv,
+        shifted_residual=shifted_sup, tv_defect=tv,
         tv_expected=float(w.a(w.half_width) + w.a(-w.half_width)) if w is not None else float("nan"),
     )
 
@@ -216,16 +223,34 @@ def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
                          witnesses=(), grid: int = 256,
                          sampled: QpfSystem | None = None,
                          probe_points: int = 64, slack: int = 64) -> NonminimalityReport:
-    """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes."""
+    """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes.
+
+    The annulus normalization (the anchor plateau starts at or below 0 and
+    reaches the annulus height) is certified for every theta: the start and
+    length are affine on a projection chamber, so both closed ends of each
+    chamber and each cut point (direct build) cover it.  The grid check
+    follows as a cross-check, once per grid class of the projection table.
+    """
     pi = tmap.projection
     n0 = pi.n0
-    height = float(pi.annulus_height())
+    height = pi.annulus_height()
+
+    def check(plateau, where):
+        if not (plateau.start <= 0 and plateau.start + plateau.length >= height):
+            raise InvariantViolation(f"annulus normalization fails at {where}")
+
+    table = pi.chambers
+    for ch in table.chambers:
+        plateau = ch.template.plateau_of(n0)
+        for t in (ch.a, ch.b):
+            check(map_leaves(plateau, lambda x: x.at(t)),
+                  f"theta in ({float(ch.a)}, {float(ch.b)}), end {float(t)}")
+    for cut in table.cuts:
+        check(pi.fiber(cut).plateau_of(n0), f"cut point theta={float(cut)}")
+    reps = grid_classes(grid, [(table, 0)])
     for g in range(grid):
-        theta = Fraction(g, grid)
-        plateau = pi.fiber(theta).plateau_of(n0)
-        if not (plateau.start <= 0 and plateau.start + plateau.length >= pi.annulus_height()):
-            raise InvariantViolation(
-                f"annulus normalization fails at fiber {g}/{grid}")
+        if reps[g] == g:
+            check(pi.fiber(Fraction(g, grid)).plateau_of(n0), f"fiber {g}/{grid}")
     probes = []
     hits = 0
     inconclusive = 0
@@ -234,12 +259,12 @@ def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
             inconclusive += 1
             probes.append(ProbeResult(witness_m=wit.m, hit_time=None, tested_points=0))
             continue
-        hit = _probe_hit_time(sampled, wit, height, probe_points, wit.m + slack)
+        hit = _probe_hit_time(sampled, wit, float(height), probe_points, wit.m + slack)
         probes.append(ProbeResult(witness_m=wit.m, hit_time=hit, tested_points=probe_points))
         if hit is not None:
             hits += 1
     frac = hits / len(probes) if probes else 1.0
-    return NonminimalityReport(annulus_curve=n0, annulus_height=height,
+    return NonminimalityReport(annulus_curve=n0, annulus_height=float(height),
                                annulus_verified_fibers=grid, probes=probes,
                                hit_fraction=frac, inconclusive=inconclusive)
 

@@ -18,16 +18,20 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from qpflab import transport
 from qpflab.atlas import audit_atlas, build_partition_atlas
-from qpflab.chamber import Affine, Chamber, Probe
+from qpflab.chamber import Affine, Chamber, Probe, grid_classes
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
 from qpflab.density import audit_density
-from qpflab.errors import AtlasInvariantViolation, LiftAmbiguous
-from qpflab.measure import MeasureFamily, build_fiber_projection, build_mu, build_pi
+from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
+                           LiftAmbiguous)
+from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu, build_pi,
+                            quantile_table)
 from qpflab.pipeline import default_pipeline, run_blowup
 from qpflab.plgraph import PLGraph
 from qpflab.systems import Lift, QpfSystem, rotation_number
-from qpflab.transport import verify_semiconjugacy
+from qpflab.transport import (TransportedMap, circ_dist_array, verify_nonminimality,
+                              verify_semiconjugacy)
 from qpflab.weights import make_weights
 
 
@@ -280,3 +284,126 @@ def test_direct_mu_builds_do_not_grow_with_the_grid(monkeypatch):
         assert len(calls) <= 2 * chambers
         per_grid[grid] = len(calls)
     assert per_grid[64] == per_grid[512]
+
+
+def per_fiber_audits(pipe, grid):
+    """The grid loops of the atlas, density and semiconjugacy audits, fiber by fiber."""
+    atlas, density, pi, tmap = pipe.atlas, pipe.density, pipe.projection, pipe.tmap
+    max_components = {n: 0 for n in atlas.order}
+    min_v, min_h, worst = 1.0, 1.0, 0.0
+    xs = np.arange(pipe.vertical_grid) / pipe.vertical_grid
+    res, shifted = np.empty(grid), 0.0
+    for g in range(grid):
+        theta = F(g, grid)
+        nxt = theta + pipe.system.omega
+        fa, fd = atlas.fiber(theta), density.fiber(theta)
+        for n in atlas.order:
+            max_components[n] = max(max_components[n], fa.components(n))
+            min_v = min(min_v, float(fa.v_width(n) / pipe.mu.masses[n]))
+        min_h = min(min_h, fd.min_h)
+        for m in pipe.bumps.indices():
+            arcs = np.array([[float(lo), float(hi)] for lo, hi in fa.u[m]])
+            clo, chi = (np.interp(fd._unroll(arcs[:, i]), fd.knots, fd.cum) for i in (0, 1))
+            layer = float(np.sum(np.mod(chi - clo, fd.total)))
+            worst = max(worst, abs(layer - float(pipe.weights.a(m - 1))))
+        fvals = tmap.fiber_values(theta, xs)
+        rhs = pipe.system.circle_values(theta, pi.fiber(theta).map_array(xs))
+        res[g] = float(np.max(circ_dist_array(pi.fiber(nxt).map_array(fvals), rhs)))
+        if g % max(1, grid // 64) == 0:
+            quant = quantile_table(pipe.mu_shifted.fiber(nxt),
+                                   pipe.mu.curves[tmap.curve1].circle_value(nxt), F(0))
+            fd = density.fiber(nxt)
+            masses = fd.mass_from(tmap.phi_minus(nxt, tmap.curve1), fvals) / fd.total
+            shifted = max(shifted, float(np.max(circ_dist_array(quant.map_array(masses), rhs))))
+    return max_components, min_v, min_h, worst, res, shifted
+
+
+@pytest.mark.parametrize("curve", ["constant", "crossed"])
+def test_grid_classes_give_the_per_fiber_results(stacks, curve):
+    # 200 is no power of two and its shifted-window stride is 3, so neither the
+    # subsample nor the chamber ends line up with the grid
+    pipe, grid = stacks[curve], 200
+    max_components, min_v, min_h, worst, res, shifted = per_fiber_audits(pipe, grid)
+    atlas = audit_atlas(pipe.atlas, grid)
+    density = audit_density(pipe.density, grid, vertical=pipe.vertical_grid)
+    report = verify_semiconjugacy(pipe.tmap, pipe.mu_shifted, grid, pipe.vertical_grid)
+    assert (atlas.max_components, atlas.min_v_fraction) == (max_components, min_v)
+    assert (density["min_h"], density["worst_layer_defect"]) == (min_h, worst)
+    assert np.array_equal(report.residual_per_fiber, res)
+    assert report.shifted_residual == shifted
+
+
+def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
+    # itself, or through a checked fiber with the same constant chambers in every table read
+    pipe, grid = stacks["crossed"], 200
+    omega = pipe.system.omega
+    ran = []
+    quantile = transport.quantile_table
+    monkeypatch.setattr(transport, "quantile_table", lambda fm, *args: ran.append(
+        (fm.theta - omega) * grid) or quantile(fm, *args))
+    verify_semiconjugacy(pipe.tmap, pipe.mu_shifted, grid, pipe.vertical_grid)
+    reads = [(pipe.projection.chambers, 0), (pipe.projection.chambers, omega),
+             (pipe.density.chambers, omega), (pipe.mu_shifted.chambers, omega),
+             (pipe.mu.chambers, omega)]
+
+    def chambers(g):
+        return [table.constant_at(F(g, grid) + shift) for table, shift in reads]
+
+    subsample = range(0, grid, grid // 64)
+    assert set(ran) <= set(subsample) and len(ran) < len(subsample)
+    for g in subsample:
+        assert g in ran or None not in chambers(g) and any(
+            all(a is b for a, b in zip(chambers(g), chambers(r))) for r in ran)
+
+
+def test_grid_class_members_share_constant_chambers(stacks):
+    table = stacks["crossed"].density.chambers
+    reps = grid_classes(200, [(table, 0)], tag=lambda g: g % 3)
+    assert 0 < sum(r != g for g, r in enumerate(reps)) < 200
+    for g, r in enumerate(reps):
+        ch = table.constant_at(F(g, 200))
+        assert r <= g and g % 3 == r % 3
+        assert ch is table.constant_at(F(r, 200)) if ch else r == g
+    assert grid_classes(200, [(stacks["constant"].density.chambers, 0)]) == [0] * 200
+
+
+def test_reuse_cannot_hide_an_atlas_failure():
+    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64)
+    fa = pipe.atlas.fiber(F(1, 3))
+    n = pipe.atlas.order[-1]
+    (ulo, uhi), *_ = fa.u[n]
+    (vlo, vhi), *rest = fa.v[n]
+    moved = (vlo + (uhi - ulo), vhi + (uhi - ulo))      # V arc past the end of its U arc
+    pipe.atlas.chambers.chambers[0].fixed = replace(fa, v={**fa.v, n: (moved, *rest)})
+    with pytest.raises(AtlasInvariantViolation, match=rf"^theta=0\.0: V_{n} not interior"):
+        audit_atlas(pipe.atlas, 200)
+
+
+def test_reuse_cannot_hide_a_density_failure():
+    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64)
+    fd = pipe.density.fiber(F(1, 3))
+    floor = float(pipe.weights.min_density_bound())
+    hvals = fd.hvals.copy()
+    hvals[len(hvals) // 2] = floor / 2
+    pipe.density.chambers.chambers[0].fixed = replace(fd, hvals=hvals, min_h=floor / 2)
+    with pytest.raises(DensityNonpositive, match=r"at theta=0\.0 below the derived floor"):
+        audit_density(pipe.density, 200, vertical=64)
+
+
+@pytest.mark.parametrize("zero_end", ["a", "b"])
+def test_annulus_certificate_reads_both_chamber_ends(zero_end):
+    mu = build_mu({0: PLGraph.constant(F(1, 2)), 1: PLGraph.tent(F(1, 10), F(1, 5), F(2, 5))},
+                  masses={0: F(1, 10), 1: F(1, 10)}, beta=F(4, 5))
+    pi = build_pi(mu, 0)
+    tmap = TransportedMap(system=QpfSystem.translation(), nu=None, projection=pi)
+    verify_nonminimality(tmap, None, grid=1)
+    # the one grid fiber, theta = 0, lies outside the chamber whose anchor plateau moves
+    ch = next(c for c in pi.chambers.chambers if c.a > 0)
+    pivot = getattr(ch, zero_end)
+    lift = Affine(-pivot, F(1), Probe(ch.a, ch.b)) * (F(1) / (ch.b - ch.a))
+    lift = lift if zero_end == "a" else -lift           # 0 at one end, 1 at the other
+    plateaus = tuple(replace(p, start=p.start + lift) if pi.n0 in p.members else p
+                     for p in ch.template.plateaus)
+    ch.template = replace(ch.template, plateaus=plateaus)
+    with pytest.raises(InvariantViolation, match="annulus normalization fails"):
+        verify_nonminimality(tmap, None, grid=1)

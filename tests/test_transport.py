@@ -6,7 +6,8 @@ import pytest
 from qpflab.measure import build_mu, build_pi, kolmogorov_distance
 from qpflab.plgraph import PLGraph
 from qpflab.systems import Lift, QpfSystem
-from qpflab.transport import build_f, verify_nonminimality, verify_semiconjugacy
+from qpflab.transport import (TransportedMap, build_f, verify_nonminimality,
+                              verify_semiconjugacy)
 
 
 def test_transport_law_pushes_leb_to_nu(small4):
@@ -74,6 +75,17 @@ def test_semiconjugacy_report(small4):
     assert abs(rep.tv_defect - rep.tv_expected) < 1e-9
     w = small4.weights
     assert rep.bound == pytest.approx(float(w.a(4) / w.beta) + 4 / 512)
+
+
+def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
+    # one grid class in the shifted-window subsample and one outside it
+    calls = []
+    fiber_values = TransportedMap.fiber_values
+    monkeypatch.setattr(TransportedMap, "fiber_values",
+                        lambda self, theta, xs: calls.append(theta) or fiber_values(self, theta, xs))
+    rep = verify_semiconjugacy(plain8.tmap, plain8.mu_shifted, grid=4096, vertical=4096)
+    assert rep.passed and len(rep.residual_per_fiber) == 4096
+    assert len(calls) <= 2
 
 
 def test_nonminimality_annulus(small4):
