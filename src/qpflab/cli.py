@@ -123,15 +123,16 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     atlas_audit = pipeline.atlas_audit()
     density_audit = pipeline.density_audit(grid=min(manifest.fibers, 512))
     report = pipeline.semiconjugacy_report()
-    sampled = pipeline.sampled_f()
+    # the table of f serves only the hitting-time probes of the witnesses
+    sampled = pipeline.sampled_f() if pipeline.witnesses else None
     nonmin = verify_nonminimality(pipeline.tmap, pipeline.atlas,
                                   witnesses=pipeline.witnesses,
                                   grid=min(manifest.fibers, 512), sampled=sampled,
                                   probe_points=manifest.probe_points)
     # per-fiber nu CDF tables on the uniform vertical grid, one row per grid class
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
-    knots = np.tile(xs, (manifest.fibers, 1))
-    values = np.empty_like(knots)
+    knots = np.broadcast_to(xs, (manifest.fibers, len(xs)))
+    values = np.empty(knots.shape)
     reps = grid_classes(manifest.fibers, [(pipeline.density.chambers, 0)])
     for g in range(manifest.fibers):
         if reps[g] != g:
@@ -201,8 +202,9 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     pipeline = _run_blowup(manifest, system)
     f_sys = pipeline.f_system
     f_lift = Lift(f_sys)
-    f_verdict = classify_rho_boundedness(f_lift, 512, 4)
-    records.append({"target": "blowup-f", "rho": rotation_number(f_lift, 0.0, 0.0, 512).value,
+    f_rho = rotation_number(f_lift, 0.0, 0.0, 512).value
+    f_verdict = classify_rho_boundedness(f_lift, 512, 4, rho=f_rho)
+    records.append({"target": "blowup-f", "rho": f_rho,
                     "verdict": f_verdict.verdict, "ratio": f_verdict.ratio})
     fs = minimal_set_via_projection(pipeline.projection, system, iters=manifest.iters,
                                     burnin=min(manifest.burnin, manifest.iters // 10),

@@ -14,53 +14,151 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
-from .systems import QpfSystem, nearest_rows
+from .systems import QpfSystem, nearest_rows, row_step
 
-# orbit steps per chunk: large enough to amortize the numpy calls, small
-# enough that the chunk's Python lists (about 130 bytes a step) add little to
-# the peak memory; 2^14 steps took 1.3 MB more than the one-step loop
+# The speculative orbit runs in blocks of _SEGMENTS x _SEGMENT steps; each
+# segment's guess starts _WARMUP steps early.  On a contracting cocycle two
+# orbits of the table become the same float within a few dozen steps (Harper
+# E=0, lambda=2, 512^2 table: 26 at the median and 46 at most over 1000
+# random pairs), so the guesses are mostly the orbit itself.  A block whose
+# repair took more than 1/_GIVE_UP of its steps ends the speculation; the
+# rest of the run walks in chunks of _CHUNK steps, small enough that the
+# chunk's Python lists (about 130 bytes a step) add little to the peak memory.
+_SEGMENTS = 256
+_SEGMENT = 64
+_WARMUP = 64
+_BLOCK = _SEGMENTS * _SEGMENT
+_GIVE_UP = 8
 _CHUNK = 1 << 10
+
+
+def _walk(flat, vres, offsets, x):
+    """x after each scalar step of the tabulated map from x.
+
+    Step k reads the table row that starts at flat offset offsets[k] and
+    interpolates linearly in x between the vertical knots, x = 1 in the last
+    cell: the float operations of `row_step`, in the same order.
+    """
+    out = []
+    for row in offsets:
+        pos = x * vres
+        j = int(pos)
+        if j >= vres:
+            j = vres - 1
+        frac = pos - j
+        k = row + j
+        x = (flat[k] * (1.0 - frac) + flat[k + 1] * frac) % 1.0
+        out.append(x)
+    return out
+
+
+def _speculate(table, rows, segs, x):
+    """Guesses of the orbit from x over segs segments, stepped all at once.
+
+    rows[_WARMUP + k] is the table row of step k.  Segment s covers steps
+    s*_SEGMENT onward; its guess starts from x at step s*_SEGMENT - _WARMUP
+    and every segment steps at once through `row_step`.  Segment 0 restarts
+    from x itself, so its guesses are exact.  Returns the guessed x at the
+    start of each segment (a list) and after every step (flat).
+    """
+    guess = np.full(segs, x)
+    for t in range(_WARMUP):
+        guess = row_step(table, rows[t::_SEGMENT][:segs], guess)
+    guess[0] = x
+    starts = guess.tolist()
+    xs = np.empty((segs, _SEGMENT))
+    for t in range(_SEGMENT):
+        guess = row_step(table, rows[_WARMUP + t::_SEGMENT][:segs], guess)
+        xs[:, t] = guess
+    return starts, xs.reshape(-1)
+
+
+def _speculative_block(table, flat, ths, n, x):
+    """The orbit over one block of n steps from x, guessed, then repaired.
+
+    ths[_WARMUP + k] is theta before step k.  The scalar pass walks the true
+    orbit segment by segment, each up to the first step whose x equals the
+    guess: a step is a function of x and the row, so from there on the guess
+    is the orbit.  Returns x after each step, the last x, and the number of
+    steps whose guess was wrong.
+    """
+    g, vk = table.shape
+    vres = vk - 1
+    segs = -(-n // _SEGMENT)
+    rows = nearest_rows(ths[:_WARMUP + segs * _SEGMENT], g)
+    starts, xs = _speculate(table, rows, segs, x)
+    rv = memoryview(rows)
+    xv = memoryview(xs)
+    repaired = 0
+    for s, start in enumerate(starts):
+        lo = s * _SEGMENT
+        hi = min(lo + _SEGMENT, n)
+        if x != start:
+            for k in range(lo, hi):
+                (x,) = _walk(flat, vres, (rv[_WARMUP + k] * vk,), x)
+                if x == xv[k]:
+                    break
+                xv[k] = x
+                repaired += 1
+        x = xv[hi - 1]
+    return xs[:n], x, repaired
+
+
+def _set_bins(occ, ths, xs):
+    """Mark the bins of the points (ths, xs) in occ; xs is scaled in place."""
+    bins = occ.shape[0]
+    bi = (ths * bins).astype(int)
+    bi %= bins
+    xs *= bins
+    bj = xs.astype(int)
+    bj %= bins
+    occ[bi, bj] = True
 
 
 def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
     """Occupancy of the orbit tail of the tabulated map on a bins x bins grid.
 
-    The orbit runs chunk by chunk.  The base recursion is a scalar loop, the
-    fiber rows are looked up for the whole chunk at once, the fiber recursion
-    reads the table through a flat memoryview as Python floats, and the
-    visited bins of the chunk are set in one scatter.  Every float operation
-    and its order is that of the plain one-step-at-a-time loop, so the result
-    is bit-identical to it.
+    The base recursion is a scalar loop.  The fiber recursion runs block by
+    block: guessed segment-parallel, then repaired by one scalar pass
+    (`_speculative_block`).  Every recorded x is either computed by the
+    scalar step or equal to a value the true orbit reached, and `row_step`
+    does the scalar step's float operations in the same order, so the
+    occupancy is bit-identical to the plain one-step loop.  Once a block
+    needed repair on more than 1/_GIVE_UP of its steps (a map that does not
+    contract, such as a rotation), the rest of the run takes the plain
+    chunked walk.  The visited bins of each block are set in one scatter.
     """
     g, vk = table.shape
     vres = vk - 1
     flat = memoryview(np.ascontiguousarray(table).ravel())
     occ = np.zeros((bins, bins), dtype=np.bool_)
-    th = theta0
+    # ths[_WARMUP + k] is theta before step k of the block; the _WARMUP
+    # entries in front are the thetas before the block, for the warm-up
+    ths = np.zeros(_WARMUP + _BLOCK + 1)
+    thv = memoryview(ths)
+    th = ths[_WARMUP] = theta0
     x = x0
     total = burnin + iters
     done = 0
+    speculate = True
     while done < total:
-        n = min(_CHUNK, total - done)
-        ths = [th]
-        for _ in range(n):
+        n = min(_BLOCK if speculate else _CHUNK, total - done)
+        for k in range(_WARMUP + 1, _WARMUP + n + 1):
             th = (th + omega) % 1.0
-            ths.append(th)
-        ths = np.array(ths)
-        xs = []
-        for row in (nearest_rows(ths[:-1], g) * vk).tolist():
-            pos = x * vres
-            j = int(pos)
-            if j >= vres:
-                j = vres - 1
-            frac = pos - j
-            k = row + j
-            x = (flat[k] * (1.0 - frac) + flat[k + 1] * frac) % 1.0
-            xs.append(x)
+            thv[k] = th
+        if speculate:
+            xs, x, repaired = _speculative_block(table, flat, ths, n, x)
+            speculate = repaired * _GIVE_UP <= n
+        else:
+            rows = nearest_rows(ths[_WARMUP:_WARMUP + n], g)
+            walked = _walk(flat, vres, (rows * vk).tolist(), x)
+            x = walked[-1]
+            xs = np.array(walked)
         skip = max(0, burnin - done)
         if skip < n:
-            occ[(ths[1 + skip:] * bins).astype(int) % bins,
-                (np.array(xs[skip:]) * bins).astype(int) % bins] = True
+            _set_bins(occ, ths[_WARMUP + 1 + skip:_WARMUP + n + 1], xs[skip:])
+        del xs                  # not held while the next block is built
+        ths[:_WARMUP + 1] = ths[n:_WARMUP + n + 1]
         done += n
     return occ
 

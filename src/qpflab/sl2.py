@@ -147,7 +147,7 @@ class LyapunovEstimate:
     value: float
     n: int
     renorm_every: int
-    det_drift: float     # |log det(A^N)| accumulated over the product
+    det_drift: float     # sum of |log det| over the blocks of norm below 1e6
 
 
 def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) -> LyapunovEstimate:
@@ -155,6 +155,11 @@ def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) ->
 
     Each renormalization block is formed separately, so its determinant (exactly
     1 for an SL(2,R) product) measures the float drift chunk by chunk.
+    det_drift sums |log det| over the blocks of norm below 1e6 only: in a
+    larger block the determinant cancels to noise.  On a strongly hyperbolic
+    cocycle that leaves out every full block (Harper E=0, lambda=2: all
+    32-step blocks), so det_drift reads 0 there or covers only a shorter
+    final block.
     """
     if n < 10**3:
         raise PreconditionError("n >= 1000 required")

@@ -95,13 +95,7 @@ class QpfSystem:
         interpolation in x between the vertical knots; x = 1 uses the last
         cell, as the orbit kernel does.
         """
-        table = self.table
-        vres = table.shape[1] - 1
-        i = nearest_rows(th, table.shape[0])
-        pos = x * vres
-        j = np.minimum(pos.astype(int), vres - 1)
-        frac = pos - j
-        return (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
+        return row_step(self.table, nearest_rows(th, self.table.shape[0]), x)
 
     def sample(self, fiber_grid: int, vertical_grid: int) -> "QpfSystem":
         """Tabulate normalized-lift fiber maps on a grid (the 'sampled' kind).
@@ -126,6 +120,21 @@ class QpfSystem:
 def nearest_rows(th: np.ndarray, g: int) -> np.ndarray:
     """Index of the nearest of g equally spaced fiber rows, per base point."""
     return np.mod(np.floor(th * g + 0.5).astype(int), g)
+
+
+def row_step(table: np.ndarray, i: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Circle values of the tabulated fiber maps at points x of the rows i.
+
+    The one array-valued step of a sampled map: linear interpolation in x
+    between the vertical knots of row i, with x = 1 in the last cell.  Its
+    float operations are those of the orbit kernel's scalar step, in the same
+    order, so both give the same bits.
+    """
+    vres = table.shape[1] - 1
+    pos = x * vres
+    j = np.minimum(pos.astype(int), vres - 1)
+    frac = pos - j
+    return (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
 
 
 @lru_cache(maxsize=256)
@@ -187,6 +196,14 @@ def _base_arithmetic(base: QpfSystem, theta):
 
 def _orbit(lift: Lift, theta, x, n: int) -> list:
     """The iterates F^1_theta(x), ..., F^n_theta(x)."""
+    if lift.base.kind == "translation":
+        # every fiber adds the same mod1(rho), so theta is never read
+        step = mod1(lift.base.rho)
+        orbit = []
+        for _ in range(n):
+            x = x + step
+            orbit.append(x)
+        return orbit
     theta, omega = _base_arithmetic(lift.base, theta)
     orbit = []
     for k in range(n):

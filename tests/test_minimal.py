@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qpflab.errors import PreconditionError
-from qpflab.minimal import (_CHUNK, FiberSet, approximate_minimal_set,
+from qpflab.minimal import (_BLOCK, _CHUNK, FiberSet, approximate_minimal_set,
                             fiber_component_count, invariance_defect,
                             minimal_set_via_projection, structure_diagnostics)
 from qpflab.plgraph import PLGraph
@@ -62,6 +62,9 @@ def reference_projection_lift(projection, system, iters, burnin, fiber_grid, bin
 
 
 HARPER = cocycle_qpf(Cocycle.harper(0.0, 2.0))
+HARPER_PARTIAL = cocycle_qpf(Cocycle.harper(0.0, 1.2))
+ROTATION = cocycle_qpf(Cocycle.rotation(0.3))
+DIAGONAL = cocycle_qpf(Cocycle.diagonal(2.0))
 
 
 def random_sampled_system(rows=64, knots=65, seed=0):
@@ -80,10 +83,16 @@ RANDOM = random_sampled_system()
     (HARPER, 10**4, 10**5, 512, 512, None),               # the cocycle command's grids
     (QpfSystem.translation(), 100, 20000, 256, 256, None),
     (HARPER, 50, _CHUNK - 100, 64, 128, None),            # shorter than one chunk
-    (HARPER, 20000, 30001, 300, 200, None),               # burn-in spans chunks, ragged end
+    (HARPER, 20000, 30001, 300, 200, None),               # burn-in spans blocks, ragged end
     (QpfSystem.translation(), 20000, 5000, 256, 2048, None),  # the same, on sparse bins
     (RANDOM, 0, 5000, 64, 4096, (0.3, 1.0 - 2.0**-53)),  # x just below 1
     (RANDOM, 0, 5000, 64, 4096, (0.3, 1.0)),              # x * vres = vres: the j clamp
+    # several blocks, burn-in ending mid-block, a ragged last block and segment
+    (HARPER, _BLOCK + 5000, 2 * _BLOCK + 301, 256, 256, None),
+    (HARPER, 10, 50, 4, 16, None),                        # shorter than one segment
+    (HARPER_PARTIAL, 100, 2 * _BLOCK, 256, 256, None),    # guesses merge late or never
+    (ROTATION, 100, 2 * _BLOCK + _CHUNK + 7, 256, 256, None),  # the plain walk takes over
+    (DIAGONAL, 100, 2 * _BLOCK, 256, 256, None),          # orbits meet at a fixed point
 ])
 def test_orbit_kernel_matches_scalar_reference(system, burnin, iters, grid, bins, start):
     fs = approximate_minimal_set(system, burnin=burnin, iters=iters, fiber_grid=grid,

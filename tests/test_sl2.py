@@ -98,6 +98,23 @@ def test_lyapunov_matches_mat2_reference(cocycle, theta0):
     assert est.det_drift == drift
 
 
+def test_lyapunov_det_drift_leaves_out_blocks_of_norm_1e6():
+    # on Harper E=0 every full 32-step block has norm >= 1e6, so at n = 5e4
+    # det_drift is |log det| of the final 16-step block alone
+    c = Cocycle.harper(0.0, 2.0)
+    n = 5 * 10**4
+    omega = float(c.omega)
+    theta = 0.0
+    for _ in range(n - n % 32):
+        theta = (theta + omega) % 1.0
+    block = Mat2.identity()
+    for _ in range(n % 32):
+        block = c.matrix(theta) @ block
+        theta = (theta + omega) % 1.0
+    assert n % 32 == 16 and block.norm() < 1e6
+    assert lyapunov(c, n).det_drift == abs(math.log(block.det()))
+
+
 def test_lyapunov_harper_recorded():
     a = lyapunov(Cocycle.harper(0.0, 2.0), 10**5, theta0=0.0)
     b = lyapunov(Cocycle.harper(0.0, 2.0), 10**5, theta0=0.37)

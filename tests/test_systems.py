@@ -5,8 +5,8 @@ import pytest
 
 from qpflab.circle import OMEGA_GOLDEN, mod1
 from qpflab.plgraph import PLGraph
-from qpflab.systems import (Lift, QpfSystem, classify_rho_boundedness, compose_fiber,
-                            deviations, rotation_number)
+from qpflab.systems import (Lift, QpfSystem, _orbit, classify_rho_boundedness,
+                            compose_fiber, deviations, rotation_number)
 
 TENT_PHI = PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(4, 10))])  # 0.3 + 0.1*tent
 
@@ -15,6 +15,20 @@ def test_compose_translation_exact():
     lift = Lift(QpfSystem.translation(rho=F(1, 4)))
     assert compose_fiber(lift, F(0), 4, F(0)) == 1
     assert compose_fiber(lift, F(0), 0, 0.37) == 0.37
+
+
+@pytest.mark.parametrize("theta, x", [(F(0), F(0)), (F(2, 7), 0.0), (F(5, 9), 1.0 / 3.0)])
+def test_translation_orbit_matches_theta_stepping_walk(theta, x):
+    # the translation branch of the orbit walk never steps theta; the walk
+    # that steps it through Lift.value gives the same numbers, type for type
+    lift = Lift(QpfSystem.translation())
+    want, y = [], x
+    for k in range(300):
+        y = lift.value(mod1(theta + k * lift.base.omega), y)
+        want.append(y)
+    got = _orbit(lift, theta, x, 300)
+    assert got == want
+    assert [type(v) for v in got] == [type(v) for v in want]
 
 
 def test_compose_skew_matches_direct_summation():
