@@ -58,15 +58,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_cdf_tables(path: Path, knots: np.ndarray, values: np.ndarray) -> None:
-    """fiber count, knot count (u64 LE), then per fiber: knots, cdf values (f64 LE)."""
+def write_cdf_tables(path: Path, knots: np.ndarray, values) -> None:
+    """fiber count, knot count (u64 LE), then per fiber: knots, cdf values (f64 LE).
+
+    values is an array or any iterable of one row per fiber, written as it
+    is consumed.
+    """
     fibers, nk = knots.shape
-    assert values.shape == (fibers, nk)
+    written = 0
     with path.open("wb") as fh:
         fh.write(struct.pack("<QQ", fibers, nk))
-        for i in range(fibers):
+        for i, row in enumerate(values):
+            assert i < fibers and len(row) == nk
             fh.write(knots[i].astype("<f8").tobytes())
-            fh.write(values[i].astype("<f8").tobytes())
+            fh.write(np.asarray(row).astype("<f8").tobytes())
+            written += 1
+    assert written == fibers
 
 
 def read_cdf_tables(path: Path):

@@ -129,19 +129,11 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
                                   witnesses=pipeline.witnesses,
                                   grid=min(manifest.fibers, 512), sampled=sampled,
                                   probe_points=manifest.probe_points)
-    # per-fiber nu CDF tables on the uniform vertical grid, one row per grid class
+    # per-fiber nu CDF tables on the uniform vertical grid, written row by row
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
     knots = np.broadcast_to(xs, (manifest.fibers, len(xs)))
-    values = np.empty(knots.shape)
-    reps = grid_classes(manifest.fibers, [(pipeline.density.chambers, 0)])
-    for g in range(manifest.fibers):
-        if reps[g] != g:
-            values[g] = values[reps[g]]
-            continue
-        fd = pipeline.density.fiber(Fraction(g, manifest.fibers))
-        values[g] = fd.mass_from(0.0, xs)
-        values[g, -1] = fd.total
-    artifacts.write_cdf_tables(out / "nu_cdf.bin", knots, values)
+    artifacts.write_cdf_tables(out / "nu_cdf.bin", knots,
+                               _cdf_rows(pipeline.density, manifest.fibers, xs))
     artifacts.write_curve(out / "curve.txt", pipeline.curve)
     atlas_rows = []
     step = max(1, manifest.fibers // 256)
@@ -181,6 +173,25 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
             encoding="ascii")
     ok = report.passed and atlas_audit.passed and nonmin.hit_fraction >= 0.9
     return EXIT_OK if ok else EXIT_INVARIANT
+
+
+def _cdf_rows(density, fibers: int, xs: np.ndarray):
+    """The nu CDF row of each grid fiber, computed once per grid class.
+
+    A class's row is held only until its last member has taken it.
+    """
+    reps = grid_classes(fibers, [(density.chambers, 0)])
+    last = {r: g for g, r in enumerate(reps)}
+    held = {}
+    for g, r in enumerate(reps):
+        row = held.pop(r, None)
+        if row is None:
+            fd = density.fiber(Fraction(g, fibers))
+            row = fd.mass_from(0.0, xs)
+            row[-1] = fd.total
+        if last[r] > g:
+            held[r] = row
+        yield row
 
 
 def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:

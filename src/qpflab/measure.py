@@ -268,16 +268,18 @@ class FiberProjection:
         affine = self.seg_target[idx] + (1.0 / float(self.beta)) * (u - self.seg_starts[idx])
         return np.where(idx % 2 == 0, self.seg_target[idx], mod1_array(affine))
 
-    def inverse_map_array(self, ys: np.ndarray) -> np.ndarray:
-        """Source points of target positions: map_array inverted off the plateaus.
+    @property
+    def inverse_knots(self) -> tuple:
+        """(target, source) knots of map_array inverted off the plateaus.
 
-        The knots run over target positions lifted from the anchor; an atom's
-        position is a double knot at both ends of its plateau.
+        The targets run over positions lifted from the anchor, one turn from
+        tk[0]; an atom's position is a double knot at both ends of its
+        plateau.  A target y has the source point
+        mod1(interp(mod1(y - tk[0]) + tk[0], tk, sk)).
         """
         tk = np.append(np.repeat(self.seg_target[1::2], 2), self.seg_target[1] + 1.0)
         sk = np.append(self.seg_starts, self.seg_starts[0] + 1.0)
-        return mod1_array(np.interp(mod1_array(np.asarray(ys, dtype=float) - tk[0]) + tk[0],
-                                    tk, sk))
+        return tk, sk
 
     def plateau_of(self, curve: int) -> Plateau:
         for p in self.plateaus:

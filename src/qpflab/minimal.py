@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
+from .circle import mod1_array
 from .errors import PreconditionError
-from .systems import QpfSystem, nearest_rows, row_step
+from .systems import QpfSystem, nearest_rows, pl_values_float, row_step
 
 # The speculative orbit runs in blocks of _SEGMENTS x _SEGMENT steps; each
 # segment's guess starts _WARMUP steps early.  On a contracting cocycle two
@@ -30,6 +32,10 @@ _WARMUP = 64
 _BLOCK = _SEGMENTS * _SEGMENT
 _GIVE_UP = 8
 _CHUNK = 1 << 10
+# The projection lift walks its samples in blocks of _LIFT_BLOCK; the
+# diagnostics read the occupancy _ROW_BLOCK fibers at a time.
+_LIFT_BLOCK = 1 << 14
+_ROW_BLOCK = 64
 
 
 def _walk(flat, vres, offsets, x):
@@ -182,32 +188,32 @@ class FiberSet:
     def fiber_measure(self, i: int) -> float:
         return float(self.bins[i].sum()) / self.resolution
 
+    @cached_property
     def component_counts(self) -> np.ndarray:
-        """Connected runs of occupied vertical bins per fiber (circular)."""
-        b = self.bins
-        starts = b & ~np.roll(b, 1, axis=1)
-        counts = starts.sum(axis=1)
-        full = b.all(axis=1)
-        counts[full] = 1
-        return counts.astype(int)
+        """Connected runs of occupied vertical bins per fiber (circular).
+
+        Computed once, a block of _ROW_BLOCK rows at a time; bins must not
+        change afterwards.
+        """
+        counts = np.empty(self.resolution, dtype=int)
+        for lo in range(0, self.resolution, _ROW_BLOCK):
+            b = self.bins[lo:lo + _ROW_BLOCK]
+            starts = (b[:, 1:] > b[:, :-1]).sum(axis=1) + (b[:, 0] > b[:, -1])
+            counts[lo:lo + _ROW_BLOCK] = np.where(b.all(axis=1), 1, starts)
+        return counts
 
     def to_rle_lines(self):
-        """Run-length encoding, one line per fiber: 'i: start+len start+len ...'."""
-        lines = []
-        for i in range(self.resolution):
-            occ = self.bins[i]
-            runs = []
-            j = 0
-            while j < self.resolution:
-                if occ[j]:
-                    start = j
-                    while j < self.resolution and occ[j]:
-                        j += 1
-                    runs.append(f"{start}+{j - start}")
-                else:
-                    j += 1
-            lines.append(f"{i}: " + " ".join(runs))
-        return lines
+        """Run-length encoding, one line per fiber: 'i: start+len start+len ...'.
+
+        The lines are made one at a time, as they are consumed.
+        """
+        edges = np.zeros(self.resolution + 2, dtype=np.int8)
+        for i, row in enumerate(self.bins):
+            edges[1:-1] = row
+            d = np.diff(edges)
+            starts = np.flatnonzero(d > 0)
+            lengths = np.flatnonzero(d < 0) - starts
+            yield f"{i}: " + " ".join(map("{}+{}".format, starts.tolist(), lengths.tolist()))
 
     @staticmethod
     def from_rle_lines(lines, resolution: int, burnin=0, iters=0, seed=0) -> "FiberSet":
@@ -246,6 +252,12 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
     orbit is the exact base orbit lifted through the fiberwise quantile; this
     avoids compounding the truncation defect of the table-iterated map and is
     the honest approximator of K = clos(pi^{-1}(Xi^c)).
+
+    The samples are walked in blocks of _LIFT_BLOCK: each block recomputes
+    its thetas and targets from the sample indices, lifts every target
+    through the inverse knots of its nearest grid fiber (one stacked table,
+    `StackedKnots`) and sets its bins in one scatter.  The occupancy is a
+    union of bins, so it is the same for any blocking.
     """
     if not system.is_affine:
         raise PreconditionError("projection-lifted orbits need an affine base")
@@ -254,37 +266,86 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         start = (rng.random(), rng.random())
     theta0, target0 = float(start[0]), float(start[1])
     omega = float(system.omega)
-    ks = np.arange(burnin, burnin + iters, dtype=float)
-    thetas = np.mod(theta0 + ks * omega, 1.0)
-    if system.kind == "translation":
-        targets = np.mod(target0 + ks * float(system.rho), 1.0)
-    else:
-        # accumulate the skew displacements along the exact base orbit
-        targets = np.empty(iters)
-        t = target0
-        from .systems import _pl_value_float
-        for i, k in enumerate(range(burnin, burnin + iters)):
-            targets[i] = t
-            t = (t + _pl_value_float(system.phi, (theta0 + k * omega) % 1.0)) % 1.0
-    del ks
-    # group the samples by grid fiber (one stable sort), then lift each group
-    # through its fiber's inverse-quantile table: target position -> source point
-    fiber_idx = nearest_rows(thetas, fiber_grid)
-    order = np.argsort(fiber_idx, kind="stable")
-    bounds = np.searchsorted(fiber_idx[order], np.arange(fiber_grid + 1))
-    del fiber_idx
-    targets = targets[order]
-    xs = np.empty(iters)
-    for i in range(fiber_grid):
-        lo, hi = bounds[i], bounds[i + 1]
-        if lo == hi:
-            continue
-        xs[order[lo:hi]] = projection.fiber(Fraction(i, fiber_grid)).inverse_map_array(
-            targets[lo:hi])
-    del order, targets
-    occ = np.zeros((bins, bins), dtype=bool)
-    occ[(thetas * bins).astype(int) % bins, (xs * bins).astype(int) % bins] = True
-    return FiberSet(bins=occ, resolution=bins, burnin=burnin, iters=iters, seed=seed)
+    knots = StackedKnots.stack(projection.fiber(Fraction(g, fiber_grid)).inverse_knots
+                               for g in range(fiber_grid))
+    occ = np.zeros(bins * bins, dtype=bool)
+    t = target0
+    for lo in range(burnin, burnin + iters, _LIFT_BLOCK):
+        ks = np.arange(lo, min(lo + _LIFT_BLOCK, burnin + iters), dtype=float)
+        thetas = mod1_array(theta0 + ks * omega)
+        if system.kind == "translation":
+            targets = mod1_array(target0 + ks * float(system.rho))
+        else:
+            # the skew displacements summed along the exact base orbit
+            targets = []
+            for phi in pl_values_float(system.phi, thetas).tolist():
+                targets.append(t)
+                t = (t + phi) % 1.0
+            targets = np.array(targets)
+        rows = nearest_rows(thetas, fiber_grid)
+        first = knots.xp.take(rows * knots.width)
+        xs = mod1_array(knots.interp(rows, mod1_array(targets - first) + first))
+        occ[(thetas * bins).astype(int) % bins * bins + (xs * bins).astype(int) % bins] = True
+    return FiberSet(bins=occ.reshape(bins, bins), resolution=bins, burnin=burnin,
+                    iters=iters, seed=seed)
+
+
+@dataclass(frozen=True, eq=False)
+class StackedKnots:
+    """Ragged rows of finite interpolation knots in one flat table, row r at r * width.
+
+    width is the least power of two above the longest row, so every row ends
+    in at least one +inf pad, and a branchless binary search of log2(width)
+    halvings counts the knots at or below a point.  The values are padded
+    with each row's last value; a lookup never reads the slope of a pad.
+    """
+
+    xp: np.ndarray               # knot abscissae, +inf padded
+    fp: np.ndarray               # knot values
+    slopes: np.ndarray           # (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]), as np.interp has them
+    last: np.ndarray             # flat index of each row's last knot
+    width: int
+
+    @staticmethod
+    def stack(rows) -> "StackedKnots":
+        rows = list(rows)
+        lengths = np.array([len(xp) for xp, _ in rows])
+        width = 1 << int(lengths.max()).bit_length()
+        xp = np.full((len(rows), width), np.inf)
+        fp = np.empty((len(rows), width))
+        for r, (x, f) in enumerate(rows):
+            xp[r, :len(x)] = x
+            fp[r, :len(f)] = f
+            fp[r, len(f):] = f[-1]
+        slopes = np.zeros((len(rows), width))
+        with np.errstate(all="ignore"):
+            slopes[:, :-1] = np.diff(fp, axis=1) / np.diff(xp, axis=1)
+        last = np.arange(len(rows)) * width + lengths - 1
+        return StackedKnots(xp=xp.ravel(), fp=fp.ravel(), slopes=slopes.ravel(),
+                            last=last, width=width)
+
+    def interp(self, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """np.interp(x[k], xp[rows[k]], fp[rows[k]]) for each k, bit for bit.
+
+        Each x must be at or above the first knot of its row.  j is the last
+        knot at or below x, as np.interp's search finds it; a point on a knot
+        or at or past the last knot takes the knot's value, any other point
+        np.interp's slope * (x - xp[j]) + fp[j], whose operations are the
+        same and in the same order.
+        """
+        pos = rows * self.width
+        step = self.width >> 1
+        while step:
+            pos += (self.xp.take(pos + (step - 1)) <= x) * step
+            step >>= 1
+        pos -= 1                                # the flat index of j
+        xj = self.xp.take(pos)
+        fj = self.fp.take(pos)
+        with np.errstate(all="ignore"):     # np.interp does not warn either
+            out = self.slopes.take(pos) * (x - xj) + fj
+        on_knot = (xj == x) | (pos == self.last.take(rows))
+        out[on_knot] = fj[on_knot]
+        return out
 
 
 @dataclass
@@ -296,7 +357,7 @@ class ComponentReport:
 
 def fiber_component_count(fs: FiberSet) -> ComponentReport:
     """Per-fiber component counts; c(K) = min, and the fraction attaining it."""
-    counts = fs.component_counts()
+    counts = fs.component_counts
     occupied = counts[counts > 0]
     if len(occupied) == 0:
         raise PreconditionError("fiber set is empty")
@@ -320,13 +381,17 @@ def structure_diagnostics(fs: FiberSet, beta: float | None = None) -> StructureR
     n = fs.resolution
     # components are vertical segments: under 4-connectivity a component
     # spans >1 fiber column iff two horizontally adjacent bins are occupied
-    horiz = b & np.roll(b, -1, axis=0)
-    vertical_ok = not bool(horiz.any())
-    max_extent = _max_horizontal_extent(b) if not vertical_ok else 1
+    joined = np.empty(n, dtype=bool)       # fibers i and i+1 share a bin
+    for lo in range(0, n, _ROW_BLOCK):
+        nxt = b[np.arange(lo + 1, min(lo + _ROW_BLOCK, n) + 1) % n]
+        joined[lo:lo + _ROW_BLOCK] = (b[lo:lo + _ROW_BLOCK] & nxt).any(axis=1)
+    vertical_ok = not bool(joined.any())
+    # the largest run of consecutive fiber columns joined by horizontal adjacency
+    max_extent = 1 if vertical_ok else min(_longest_true_run(joined) + 1, n)
     # Cantor proxy: fiber occupied measure; binning widens each component of
     # a fiber by up to two bins
     measures = b.sum(axis=1) / n
-    bound = None if beta is None else beta + 2.0 * int(fs.component_counts().max()) / n
+    bound = None if beta is None else beta + 2.0 * int(fs.component_counts.max()) / n
     flag = None
     if vertical_ok and beta is None:
         flag = ("can c(K) be finite for strip-free non-minimal maps? "
@@ -338,12 +403,6 @@ def structure_diagnostics(fs: FiberSet, beta: float | None = None) -> StructureR
         fiber_measure_bound=bound,
         open_question_flag=flag,
     )
-
-
-def _max_horizontal_extent(b: np.ndarray) -> int:
-    """Largest run of consecutive fiber columns joined by horizontal adjacency."""
-    joined = (b & np.roll(b, -1, axis=0)).any(axis=1)
-    return min(_longest_true_run(joined) + 1, b.shape[0])
 
 
 def _longest_true_run(mask: np.ndarray) -> int:

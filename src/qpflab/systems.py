@@ -145,9 +145,14 @@ def _pl_float_tables(graph: PLGraph):
 
 
 def _pl_value_float(graph: PLGraph, t: float) -> float:
+    return float(pl_values_float(graph, np.float64(t)))
+
+
+def pl_values_float(graph: PLGraph, t: np.ndarray) -> np.ndarray:
+    """Float values of a PL circle graph at an array of thetas."""
     ts, vs = _pl_float_tables(graph)
-    k = math.floor(t - ts[0])
-    return float(np.interp(t - k, ts, vs)) + k * graph.degree
+    k = np.floor(t - ts[0])
+    return np.interp(t - k, ts, vs) + k * graph.degree
 
 
 def _bisect_inverse(f_circle, y, tol=1e-13):

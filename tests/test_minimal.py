@@ -1,16 +1,22 @@
+import functools
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qpflab.errors import PreconditionError
-from qpflab.minimal import (_BLOCK, _CHUNK, FiberSet, approximate_minimal_set,
+from qpflab.minimal import (_BLOCK, _CHUNK, _LIFT_BLOCK, FiberSet, StackedKnots,
+                            _longest_true_run, approximate_minimal_set,
                             fiber_component_count, invariance_defect,
                             minimal_set_via_projection, structure_diagnostics)
+from qpflab.pipeline import run_blowup
 from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import QpfSystem
+from qpflab.weights import make_weights
 
 
 def reference_step(table, th, x):
@@ -41,24 +47,63 @@ def reference_orbit(table, omega, theta0, x0, burnin, iters, bins):
     return occ
 
 
+def reference_phi(graph, t):
+    """A PL graph's float value at one theta, on Python scalars."""
+    ts = [float(x) for x in graph.thetas] + [float(graph.thetas[0]) + 1.0]
+    vs = [float(v) for v in graph.values] + [float(graph.values[0]) + graph.degree]
+    k = math.floor(t - ts[0])
+    return float(np.interp(t - k, ts, vs)) + k * graph.degree
+
+
 def reference_projection_lift(projection, system, iters, burnin, fiber_grid, bins, seed):
-    """The projection lift with one boolean mask per fiber: the oracle for grouping."""
+    """The projection lift with one boolean mask per fiber: the oracle for the blocks.
+
+    Each fiber's targets go through np.interp on its inverse knots; over a
+    skew base the targets take the skew recurrence one scalar step at a time.
+    """
     rng = np.random.default_rng(seed)
     theta0, target0 = rng.random(), rng.random()
     omega = float(system.omega)
     ks = np.arange(burnin, burnin + iters, dtype=float)
     thetas = np.mod(theta0 + ks * omega, 1.0)
-    targets = np.mod(target0 + ks * float(system.rho), 1.0)
+    if system.kind == "translation":
+        targets = np.mod(target0 + ks * float(system.rho), 1.0)
+    else:
+        targets = np.empty(iters)
+        t = target0
+        for i, k in enumerate(range(burnin, burnin + iters)):
+            targets[i] = t
+            t = (t + reference_phi(system.phi, (theta0 + k * omega) % 1.0)) % 1.0
     fiber_idx = np.mod(np.floor(thetas * fiber_grid + 0.5).astype(int), fiber_grid)
     xs = np.empty(iters)
     for i in range(fiber_grid):
         mask = fiber_idx == i
         if not mask.any():
             continue
-        xs[mask] = projection.fiber(F(i, fiber_grid)).inverse_map_array(targets[mask])
+        tk, sk = projection.fiber(F(i, fiber_grid)).inverse_knots
+        xs[mask] = np.mod(np.interp(np.mod(targets[mask] - tk[0], 1.0) + tk[0], tk, sk), 1.0)
     occ = np.zeros((bins, bins), dtype=bool)
     occ[(thetas * bins).astype(int) % bins, (xs * bins).astype(int) % bins] = True
     return occ
+
+
+def reference_rle_lines(bins):
+    """The run-length lines by a scan of every bin: the oracle for to_rle_lines."""
+    n = bins.shape[1]
+    lines = []
+    for i, occ in enumerate(bins):
+        runs = []
+        j = 0
+        while j < n:
+            if occ[j]:
+                start = j
+                while j < n and occ[j]:
+                    j += 1
+                runs.append(f"{start}+{j - start}")
+            else:
+                j += 1
+        lines.append(f"{i}: " + " ".join(runs))
+    return lines
 
 
 HARPER = cocycle_qpf(Cocycle.harper(0.0, 2.0))
@@ -115,12 +160,75 @@ def test_table_step_matches_orbit_step(x):
     assert got.tolist() == want
 
 
-def test_projection_lift_matches_masked_reference(small4):
-    fs = minimal_set_via_projection(small4.projection, small4.system, iters=100000,
-                                    burnin=777, fiber_grid=256, bins=256, seed=4)
-    ref = reference_projection_lift(small4.projection, small4.system, iters=100000,
-                                    burnin=777, fiber_grid=256, bins=256, seed=4)
+@pytest.fixture(scope="module")
+def skew2():
+    """A small blowup over a PL skew base."""
+    phi = PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(4, 10))])
+    return run_blowup(QpfSystem.skew(phi), PLGraph.constant(F(1, 5)),
+                      make_weights(k=4, half_width=2, epsilon=F(1, 2)), F(1, 2),
+                      fiber_grid=64, vertical_grid=64)
+
+
+@pytest.mark.parametrize("stack, iters, burnin, grid, bins", [
+    ("small4", 100000, 777, 256, 256),
+    # several blocks from a burn-in inside a block, a ragged last block
+    ("small4", 2 * _LIFT_BLOCK + 301, _LIFT_BLOCK + 5000, 256, 256),
+    ("small4", 5000, 10, 256, 256),                       # shorter than one block
+    ("small4", 100000, 0, 4096, 4096),
+    ("crossed4", 200000, 1000, 1024, 1024),               # atoms merge on the overlaps
+    ("skew2", 50000, 333, 256, 256),
+])
+def test_projection_lift_matches_masked_reference(request, stack, iters, burnin, grid, bins):
+    pipe = request.getfixturevalue(stack)
+    fs = minimal_set_via_projection(pipe.projection, pipe.system, iters=iters,
+                                    burnin=burnin, fiber_grid=grid, bins=bins, seed=4)
+    ref = reference_projection_lift(pipe.projection, pipe.system, iters=iters,
+                                    burnin=burnin, fiber_grid=grid, bins=bins, seed=4)
     assert np.array_equal(fs.bins, ref)
+
+
+@st.composite
+def knot_rows(draw):
+    """Ragged rows of knots with double knots, and points on and off them."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        xp = sorted(draw(st.lists(st.floats(-2, 2), min_size=1, max_size=12)))
+        doubled = draw(st.lists(st.booleans(), min_size=len(xp), max_size=len(xp)))
+        xp = [x for x, d in zip(xp, doubled) for _ in range(1 + d)]
+        fp = draw(st.lists(st.floats(-2, 2), min_size=len(xp), max_size=len(xp)))
+        rows.append((np.array(xp), np.array(fp)))
+    points = []
+    for _ in range(draw(st.integers(1, 40))):
+        r = draw(st.integers(0, len(rows) - 1))
+        xp = rows[r][0]
+        x = draw(st.one_of(st.sampled_from(xp.tolist()), st.just(xp[-1]),
+                           st.floats(xp[0], xp[-1]), st.floats(xp[-1], 4)))
+        points.append((r, x))
+    return rows, points
+
+
+@given(knot_rows())
+def test_stacked_interp_is_np_interp(case):
+    rows, points = case
+    r = np.array([p[0] for p in points])
+    x = np.array([p[1] for p in points])
+    got = StackedKnots.stack(rows).interp(r, x)
+    want = [np.interp(xk, *rows[rk]) for rk, xk in points]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_projection_lift_memory_is_bounded(small4):
+    # the block's arrays, not the 10^6 samples, set the peak
+    lift = functools.partial(minimal_set_via_projection, small4.projection, small4.system,
+                             fiber_grid=256, bins=256)
+    lift(iters=1000)                # the chamber tables are built outside the trace
+    tracemalloc.start()
+    try:
+        lift(iters=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_line_closure_single_component_per_fiber():
@@ -202,6 +310,40 @@ def test_rle_roundtrip():
     fs = FiberSet(bins=bins, resolution=32, burnin=0, iters=0, seed=0)
     back = FiberSet.from_rle_lines(fs.to_rle_lines(), 32)
     assert np.array_equal(bins, back.bins)
+
+
+@st.composite
+def occupancies(draw):
+    """Random n x n occupancies with empty rows, full rows and runs at both ends."""
+    n = draw(st.integers(1, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bins = rng.random((n, n)) < draw(st.sampled_from([0.05, 0.5, 0.95]))
+    rows = st.integers(0, n - 1)
+    bins[draw(st.lists(rows, max_size=5))] = False
+    bins[draw(st.lists(rows, max_size=5))] = True
+    edge = draw(st.lists(rows, max_size=5))
+    bins[edge, 0] = bins[edge, -1] = True
+    return bins
+
+
+@given(occupancies())
+def test_rle_matches_scan_and_roundtrips(bins):
+    n = len(bins)
+    lines = list(FiberSet(bins=bins, resolution=n, burnin=0, iters=0, seed=0).to_rle_lines())
+    assert lines == reference_rle_lines(bins)
+    assert np.array_equal(FiberSet.from_rle_lines(lines, n).bins, bins)
+
+
+@given(occupancies())
+def test_diagnostics_match_full_matrix_formulas(bins):
+    fs = FiberSet(bins=bins, resolution=len(bins), burnin=0, iters=0, seed=0)
+    starts = (bins & ~np.roll(bins, 1, axis=1)).sum(axis=1)
+    assert np.array_equal(fs.component_counts, np.where(bins.all(axis=1), 1, starts))
+    joined = (bins & np.roll(bins, -1, axis=0)).any(axis=1)
+    diag = structure_diagnostics(fs, beta=0.5)
+    assert diag.vertical_segments == (not joined.any())
+    extent = min(_longest_true_run(joined) + 1, len(bins)) if joined.any() else 1
+    assert diag.max_horizontal_extent == extent
 
 
 def test_projection_lift_avoids_atlas_interiors(small4):
