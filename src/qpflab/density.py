@@ -141,8 +141,8 @@ class DensityField:
             for comp in fb[m].knots:
                 for (u, g) in comp:
                     pieces.append((u, 1 - coef * g))
-        knots = sorted({s0, s0 + 1, *(_unrolled(s0, u) for u, _ in pieces)})
         val_map = {_unrolled(s0, u): h for u, h in pieces}
+        knots = sorted({s0, s0 + 1, *val_map})
         return tuple(knots), tuple(val_map.get(u, Fraction(1)) for u in knots)
 
 

@@ -68,6 +68,42 @@ def intersection_projection(g1: PLGraph, g2: PLGraph) -> CircIntervalSet:
     return CircIntervalSet.from_pieces([(mod1(lo), mod1(lo) + (hi - lo)) for lo, hi in pieces])
 
 
+class OrbitIntersections:
+    """The sets X_k = p1(Gamma /\\ R^k Gamma) of one curve, each k computed once.
+
+    R is a fibre-preserving bijection over theta -> theta + omega, so for
+    i < j, R^i Gamma /\\ R^j Gamma = R^i(Gamma /\\ R^(j-i) Gamma) and its
+    projection is X_(j-i) shifted by i*omega; CircIntervalSet is canonical, so
+    the shifted set equals the one intersection_projection gives directly.
+    """
+
+    def __init__(self, system: QpfSystem, graph: PLGraph, images: dict | None = None):
+        self.system = system
+        self.graph = graph
+        self._images = dict(images or {})     # k -> R^k(Gamma)
+        self._x: dict = {}                    # k >= 1 -> X_k
+
+    def image(self, k: int) -> PLGraph:
+        """R^k(Gamma), computed once (k within the system's max depth)."""
+        if k not in self._images:
+            self._images[k] = image_curve(self.system, self.graph, k)
+        return self._images[k]
+
+    def x(self, k: int) -> CircIntervalSet:
+        """X_k for k >= 1."""
+        if k not in self._x:
+            self._x[k] = intersection_projection(self.graph, self.image(k))
+        return self._x[k]
+
+    def between(self, i: int, j: int) -> CircIntervalSet:
+        """p1(R^i Gamma /\\ R^j Gamma) for i != j."""
+        lo, hi = min(i, j), max(i, j)
+        if lo == hi:
+            raise PreconditionError("a curve meets itself everywhere")
+        x = self.x(hi - lo)
+        return x.shift(lo * self.system.omega) if lo else x
+
+
 def is_flat_intersection(g1: PLGraph, g2: PLGraph):
     """Definition check: every component of the projected intersection is an arc.
 

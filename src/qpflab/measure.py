@@ -19,7 +19,7 @@ import numpy as np
 from .chamber import ChamberTable, Probe, affine
 from .circle import mod1, mod1_array
 from .errors import LiftAmbiguous, NotSameMeasure, PreconditionError
-from .geometry import _branch_sign_near, intersection_projection
+from .geometry import OrbitIntersections, _branch_sign_near, intersection_projection
 from .plgraph import PLGraph
 from .weights import WeightScheme
 
@@ -172,8 +172,13 @@ class MeasureFamily:
 
 
 def build_mu(curves: dict, weights: WeightScheme | None = None, masses: dict | None = None,
-             beta=None, waive_flatness: bool = False) -> MeasureFamily:
-    """Assemble the measure family; pairwise flatness is verified unless waived."""
+             beta=None, waive_flatness: bool = False,
+             table: OrbitIntersections | None = None) -> MeasureFamily:
+    """Assemble the measure family; pairwise flatness is verified unless waived.
+
+    With table, curves[n] must be R^n(Gamma) for the table's curve Gamma, and
+    each pair's intersection is read from it; without, it is computed here.
+    """
     if weights is not None:
         masses = {n: weights.a(n) for n in weights.window if n in curves}
         missing = [n for n in weights.window if n not in curves]
@@ -189,7 +194,8 @@ def build_mu(curves: dict, weights: WeightScheme | None = None, masses: dict | N
     for a in range(len(idx)):
         for b in range(a + 1, len(idx)):
             i, j = idx[a], idx[b]
-            proj = intersection_projection(curves[i], curves[j])
+            proj = (table.between(i, j) if table is not None
+                    else intersection_projection(curves[i], curves[j]))
             if proj.is_full:
                 raise LiftAmbiguous(f"curves {i} and {j} coincide")
             if proj.is_empty:

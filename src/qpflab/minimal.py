@@ -14,6 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .chamber import grid_classes
 from .circle import mod1_array
 from .errors import PreconditionError
 from .systems import QpfSystem, nearest_rows, pl_values_float, row_step
@@ -266,8 +267,7 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         start = (rng.random(), rng.random())
     theta0, target0 = float(start[0]), float(start[1])
     omega = float(system.omega)
-    knots = StackedKnots.stack(projection.fiber(Fraction(g, fiber_grid)).inverse_knots
-                               for g in range(fiber_grid))
+    knots = StackedKnots.stack(_inverse_knot_rows(projection, fiber_grid))
     occ = np.zeros(bins * bins, dtype=bool)
     t = target0
     for lo in range(burnin, burnin + iters, _LIFT_BLOCK):
@@ -288,6 +288,20 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         occ[(thetas * bins).astype(int) % bins * bins + (xs * bins).astype(int) % bins] = True
     return FiberSet(bins=occ.reshape(bins, bins), resolution=bins, burnin=burnin,
                     iters=iters, seed=seed)
+
+
+def _inverse_knot_rows(projection, fiber_grid: int) -> list:
+    """The inverse knots of every grid fiber, built once per grid class.
+
+    The members of a class (chamber.grid_classes over the projection table)
+    read one restamped fiber, so they share its row.
+    """
+    reps = grid_classes(fiber_grid, [(projection.chambers, 0)])
+    rows: dict = {}
+    for g, r in enumerate(reps):
+        if r not in rows:
+            rows[r] = projection.fiber(Fraction(g, fiber_grid)).inverse_knots
+    return [rows[r] for r in reps]
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ import numpy as np
 from .atlas import PartitionAtlas, audit_atlas, build_partition_atlas
 from .density import BumpFamily, DensityField, audit_density, build_bumps, build_density_h
 from .errors import PreconditionError
-from .geometry import crosses_over, image_curve
+from .geometry import OrbitIntersections, crosses_over, image_curve
 from .measure import MeasureFamily, Projection, build_mu, build_pi
 from .plgraph import PLGraph
 from .surgery import CrossingWitness, FlattenCertificate, ensure_crossing, flatten_to_depth
@@ -108,8 +108,10 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     if flatten:
         cur, cert, witnesses = prepare_curve(system, curve, depth, crossings=crossings, seed=seed)
     family = {m: image_curve(system, cur, m) for m in range(-n, n + 2)}
+    # one table serves the pairs of both windows, each X_k computed once
+    table = OrbitIntersections(system, cur, images=family)
     window = {m: family[m] for m in range(-n, n + 1)}
-    mu = build_mu(window, weights=weights, waive_flatness=waive_flatness)
+    mu = build_mu(window, weights=weights, waive_flatness=waive_flatness, table=table)
     projection = build_pi(mu, n0)
     atlas = build_partition_atlas(mu, projection, epsilon)
     bumps = build_bumps(atlas, epsilon)
@@ -117,7 +119,7 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     shifted_masses = {m: weights.a(m - 1) for m in range(-n + 1, n + 2)}
     shifted_curves = {m: family[m] for m in range(-n + 1, n + 2)}
     mu_shifted = build_mu(shifted_curves, masses=shifted_masses, beta=weights.beta,
-                          waive_flatness=waive_flatness)
+                          waive_flatness=waive_flatness, table=table)
     tmap = build_f(system, density, projection, curve0=n0, curve1=n0 + 1)
     return BlowupPipeline(system=system, curve=cur, weights=weights, epsilon=epsilon,
                           n0=n0, family=family, certificate=cert, witnesses=witnesses,

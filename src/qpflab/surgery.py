@@ -11,10 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .circle import mod1, signed_gap
+import numpy as np
+
+from .circle import mod1, mod1_array, signed_gap
 from .errors import (BoxNotFound, EscapeTimeout, IntervalTooWide, LambdaNotFound,
                      OrbitSearchTimeout, PreconditionError, SurgeryStalled)
-from .geometry import image_curve, intersection_projection, is_flat_intersection, crosses_over
+from .geometry import OrbitIntersections, crosses_over, image_curve, intersection_projection
 from .plgraph import CircIntervalSet, PLGraph
 from .systems import QpfSystem
 
@@ -154,13 +156,14 @@ def _pl_range(graph: PLGraph, a: Fraction, b: Fraction):
     return min(vals), max(vals)
 
 
-def _window_copies(system: QpfSystem, graph: PLGraph, kmin: int, kmax: int):
-    return {k: image_curve(system, graph, -k) for k in range(kmin, kmax + 1)}
-
-
 def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                 copies=None) -> tuple[bool, str]:
-    """Constructive check of the three perturbation-box conditions."""
+                 table: OrbitIntersections | None = None) -> tuple[bool, str]:
+    """Constructive check of the three perturbation-box conditions.
+
+    The copy R^-k(Gamma) and its meet with Gamma come from the graph's orbit
+    intersection table, so a caller that validates many boxes of one graph
+    passes one table and computes each of them once.
+    """
     n = box.depth
     kmin, kmax = box.itinerary.window()
     if box.eta <= 0 or box.delta <= 0 or box.eta >= Fraction(1, 4):
@@ -171,8 +174,9 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
             d = mod1((k - kk) * system.omega)
             if d < box.delta or d > 1 - box.delta:
                 return False, f"iterates I+{k}w and I+{kk}w overlap"
-    if copies is None:
-        copies = _window_copies(system, graph, kmin, kmax)
+    if table is None:
+        table = OrbitIntersections(system, graph)
+    copies = {k: table.image(-k) for k in range(kmin, kmax + 1)}
     # item 3: containment/disjointness of each copy over I
     lo_arc, hi_arc = box.arc
     for k in range(kmin, kmax + 1):
@@ -191,27 +195,35 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
                     return False, f"copy {k} meets the box"
     # item 2: the interval shares the itinerary of its left endpoint
     for k in range(kmin, kmax + 1):
-        meets = not intersection_projection(copies[k], graph).intersect_arc(lo_arc, hi_arc).is_empty
+        if k == 0:
+            continue  # Gamma meets itself over I, and 0 is in every itinerary
+        meets = not table.between(-k, 0).intersect_arc(lo_arc, hi_arc).is_empty
         if meets != (k in box.itinerary.times):
             return False, f"interval itinerary disagrees at k={k}"
     return True, "ok"
 
 
 def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
-                          delta_max, eta_max, horizon: int = 10**4) -> PerturbationBox:
-    """Box at z with z as left endpoint; eta fixed from vertical gaps, delta bisected."""
+                          delta_max, eta_max, horizon: int = 10**4,
+                          table: OrbitIntersections | None = None) -> PerturbationBox:
+    """Box at z with z as left endpoint; eta fixed from vertical gaps, delta bisected.
+
+    table is the graph's orbit intersection table (a new one if None); every
+    delta tried reads the same copies and meets from it.
+    """
     theta, x = Fraction(z[0]), Fraction(z[1])
     if Fraction(delta_max) < RESOLUTION_FLOOR:
         raise BoxNotFound("delta_max below the resolution floor")
     itin = itinerary_of_point(system, graph, z, n, horizon)
     kmin, kmax = itin.window()
-    copies = _window_copies(system, graph, kmin, kmax)
+    if table is None:
+        table = OrbitIntersections(system, graph)
     # eta first (proof order): half the smallest vertical gap to non-itinerary copies
     eta = Fraction(eta_max)
     for k in range(kmin, kmax + 1):
         if k in itin.times:
             continue
-        gap = mod1(copies[k].value(theta) - x)
+        gap = mod1(table.image(-k).value(theta) - x)
         gap = min(gap, 1 - gap)
         eta = min(eta, gap / 2)
     if eta < RESOLUTION_FLOOR:
@@ -219,7 +231,7 @@ def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
     delta = Fraction(delta_max)
     while delta >= RESOLUTION_FLOOR:
         box = PerturbationBox(theta=theta, delta=delta, x=x, eta=eta, itinerary=itin, depth=n)
-        ok, _reason = validate_box(system, graph, box, copies=copies)
+        ok, _reason = validate_box(system, graph, box, table=table)
         if ok:
             return box
         delta = delta / 2
@@ -257,9 +269,12 @@ class SurgeryRecord:
 
 
 def plan_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                      min_tp_abscissa: Fraction | None = None) -> SurgeryPlan:
+                      min_tp_abscissa: Fraction | None = None,
+                      table: OrbitIntersections | None = None) -> SurgeryPlan:
     theta, delta, x = box.theta, box.delta, box.x
-    copies = {q: image_curve(system, graph, -q) for q in box.itinerary.times}
+    if table is None:
+        table = OrbitIntersections(system, graph)
+    copies = {q: table.image(-q) for q in box.itinerary.times}
     shifts, right = {}, {}
     for q, copy in copies.items():
         s = x - copy.value(theta)
@@ -279,7 +294,7 @@ def plan_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
             qa, qb = qs_all[a], qs_all[b]
             if right[qa] == right[qb]:
                 continue
-            meet = intersection_projection(copies[qa], copies[qb]).intersect_arc(theta, theta + delta)
+            meet = table.between(-qa, -qb).intersect_arc(theta, theta + delta)
             for lo, hi in meet.pieces:
                 end = theta + mod1(lo - theta) + (hi - lo)
                 t_max = max(t_max, end)
@@ -332,7 +347,8 @@ def _polyline_intersection_closure(pa, pb) -> list:
 
 
 def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                       through_points=None) -> tuple[PLGraph, SurgeryRecord]:
+                       through_points=None,
+                       table: OrbitIntersections | None = None) -> tuple[PLGraph, SurgeryRecord]:
     """Two-segment (or through-point) replacement above every itinerary copy."""
     theta, delta, x = box.theta, box.delta, box.x
     tps = []
@@ -344,7 +360,7 @@ def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
         if len({t for t, _ in tps}) != len(tps):
             raise PreconditionError("through points need distinct abscissas")
     plan = plan_perturbation(system, graph, box,
-                             min_tp_abscissa=tps[0][0] if tps else None)
+                             min_tp_abscissa=tps[0][0] if tps else None, table=table)
     lam = plan.lam
     host_value, host_qs = plan.host_group()
 
@@ -503,13 +519,13 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
     if 2 * depth + 1 > system.max_depth:
         raise PreconditionError(f"depth {depth} exceeds the configured max depth")
     cur = graph
+    table = OrbitIntersections(system, cur)
     steps = []
     for n in range(1, depth + 1):
         eps_n = eps_schedule(n)
         guard = 0
         while True:
-            xs = {k: intersection_projection(cur, image_curve(system, cur, k))
-                  for k in range(1, n + 1)}
+            xs = {k: table.x(k) for k in range(1, n + 1)}
             degs = xs[n].degenerate_components()
             if not degs:
                 break
@@ -527,13 +543,13 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
                 delta_max = min(delta_max, gap / 4)
             a = degs[0][0]
             z = (a, cur.circle_value(a))
-            box = find_perturbation_box(system, cur, z, n, delta_max, eps_n / 2)
-            new_graph, record = apply_perturbation(system, cur, box)
-            new_xn = intersection_projection(new_graph, image_curve(system, new_graph, n))
-            after = len(new_xn.degenerate_components())
+            box = find_perturbation_box(system, cur, z, n, delta_max, eps_n / 2, table=table)
+            new_graph, record = apply_perturbation(system, cur, box, table=table)
+            new_table = OrbitIntersections(system, new_graph)
+            after = len(new_table.x(n).degenerate_components())
             counts_ok = True
             for k in range(1, n):
-                nk = intersection_projection(new_graph, image_curve(system, new_graph, k))
+                nk = new_table.x(k)
                 counts_ok &= (nk.n_components() == xs[k].n_components())
                 counts_ok &= not nk.degenerate_components()
             if after >= len(degs):
@@ -544,12 +560,12 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
             steps.append(FlattenStep(depth=n, abscissa=float(a),
                                      degenerate_before=len(degs), degenerate_after=after,
                                      counts_preserved=counts_ok))
-            cur = new_graph
+            cur, table = new_graph, new_table
     components = {}
     flat = True
     for k in range(1, depth + 1):
-        ok, proj = is_flat_intersection(cur, image_curve(system, cur, k))
-        flat &= ok
+        proj = table.x(k)
+        flat &= not proj.degenerate_components()
         components[k] = [(float(lo), float(hi)) for lo, hi in proj.pieces]
     return cur, FlattenCertificate(depth=depth, steps=steps, components=components, flat=flat)
 
@@ -605,10 +621,11 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
     if span_i <= 0 or span_j <= 0:
         raise PreconditionError("crossing arcs must be non-degenerate")
 
+    table = OrbitIntersections(system, graph)
     theta_i = mod1(ilo + span_i / 3)
     box_i = find_perturbation_box(system, graph, (theta_i, graph.circle_value(theta_i)),
-                                  depth, min(span_i / 4, eps), eps)
-    plan_i = plan_perturbation(system, graph, box_i)
+                                  depth, min(span_i / 4, eps), eps, table=table)
+    plan_i = plan_perturbation(system, graph, box_i, table=table)
     tri_i = _sector_triangle(plan_i)
 
     # deterministic barycentric candidates for the tracked point; a retry kicks
@@ -620,7 +637,9 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
             (wa * tri_i[0][0] + wb * tri_i[1][0] + wc * tri_i[2][0]) / tot,
             (wa * tri_i[0][1] + wb * tri_i[1][1] + wc * tri_i[2][1]) / tot,
         )
-        gamma_bar, _rec_i = apply_perturbation(system, graph, box_i, through_points=[z_d])
+        gamma_bar, _rec_i = apply_perturbation(system, graph, box_i, through_points=[z_d],
+                                               table=table)
+        bar_table = OrbitIntersections(system, gamma_bar)
 
         # a disjoint perturbation box over J for the modified curve
         box_j = None
@@ -629,7 +648,8 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
             try:
                 cand = find_perturbation_box(system, gamma_bar,
                                              (theta_j, gamma_bar.circle_value(theta_j)),
-                                             depth, min(span_j / 4, eps), eps)
+                                             depth, min(span_j / 4, eps), eps,
+                                             table=bar_table)
             except BoxNotFound:
                 continue
             if _families_disjoint(system, box_i, cand):
@@ -638,22 +658,47 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
         if box_j is None:
             raise PreconditionError("no perturbation box over J disjoint from the I family")
 
-        plan_j = plan_perturbation(system, gamma_bar, box_j)
+        plan_j = plan_perturbation(system, gamma_bar, box_j, table=bar_table)
         tri_j = _sector_triangle(plan_j)
 
-        for m in range(1, m_max + 1):
+        for m in _orbit_candidates(system, z_d, tri_j, m_max):
             pt = _orbit_point(system, z_d[0], z_d[1], m)
             local = _localize_in_triangle(pt, tri_j)
             if local is None:
                 continue
             try:
                 result = _insert_and_verify(system, gamma_bar, box_j, tri_j, local, m,
-                                            (ilo, ihi), (jlo, jhi), box_i)
+                                            (ilo, ihi), (jlo, jhi), box_i, table=bar_table)
             except (LambdaNotFound, PreconditionError):
                 continue
             if result is not None:
                 return result
-    raise OrbitSearchTimeout(f"no orbit segment hit the J box within {m_max} iterations")
+    raise OrbitSearchTimeout(
+        f"no orbit segment hit the J box within m_max={m_max} iterations: "
+        f"I=[{float(ilo):.6f}, {float(ihi):.6f}], J=[{float(jlo):.6f}, {float(jhi):.6f}], "
+        f"barycenters tried {', '.join(f'({a},{b},{c})' for a, b, c in barycenters)}")
+
+
+def _orbit_candidates(system: QpfSystem, z, tri, m_max: int) -> list:
+    """The m in [1, m_max], increasing, whose orbit point R^m(z) may lie in tri.
+
+    A float screen: R^m(z) = (theta0 + m*omega, x0 + m*rho) mod 1 is formed for
+    every m at once and kept when it lies in tri's bounding box on the torus,
+    widened on each side by margin = (m_max + 4) * 2^-48.  The float point and
+    the box test are off the exact ones by less than (3m + 10) * 2^-53 (one
+    rounding of omega, of m*omega and of the sum, each under m * 2^-53), below
+    a tenth of the margin, so every m whose exact point is inside tri is kept;
+    the caller decides the survivors exactly.
+    """
+    ms = np.arange(1, m_max + 1, dtype=float)
+    margin = (m_max + 4) * 2.0**-48
+    keep = np.ones(m_max, dtype=bool)
+    for axis, step in ((0, system.omega), (1, system.rho)):
+        lo = min(p[axis] for p in tri)
+        width = float(max(p[axis] for p in tri) - lo)
+        pts = mod1_array(float(mod1(z[axis])) + ms * float(step))
+        keep &= mod1_array(pts - (float(mod1(lo)) - margin)) <= width + 2 * margin
+    return (np.flatnonzero(keep) + 1).tolist()
 
 
 def _localize_in_triangle(p, tri):
@@ -682,7 +727,8 @@ def _families_disjoint(system: QpfSystem, box_a: PerturbationBox, box_b: Perturb
     return True
 
 
-def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_j, box_i):
+def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_j, box_i,
+                       table):
     curve_m = image_curve(system, gamma_bar, m, check_depth=False)
     u_star = orbit_pt[0]
     apex, va, vb = tri_j
@@ -701,7 +747,7 @@ def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_
         z2 = (hi_w, vmax + tau)
         if _point_in_triangle(z1, *tri_j) and _point_in_triangle(z2, *tri_j):
             new_graph, rec = apply_perturbation(system, gamma_bar, box_j,
-                                                through_points=[z1, z2])
+                                                through_points=[z1, z2], table=table)
             w_pieces = _arc_overlap(arc_i, m * system.omega, arc_j, mod1(u_star))
             if w_pieces is None:
                 return None

@@ -113,6 +113,13 @@ def test_curve_command_artifacts(tmp_path):
     assert (out / "curves.svg").read_text().startswith("<svg")
 
 
+def test_curve_search_timeout_exit_5(tmp_path):
+    # N = 4 at depth 2N+1 = 9 with two crossings: seed 2's crossing search times out
+    body = SMALL.replace("seed = 3", "seed = 2").replace("crossings = 0", "crossings = 2")
+    p = write_manifest(tmp_path, body.replace("depth = 2", "depth = 9"))
+    assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 5
+
+
 def test_blowup_artifacts_and_determinism(tmp_path):
     p = write_manifest(tmp_path, SMALL)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpflab.circle import mod1
 from qpflab.errors import PreconditionError
-from qpflab.geometry import (crosses_over, image_curve, intersection_projection,
-                             is_flat_intersection)
+from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
+                             intersection_projection, is_flat_intersection)
 from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import Lift, QpfSystem, compose_fiber
@@ -83,3 +84,38 @@ def test_crossing_needs_interior_component():
     t = PLGraph.tent(F(2, 5), F(1, 5))
     # the crossing abscissa 1/4 sits on the arc boundary: not certified
     assert not crosses_over(c, t, (F(1, 4), F(1, 2)))
+
+
+def _pl_curves(degrees=(0, 1)):
+    """Tent and PL curves with small rational breakpoints; repeated values make flat runs."""
+    values = st.fractions(-1, 2, max_denominator=12)
+    tent = st.builds(PLGraph.tent, values, st.fractions(-1, 1, max_denominator=12),
+                     st.fractions(1, 11, max_denominator=12).map(lambda p: p / 12))
+    pl = st.builds(
+        lambda pts, deg: PLGraph.from_points(pts, degree=deg),
+        st.dictionaries(st.fractions(0, 1, max_denominator=16).filter(lambda t: t < 1),
+                        values, min_size=1, max_size=5).map(lambda d: sorted(d.items())),
+        st.sampled_from(degrees))
+    return st.one_of(tent, pl)
+
+
+@st.composite
+def _bases(draw):
+    omega = draw(st.fractions(0, 1, max_denominator=60).filter(lambda w: 0 < w < 1))
+    if draw(st.booleans()):
+        rho = draw(st.one_of(st.just(F(0)), st.fractions(0, 1, max_denominator=20)))
+        return QpfSystem.translation(rho=rho, omega=omega)
+    return QpfSystem.skew(draw(_pl_curves(degrees=(0,))), omega=omega)
+
+
+@settings(max_examples=120, deadline=None)
+@given(system=_bases(), curve=_pl_curves(), i=st.integers(-3, 3), j=st.integers(-3, 3))
+@example(system=QpfSystem.translation(rho=F(0), omega=F(1, 10)),        # flat overlaps
+         curve=PLGraph.from_points([(0, 0), (F(1, 4), F(1, 2)), (F(3, 4), F(1, 2))]), i=-1, j=2)
+def test_orbit_table_between_matches_direct_intersection(system, curve, i, j):
+    if i == j:
+        return
+    table = OrbitIntersections(system, curve)
+    direct = intersection_projection(image_curve(system, curve, i), image_curve(system, curve, j))
+    assert table.between(i, j) == direct
+    assert table.between(j, i) == direct

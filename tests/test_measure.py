@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qpflab import pipeline
+from qpflab import geometry, measure, pipeline, surgery
 from qpflab.circle import mod1
 from qpflab.errors import NotSameMeasure, PreconditionError
-from qpflab.geometry import image_curve
+from qpflab.geometry import OrbitIntersections, image_curve
 from qpflab.measure import (FiberAtom, FiberMeasure, build_mu, build_pi,
                             find_conjugating_rotation, kolmogorov_distance, preimage_interval,
                             quantile_table)
 from qpflab.plgraph import PLGraph
-from qpflab.surgery import FlattenCertificate
+from qpflab.surgery import FlattenCertificate, flatten_to_depth
 from qpflab.systems import QpfSystem
 from qpflab.weights import make_weights
 
@@ -132,6 +132,34 @@ def test_run_blowup_refuses_unflat_certificate(monkeypatch):
     w = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     with pytest.raises(PreconditionError, match="non-flat"):
         pipeline.run_blowup(R, tent, w, F(1, 2), fiber_grid=16, vertical_grid=16)
+
+
+def test_build_mu_table_path_matches_pairwise():
+    # a flattened tent: its window curves meet in flat overlaps with side data
+    n = 1
+    flat, _ = flatten_to_depth(R, PLGraph.tent(F(1, 5), F(7, 10)), 2 * n + 1)
+    w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
+    fam = {m: image_curve(R, flat, m) for m in range(-n, n + 1)}
+    direct = build_mu(fam, weights=w)
+    tabled = build_mu(fam, weights=w, table=OrbitIntersections(R, flat))
+    assert direct.overlaps and tabled.overlaps == direct.overlaps
+
+
+def test_run_blowup_computes_each_orbit_intersection_once(monkeypatch):
+    calls = []
+    real = geometry.intersection_projection
+
+    def counted(g1, g2):
+        calls.append(1)
+        return real(g1, g2)
+
+    for module in (geometry, surgery, measure):
+        monkeypatch.setattr(module, "intersection_projection", counted)
+    n = 4
+    w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
+    pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, F(1, 2), fiber_grid=16, vertical_grid=16)
+    # X_1..X_(2N+1) for the flattening certificate, X_1..X_(2N) for the two windows
+    assert len(calls) <= 2 * (2 * n + 1)
 
 
 @st.composite

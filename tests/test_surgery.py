@@ -2,12 +2,16 @@ from fractions import Fraction as F
 
 import pytest
 
+from qpflab import surgery
 from qpflab.circle import mod1
 from qpflab.errors import (BoxNotFound, EscapeTimeout, IntervalTooWide, OrbitSearchTimeout,
                            PreconditionError)
-from qpflab.geometry import crosses_over, image_curve, intersection_projection, is_flat_intersection
+from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
+                             intersection_projection, is_flat_intersection)
+from qpflab.pipeline import prepare_curve
 from qpflab.plgraph import PLGraph
-from qpflab.surgery import (apply_perturbation, check_escaping, ensure_crossing,
+from qpflab.surgery import (_localize_in_triangle, _orbit_candidates, _orbit_point,
+                            apply_perturbation, check_escaping, ensure_crossing,
                             find_perturbation_box, flatten_to_depth, graphs_equal_off,
                             itinerary_of_interval, itinerary_of_point, validate_box,
                             verify_x_law)
@@ -121,6 +125,103 @@ def test_flatten_tent_depth2_with_oracle():
     for s in cert.steps:
         assert s.degenerate_after < s.degenerate_before
         assert s.counts_preserved
+
+
+class _FromScratch(OrbitIntersections):
+    """Reference table: every read recomputes its curve images and intersection directly."""
+
+    def image(self, k):
+        return image_curve(self.system, self.graph, k)
+
+    def x(self, k):
+        return intersection_projection(self.graph, self.image(k))
+
+    def between(self, i, j):
+        return intersection_projection(self.image(i), self.image(j))
+
+
+def _every_m(system, z, tri, m_max):
+    """Reference crossing search: every m, unscreened."""
+    return range(1, m_max + 1)
+
+
+@pytest.fixture
+def reference_search(monkeypatch):
+    """Switch the surgery layer to the from-scratch table and the exhaustive m loop."""
+
+    def switch():
+        monkeypatch.setattr(surgery, "OrbitIntersections", _FromScratch)
+        monkeypatch.setattr(surgery, "_orbit_candidates", _every_m)
+
+    return switch
+
+
+@pytest.mark.parametrize("curve, depth", [(CONST, 3), (PLGraph.tent(F(1, 5), F(7, 10)), 2),
+                                          (PLGraph.tent(F(1, 5), F(7, 10)), 3)])
+def test_flatten_certificate_matches_from_scratch(curve, depth, reference_search):
+    flat, cert = flatten_to_depth(R, curve, depth)
+    assert cert.flat == (depth > 0)
+    for k in range(1, depth + 1):
+        direct = intersection_projection(flat, image_curve(R, flat, k))
+        assert cert.components[k] == [(float(lo), float(hi)) for lo, hi in direct.pieces]
+        assert not direct.degenerate_components()
+    reference_search()
+    ref_flat, ref_cert = flatten_to_depth(R, curve, depth)
+    assert flat == ref_flat
+    assert cert.to_jsonable() == ref_cert.to_jsonable()
+    assert bool(cert.steps) == (curve is not CONST)
+
+
+@pytest.mark.parametrize("arc_i, arc_j", [
+    ((F(1, 10), F(2, 10)), (F(6, 10), F(7, 10))),
+    ((F(0), F(1)), (F(0), F(1))),
+    ((F(3, 10), F(1, 2)), (F(1, 20), F(3, 10))),
+    ((F(7, 10), F(11, 10)), (F(1, 3), F(1, 2))),
+])
+def test_screened_crossing_search_matches_exhaustive(arc_i, arc_j, reference_search):
+    got = ensure_crossing(R, CONST, arc_i, arc_j, depth=3)
+    reference_search()
+    assert got == ensure_crossing(R, CONST, arc_i, arc_j, depth=3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 4])
+def test_screened_prepare_curve_matches_exhaustive(seed, reference_search):
+    got = prepare_curve(R, CONST, 3, crossings=2, seed=seed)
+    reference_search()
+    ref = prepare_curve(R, CONST, 3, crossings=2, seed=seed)
+    assert got[0] == ref[0]
+    assert got[1].to_jsonable() == ref[1].to_jsonable()
+    assert got[2] == ref[2]
+
+
+@pytest.mark.parametrize("lift", [(0, 0), (1, -2)])
+def test_orbit_screen_keeps_points_within_its_margin(lift):
+    z, m, m_max = (F(1, 7), F(1, 5)), 777, 1000
+    theta, x = _orbit_point(R, z[0], z[1], m)
+    # apex 1e-14 left of R^m(z): the point is inside, far closer to the box
+    # edge than the float error of theta0 + m*omega could be trusted with
+    apex = (theta - F(1, 10**14) + lift[0], x + lift[1])
+    tri = (apex, (apex[0] + F(1, 10), apex[1] - F(1, 20)), (apex[0] + F(1, 10), apex[1] + F(1, 20)))
+    exact = [k for k in range(1, m_max + 1)
+             if _localize_in_triangle(_orbit_point(R, z[0], z[1], k), tri) is not None]
+    kept = _orbit_candidates(R, z, tri, m_max)
+    assert m in exact
+    assert set(exact) <= set(kept)
+    assert kept == sorted(kept) and len(kept) < m_max // 10
+    # 1e-12 outside the bounding box, within the margin (3.6e-12 at m_max = 1000)
+    # but above the float error: kept as well
+    outside = ((theta + F(1, 10**12) + lift[0], x + lift[1]),) + tri[1:]
+    assert _localize_in_triangle((theta, x), outside) is None
+    assert m in _orbit_candidates(R, z, outside, m_max)
+
+
+def test_crossing_search_timeout_names_arcs_and_budget():
+    # N = 4 (depth 9), two crossings, seed 2: no orbit segment reaches the J box
+    with pytest.raises(OrbitSearchTimeout) as err:
+        prepare_curve(R, CONST, 9, crossings=2, seed=2)
+    msg = str(err.value)
+    assert "m_max=10000" in msg and "I=[" in msg and "J=[" in msg
+    assert "barycenters tried (2,2,2), (3,2,1), (1,2,3), (1,4,1), (4,1,1), (1,1,4)" in msg
 
 
 def test_flatten_rejects_excessive_depth():
