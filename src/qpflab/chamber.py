@@ -131,6 +131,19 @@ def map_leaves(obj, leaf):
     return obj
 
 
+def _has_affine(obj) -> bool:
+    """Whether obj holds an Affine where map_leaves looks; stops at the first."""
+    if isinstance(obj, Affine):
+        return True
+    if isinstance(obj, (tuple, list)):
+        return any(_has_affine(x) for x in obj)
+    if isinstance(obj, dict):
+        return any(_has_affine(v) for v in obj.values())
+    if is_dataclass(obj):
+        return any(_has_affine(getattr(obj, f.name)) for f in fields(obj) if f.init)
+    return False
+
+
 def rebind(template, probe: Probe, shift):
     """The template in the probe's theta, where the template's own theta is it + shift."""
     return map_leaves(template, lambda x: affine(x.c0 + x.c1 * shift, x.c1, probe))
@@ -148,9 +161,7 @@ def restamp(theta, fiber):
 class Chamber:
     def __init__(self, a, b, template):
         self.a, self.b, self.template = a, b, template
-        found = []
-        map_leaves(template, lambda x: found.append(x) or x)
-        self.constant = not found
+        self.constant = not _has_affine(template)
         self.fixed = None           # the finished fiber of a constant template
         self.rows = {}              # (leaves, reduce) -> compiled floats, made on first use
 
@@ -225,7 +236,7 @@ class ChamberTable:
 
     def locate(self, theta):
         """(chamber, unrolled t) holding theta, or (None, theta mod 1) on a cut point."""
-        r = mod1(Fraction(theta))
+        r = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         x = float(r)
         i = bisect_right(self.float_cuts, x) - 1
         # float() is monotone, so only a cut that rounds to x itself can lie past r or on it
@@ -254,7 +265,8 @@ class ChamberTable:
         x is the chamber's template evaluated at theta or, given leaves, the
         floats of the numbers leaves(template) lists (Chamber.floats).
         """
-        theta = Fraction(theta)
+        if not isinstance(theta, Fraction):
+            theta = Fraction(theta)
         ch, t = self.locate(theta)
         if ch is None:
             return direct(theta)

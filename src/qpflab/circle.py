@@ -21,7 +21,8 @@ Scalar = Union[int, float, Fraction]
 def mod1(x: Scalar) -> Scalar:
     """Reduce to [0, 1), preserving the numeric type."""
     if isinstance(x, Fraction):
-        return x - (x.numerator // x.denominator)
+        k = x.numerator // x.denominator
+        return x - k if k else x
     return x % 1 if isinstance(x, int) else x % 1.0
 
 

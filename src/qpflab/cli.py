@@ -24,7 +24,7 @@ from .manifest import Manifest, load_manifest
 from .minimal import fiber_component_count, minimal_set_via_projection, structure_diagnostics
 from .pipeline import prepare_curve, run_blowup
 from .sl2 import Cocycle, Mat2, lyapunov, minimal_fiber_cardinality
-from .systems import Lift, classify_rho_boundedness, deviations, rotation_number
+from .systems import Lift, classify_rho_boundedness, rotation_number
 from .transport import verify_nonminimality
 from .weights import make_weights
 
@@ -199,7 +199,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     lift = Lift(system)
     n_rot = max(1000, 10 * manifest.fibers)
     est = rotation_number(lift, Fraction(0), Fraction(0), n_rot)
-    trace = deviations(lift, Fraction(0), Fraction(0), min(n_rot, 4096), rho=est.value)
+    trace = est.deviations(min(n_rot, 4096))
     verdict = classify_rho_boundedness(lift, max(100, min(n_rot, 2048)), 8, rho=est.value)
     _echo_manifest(manifest, out)
     artifacts.write_csv(out / "rotation.csv", ["n", "estimate", "cauchy_gap"],
@@ -211,11 +211,8 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
                 "ratio": verdict.ratio, "sup_dev": verdict.sup_full}]
     # blowup target: build the pipeline at the configured grids and classify f
     pipeline = _run_blowup(manifest, system)
-    f_sys = pipeline.f_system
-    f_lift = Lift(f_sys)
-    f_rho = rotation_number(f_lift, 0.0, 0.0, 512).value
-    f_verdict = classify_rho_boundedness(f_lift, 512, 4, rho=f_rho)
-    records.append({"target": "blowup-f", "rho": f_rho,
+    f_verdict = classify_rho_boundedness(Lift(pipeline.f_system), 512, 4)
+    records.append({"target": "blowup-f", "rho": f_verdict.rho,
                     "verdict": f_verdict.verdict, "ratio": f_verdict.ratio})
     fs = minimal_set_via_projection(pipeline.projection, system, iters=manifest.iters,
                                     burnin=min(manifest.burnin, manifest.iters // 10),

@@ -10,6 +10,7 @@ mass a_n onto the image curve Gamma_{n+1} at finite truncation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -94,16 +95,19 @@ class FiberDensity:
     def _unroll(self, xs):
         return self.s0 + mod1_array(np.asarray(xs, dtype=float) - self.s0)
 
+    def _cum_at(self, x0: float) -> float:
+        """The prefix integral at one point: _unroll and np.interp on floats, not arrays."""
+        d = x0 - self.s0
+        return float(np.interp(self.s0 + (d - math.floor(d)), self.knots, self.cum))
+
     def mass_from(self, x0: float, xs) -> np.ndarray:
         """nu-mass of the positively-oriented arc [x0, x]."""
-        cum0 = float(np.interp(self._unroll(np.array([x0]))[0], self.knots, self.cum))
         cx = np.interp(self._unroll(xs), self.knots, self.cum)
-        return np.mod(cx - cum0, self.total)
+        return np.mod(cx - self._cum_at(x0), self.total)
 
     def quantile_from(self, x0: float, us) -> np.ndarray:
         """y with nu[x0, y] = u (mod total); inverse of mass_from."""
-        cum0 = float(np.interp(self._unroll(np.array([x0]))[0], self.knots, self.cum))
-        target = np.mod(cum0 + np.asarray(us, dtype=float), self.total)
+        target = np.mod(self._cum_at(x0) + np.asarray(us, dtype=float), self.total)
         return mod1_array(np.interp(target, self.cum, self.knots))
 
 
@@ -155,12 +159,14 @@ def _density_leaves(exact: tuple) -> tuple:
 def _density_fiber(theta, floats: list) -> FiberDensity:
     """The float fiber from the floats of _density_leaves (s0 is the first knot)."""
     k = len(floats) // 2
-    kn, hv = np.array(floats[:k]), np.array(floats[k:])
-    if hv.min() <= 0:
+    values = np.array(floats)
+    kn, hv = values[:k], values[k:]
+    min_h = float(hv.min())
+    if min_h <= 0:
         raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (hv[1:] + hv[:-1]) * np.diff(kn))))
-    return FiberDensity(theta=theta, s0=floats[0], knots=kn, hvals=hv, cum=cum,
-                        min_h=float(hv.min()))
+    cum = np.zeros(k)
+    np.cumsum(0.5 * (hv[1:] + hv[:-1]) * (kn[1:] - kn[:-1]), out=cum[1:])
+    return FiberDensity(theta=theta, s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
 
 
 def build_bumps(atlas: PartitionAtlas, epsilon) -> BumpFamily:

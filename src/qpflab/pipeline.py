@@ -107,9 +107,10 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     cur = curve
     if flatten:
         cur, cert, witnesses = prepare_curve(system, curve, depth, crossings=crossings, seed=seed)
-    family = {m: image_curve(system, cur, m) for m in range(-n, n + 2)}
-    # one table serves the pairs of both windows, each X_k computed once
-    table = OrbitIntersections(system, cur, images=family)
+    # one table serves the pairs of both windows, each X_k computed once: the
+    # flattening's, which already holds X_1..X_depth of this curve
+    table = cert.table if cert and cert.table else OrbitIntersections(system, cur)
+    family = {m: table.image(m) for m in range(-n, n + 2)}
     window = {m: family[m] for m in range(-n, n + 1)}
     mu = build_mu(window, weights=weights, waive_flatness=waive_flatness, table=table)
     projection = build_pi(mu, n0)

@@ -8,7 +8,7 @@ X_k = p1(Gamma /\\ R^k Gamma) is recorded and can be re-checked from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -493,6 +493,8 @@ class FlattenCertificate:
     steps: list
     components: dict     # k -> list of (lo, hi) floats of the final X_k
     flat: bool
+    # the final curve's intersection table, X_1..X_depth computed
+    table: OrbitIntersections | None = field(default=None, repr=False, compare=False)
 
     def to_jsonable(self):
         return {
@@ -567,7 +569,8 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
         proj = table.x(k)
         flat &= not proj.degenerate_components()
         components[k] = [(float(lo), float(hi)) for lo, hi in proj.pieces]
-    return cur, FlattenCertificate(depth=depth, steps=steps, components=components, flat=flat)
+    return cur, FlattenCertificate(depth=depth, steps=steps, components=components, flat=flat,
+                                   table=table)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ through float fiber maps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -178,11 +178,20 @@ class Lift:
     base: QpfSystem
 
     def value(self, theta, x):
+        return self.values(theta, (x,))[0]
+
+    def values(self, theta, xs) -> list:
+        """F_theta at several points of one fiber, read through one circle_values call.
+
+        Each point gets the operations of a one-point read, in the same order,
+        so its value and type do not depend on the other points.
+        """
         if self.base.is_affine:
-            return x + mod1(self.base.displacement(theta))
-        m = math.floor(x)
-        f0, fr = self.base.circle_values(theta, [0.0, x - m]).tolist()
-        return m + f0 + (fr - f0) % 1.0
+            d = mod1(self.base.displacement(theta))
+            return [x + d for x in xs]
+        ms = [math.floor(x) for x in xs]
+        f0, *frs = self.base.circle_values(theta, [0.0, *(x - m for x, m in zip(xs, ms))]).tolist()
+        return [m + f0 + (fr - f0) % 1.0 for m, fr in zip(ms, frs)]
 
     def inverse(self, theta, y):
         """x with F_theta(x) = y."""
@@ -199,50 +208,39 @@ def _base_arithmetic(base: QpfSystem, theta):
     return float(theta), float(base.omega)
 
 
-def _orbit(lift: Lift, theta, x, n: int) -> list:
-    """The iterates F^1_theta(x), ..., F^n_theta(x)."""
+def _orbit(lift: Lift, theta, xs, n: int) -> list:
+    """The iterates F^1_theta(x), ..., F^n_theta(x) of each start point x in xs.
+
+    The start points share one theta orbit, so each step reads the fiber once
+    for all of them (Lift.values).
+    """
+    orbits = [[] for _ in xs]
     if lift.base.kind == "translation":
-        # every fiber adds the same mod1(rho), so theta is never read
+        # every fiber adds the same mod1(rho), so theta is never read; a float
+        # start adds float(step) once converted, as float + Fraction does each step
         step = mod1(lift.base.rho)
-        orbit = []
-        for _ in range(n):
-            x = x + step
-            orbit.append(x)
-        return orbit
+        for x, orbit in zip(xs, orbits):
+            dx = float(step) if type(x) is float else step
+            for _ in range(n):
+                x = x + dx
+                orbit.append(x)
+        return orbits
     theta, omega = _base_arithmetic(lift.base, theta)
-    orbit = []
     for k in range(n):
-        x = lift.value(mod1(theta + k * omega), x)
-        orbit.append(x)
-    return orbit
+        xs = lift.values(mod1(theta + k * omega), xs)
+        for x, orbit in zip(xs, orbits):
+            orbit.append(x)
+    return orbits
 
 
 def compose_fiber(lift: Lift, theta, n: int, x):
     """n-step fiber composition F^n_theta(x); n may be negative."""
     if n >= 0:
-        return _orbit(lift, theta, x, n)[-1] if n else x
+        return _orbit(lift, theta, [x], n)[0][-1] if n else x
     theta, omega = _base_arithmetic(lift.base, theta)
     for k in range(1, -n + 1):
         x = lift.inverse(mod1(theta - k * omega), x)
     return x
-
-
-@dataclass
-class RotationEstimate:
-    value: float
-    cauchy_gap: float
-    n: int
-
-
-def rotation_number(lift: Lift, theta0, x0, n: int) -> RotationEstimate:
-    """Birkhoff estimate (F^n(x)-x)/n with the N vs N/2 Cauchy gap."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    orbit = _orbit(lift, theta0, x0, n)
-    half = max(1, n // 2)
-    est = (float(orbit[-1]) - float(x0)) / n
-    est_half = (float(orbit[half - 1]) - float(x0)) / half
-    return RotationEstimate(value=est, cauchy_gap=abs(est - est_half), n=n)
 
 
 @dataclass
@@ -255,14 +253,44 @@ class DeviationTrace:
         return float(self.sup_growth[-1]) if len(self.sup_growth) else 0.0
 
 
-def deviations(lift: Lift, theta, x, n: int, rho: float | None = None) -> DeviationTrace:
-    """D_k = F^k_theta(x) - x - k*rho for k = 1..n; rho defaults to (F^n(x) - x)/n."""
-    orbit = np.array([float(v) for v in _orbit(lift, theta, x, n)])
-    if rho is None:
-        rho = (orbit[-1] - float(x)) / n
-    devs = orbit - float(x) - np.arange(1, n + 1) * float(rho)
+def _displacements(orbit: list, x) -> np.ndarray:
+    """F^k(x) - x for k = 1..n, in floats."""
+    return np.array([float(v) for v in orbit]) - float(x)
+
+
+def _deviation_trace(disp: np.ndarray, rho) -> DeviationTrace:
+    devs = disp - np.arange(1, len(disp) + 1) * float(rho)
     return DeviationTrace(rho_estimate=float(rho), devs=devs,
                           sup_growth=np.maximum.accumulate(np.abs(devs)))
+
+
+@dataclass
+class RotationEstimate:
+    value: float
+    cauchy_gap: float
+    n: int
+    displacements: np.ndarray = field(repr=False, compare=False)   # F^k(x) - x, k = 1..n
+
+    def deviations(self, m: int) -> DeviationTrace:
+        """D_1 .. D_m of the estimate's own walk, against its value."""
+        return _deviation_trace(self.displacements[:m], self.value)
+
+
+def rotation_number(lift: Lift, theta0, x0, n: int) -> RotationEstimate:
+    """Birkhoff estimate (F^n(x)-x)/n with the N vs N/2 Cauchy gap."""
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    disp = _displacements(_orbit(lift, theta0, [x0], n)[0], x0)
+    half = max(1, n // 2)
+    est = float(disp[-1]) / n
+    est_half = float(disp[half - 1]) / half
+    return RotationEstimate(value=est, cauchy_gap=abs(est - est_half), n=n, displacements=disp)
+
+
+def deviations(lift: Lift, theta, x, n: int, rho: float | None = None) -> DeviationTrace:
+    """D_k = F^k_theta(x) - x - k*rho for k = 1..n; rho defaults to (F^n(x) - x)/n."""
+    disp = _displacements(_orbit(lift, theta, [x], n)[0], x)
+    return _deviation_trace(disp, float(disp[-1]) / n if rho is None else rho)
 
 
 @dataclass
@@ -272,22 +300,29 @@ class BoundednessReport:
     sup_full: float
     sup_half: float
     growth: np.ndarray           # running max over samples of |D_n|
+    rho: float                   # the rotation number the deviations are taken against
 
 
 def classify_rho_boundedness(lift: Lift, n: int, fiber_samples: int,
                              threshold: float = 1.5, rho: float | None = None) -> BoundednessReport:
-    """Heuristic deviation-growth dichotomy probe; the verdict is 'suspected' only."""
+    """Heuristic deviation-growth dichotomy probe; the verdict is 'suspected' only.
+
+    Each fiber sample walks its two start points together.  Without a given
+    rho, rho is the Birkhoff estimate of the first walk, (theta, x) = (0, 0),
+    as rotation_number gives it.
+    """
     if n < 100:
         raise ValueError("n >= 100 required")
     affine = lift.base.is_affine
-    if rho is None:
-        rho = rotation_number(lift, Fraction(0) if affine else 0.0, 0.0, n).value
+    starts = (0.0, 1.0 / 3.0)
     growth = np.zeros(n)
     for j in range(fiber_samples):
         theta = Fraction(j, fiber_samples) if affine else j / fiber_samples
-        for x in (0.0, 1.0 / 3.0):
-            trace = deviations(lift, theta, x, n, rho=rho)
-            growth = np.maximum(growth, np.abs(trace.devs))
+        for x, orbit in zip(starts, _orbit(lift, theta, starts, n)):
+            disp = _displacements(orbit, x)
+            if rho is None:
+                rho = float(disp[-1]) / n
+            growth = np.maximum(growth, np.abs(_deviation_trace(disp, rho).devs))
     growth = np.maximum.accumulate(growth)
     sup_full = float(growth[-1])
     sup_half = float(growth[n // 2 - 1])
@@ -298,4 +333,4 @@ def classify_rho_boundedness(lift: Lift, n: int, fiber_samples: int,
         ratio = sup_full / max(sup_half, 1e-300)
     verdict = "unbounded-suspected" if ratio > threshold else "bounded-suspected"
     return BoundednessReport(verdict=verdict, ratio=ratio, sup_full=sup_full,
-                             sup_half=sup_half, growth=growth)
+                             sup_half=sup_half, growth=growth, rho=rho)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,15 +47,15 @@ class TransportedMap:
         ch, t = self.projection.chambers.locate(theta)
         if ch is None:
             return float(mod1(self.projection.fiber(theta).plateau_of(curve).start))
-        for i, plateau in enumerate(ch.template.plateaus):
-            if curve in plateau.members:
-                return ch.floats(t, _plateau_starts, reduce=True)[i]
-        raise KeyError(curve)
+        return ch.floats(t, _plateau_start(curve), reduce=True)[0]
 
     def fiber_values(self, theta, xs) -> np.ndarray:
-        """Circle values of f_theta on an array of source points."""
-        theta = Fraction(theta)
-        theta_next = theta + self.system.omega
+        """Circle values of f_theta on an array of source points.
+
+        theta and theta + omega are reduced mod 1 once, for the three tables read.
+        """
+        theta = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
+        theta_next = mod1(theta + self.system.omega)
         fd = self.nu.fiber(theta_next)
         if fd.total <= 0 or np.any(np.diff(fd.cum) < 0):
             raise EtaNotInvertible("nu fiber mass coordinate is not invertible")
@@ -72,8 +73,13 @@ class TransportedMap:
                                        kind="blowup", label="blowup-built")
 
 
-def _plateau_starts(fp) -> list:
-    return [p.start for p in fp.plateaus]
+@lru_cache(maxsize=None)
+def _plateau_start(curve: int):
+    """The leaves phi_minus reads off a projection fiber: the start of the curve's plateau.
+
+    One function per curve, so each chamber compiles the row once (Chamber.floats).
+    """
+    return lambda fp: [fp.plateau_of(curve).start]
 
 
 def build_f(system: QpfSystem, nu, projection: Projection,

@@ -191,3 +191,20 @@ def test_blowup_passes_probe_points(tmp_path, monkeypatch):
     p = write_manifest(tmp_path, body)
     assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 0
     assert seen and set(seen) == {16}
+
+
+def test_analyze_reads_f_once_per_classifier_step(tmp_path, monkeypatch):
+    # f's classification (n = 512, 4 fiber samples) reads one fiber per step
+    # for both start points, and its rho comes from that walk: 2048 reads
+    from qpflab import transport
+    calls = []
+    fiber_values = transport.TransportedMap.fiber_values
+
+    def counted(self, theta, xs):
+        calls.append(len(xs))
+        return fiber_values(self, theta, xs)
+
+    monkeypatch.setattr(transport.TransportedMap, "fiber_values", counted)
+    p = write_manifest(tmp_path, SMALL)
+    assert main(["analyze", "--manifest", str(p), "--out", str(tmp_path / "an")]) == 0
+    assert len(calls) == 2048 and set(calls) == {3}

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.atlas import build_partition_atlas
 from qpflab.density import audit_density, build_bumps, build_density_h
@@ -69,6 +70,17 @@ def test_density_positive_everywhere(stack4):
     # h is linear between its knots, so positive knot values make it positive
     assert fd.min_h > 0
     assert np.all(fd.hvals > 0)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(x0=st.floats(-3, 3), g=st.integers(0, 7))
+def test_cum_at_one_point_is_the_array_interp(stack4, x0, g):
+    # mass_from and quantile_from read the prefix integral at x0 on floats;
+    # it must be the value the array path gives, for points on either side of s0
+    w, mu, pi, atlas = stack4
+    fd = build_density_h(w, atlas, build_bumps(atlas, F(1, 2))).fiber(F(g, 8))
+    want = float(np.interp(fd._unroll(np.array([x0]))[0], fd.knots, fd.cum))
+    assert fd._cum_at(x0).hex() == want.hex()
 
 
 def test_density_rejects_nonsymmetric_or_bad_ratio(stack4):

@@ -162,6 +162,25 @@ def test_run_blowup_computes_each_orbit_intersection_once(monkeypatch):
     assert len(calls) <= 2 * (2 * n + 1)
 
 
+def test_run_blowup_reads_the_windows_off_the_flattening_table(monkeypatch):
+    calls = []
+    real = geometry.intersection_projection
+
+    def counted(g1, g2):
+        calls.append(1)
+        return real(g1, g2)
+
+    for module in (geometry, surgery, measure):
+        monkeypatch.setattr(module, "intersection_projection", counted)
+    n = 8
+    w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
+    pipe = pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, F(1, 2),
+                               fiber_grid=16, vertical_grid=16)
+    # X_1..X_(2N+1) of the flattened curve, and the windows need no other
+    assert len(calls) == 2 * n + 1
+    assert all(pipe.family[m] == image_curve(R, pipe.curve, m) for m in pipe.family)
+
+
 @st.composite
 def atom_layouts(draw):
     """A fiber measure of total mass 1, an anchor atom and a top mass (0 or not)."""

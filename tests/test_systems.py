@@ -1,10 +1,13 @@
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.circle import OMEGA_GOLDEN, mod1
 from qpflab.plgraph import PLGraph
+from qpflab.sl2 import Cocycle, cocycle_qpf
 from qpflab.systems import (Lift, QpfSystem, _orbit, classify_rho_boundedness,
                             compose_fiber, deviations, rotation_number)
 
@@ -26,7 +29,7 @@ def test_translation_orbit_matches_theta_stepping_walk(theta, x):
     for k in range(300):
         y = lift.value(mod1(theta + k * lift.base.omega), y)
         want.append(y)
-    got = _orbit(lift, theta, x, 300)
+    got = _orbit(lift, theta, [x], 300)[0]
     assert got == want
     assert [type(v) for v in got] == [type(v) for v in want]
 
@@ -112,6 +115,18 @@ def test_rotation_estimates_and_default_rho_come_from_the_orbit():
     assert np.array_equal(trace.devs, deviations(lift, F(1, 7), 0.25, 300, rho=est.value).devs)
 
 
+@pytest.mark.parametrize("system", [QpfSystem.translation(), QpfSystem.skew(TENT_PHI)])
+def test_rotation_estimate_deviations_are_a_deviations_walk(system):
+    # qpflab analyze writes deviations.csv from the prefix of its rotation walk
+    lift = Lift(system)
+    est = rotation_number(lift, F(0), F(0), 700)
+    got = est.deviations(512)
+    want = deviations(lift, F(0), F(0), 512, rho=est.value)
+    assert got.rho_estimate == want.rho_estimate
+    assert np.array_equal(got.devs, want.devs)
+    assert np.array_equal(got.sup_growth, want.sup_growth)
+
+
 def test_classifier_verdicts():
     lift = Lift(QpfSystem.translation())
     rep = classify_rho_boundedness(lift, 200, 4, rho=float(QpfSystem.translation().rho))
@@ -146,3 +161,57 @@ def test_lift_normalization():
     for theta in (F(0), F(1, 3), F(9, 10)):
         f0 = lift.value(theta, 0)
         assert 0 <= f0 < 1
+
+
+@pytest.fixture(scope="module")
+def lifts(crossed4):
+    """One lift of each kind of fiber map: exact translation and skew, a float cocycle, a blowup f."""
+    return {"translation": Lift(QpfSystem.translation()),
+            "skew": Lift(QpfSystem.skew(TENT_PHI)),
+            "cocycle": Lift(cocycle_qpf(Cocycle.harper(0.0, 2.0))),
+            "crossed-f": Lift(crossed4.f_system)}
+
+
+def one_point_step(lift, theta, x):
+    """F_theta(x) read on its own, as a walk of one start point reads it."""
+    base = lift.base
+    if base.is_affine:
+        return x + mod1(base.displacement(theta))
+    m = math.floor(x)
+    f0, fr = base.circle_values(theta, [0.0, x - m]).tolist()
+    return m + f0 + (fr - f0) % 1.0
+
+
+@pytest.mark.parametrize("kind", ["translation", "skew", "cocycle", "crossed-f"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_multi_start_walk_matches_one_point_steps(lifts, kind, data):
+    # start points sharing a theta orbit read each fiber together; each must
+    # come out as its own one-point walk would, value and type
+    lift = lifts[kind]
+    theta = data.draw(st.fractions(0, 1, max_denominator=10**6))
+    starts = data.draw(st.lists(st.one_of(st.fractions(-2, 3, max_denominator=10**4),
+                                          st.floats(-2, 3)), min_size=1, max_size=4))
+    n = data.draw(st.integers(1, 24))
+    omega = lift.base.omega
+    th, om = (theta, omega) if lift.base.is_affine else (float(theta), float(omega))
+    got = _orbit(lift, theta, starts, n)
+    assert len(got) == len(starts)
+    for x, orbit in zip(starts, got):
+        want, y = [], x
+        for k in range(n):
+            y = one_point_step(lift, mod1(th + k * om), y)
+            want.append(y)
+        assert list(map(repr, orbit)) == list(map(repr, want))
+    assert lift.value(th, starts[0]) == one_point_step(lift, th, starts[0])
+
+
+@pytest.mark.parametrize("kind", ["translation", "skew", "cocycle", "crossed-f"])
+def test_classifier_rho_is_the_rotation_walk_estimate(lifts, kind):
+    # without a given rho the classifier takes it from its own (0, 0) walk
+    lift = lifts[kind]
+    n = 512
+    rep = classify_rho_boundedness(lift, n, 2)
+    est = rotation_number(lift, F(0) if lift.base.is_affine else 0.0, 0.0, n)
+    assert rep.rho.hex() == est.value.hex()
+    assert classify_rho_boundedness(lift, n, 2, rho=est.value).ratio == rep.ratio
