@@ -44,7 +44,6 @@ def main(argv=None) -> int:
         p.add_argument("--out", type=Path, default=Path("out"))
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--emit-svg", action="store_true")
-        p.add_argument("--depth", type=int, default=None)
         p.add_argument("--grid", type=int, default=None)
     args = parser.parse_args(argv)
     t0 = time.time()
@@ -52,8 +51,6 @@ def main(argv=None) -> int:
         manifest = load_manifest(args.manifest)
         if args.seed is not None:
             manifest.seed = args.seed
-        if args.depth is not None:
-            manifest.depth = args.depth
         if args.grid is not None:
             manifest.fibers = manifest.vertical = manifest.bins = args.grid
         args.out.mkdir(parents=True, exist_ok=True)
@@ -99,7 +96,8 @@ def _run_blowup(manifest: Manifest, system):
 def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     system = manifest.base_system()
     curve = manifest.initial_curve()
-    final, cert, witnesses = prepare_curve(system, curve, manifest.depth,
+    depth = 2 * manifest.weights_n + 1          # the flattening depth of run_blowup
+    final, cert, witnesses = prepare_curve(system, curve, depth,
                                            crossings=manifest.crossings,
                                            seed=manifest.seed)
     _echo_manifest(manifest, out)
@@ -112,7 +110,7 @@ def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     artifacts.write_jsonl(out / "certificate.jsonl", records)
     if emit_svg:
         from .geometry import image_curve
-        fam = [image_curve(system, final, k) for k in range(0, min(4, manifest.depth + 1))]
+        fam = [image_curve(system, final, k) for k in range(0, min(4, depth + 1))]
         (out / "curves.svg").write_text(artifacts.curve_svg(fam), encoding="ascii")
     return EXIT_OK if cert.flat and all(w.verified for w in witnesses) else EXIT_INVARIANT
 
@@ -123,11 +121,9 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     atlas_audit = pipeline.atlas_audit()
     density_audit = pipeline.density_audit(grid=min(manifest.fibers, 512))
     report = pipeline.semiconjugacy_report()
-    # the table of f serves only the hitting-time probes of the witnesses
-    sampled = pipeline.sampled_f() if pipeline.witnesses else None
     nonmin = verify_nonminimality(pipeline.tmap, pipeline.atlas,
                                   witnesses=pipeline.witnesses,
-                                  grid=min(manifest.fibers, 512), sampled=sampled,
+                                  grid=min(manifest.fibers, 512),
                                   probe_points=manifest.probe_points)
     # per-fiber nu CDF tables on the uniform vertical grid, written row by row
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chamber import ChamberTable, grid_classes
 from .circle import mod1, mod1_array
-from .errors import BumpBoundViolation, DensityNonpositive
+from .errors import BumpBoundViolation, DensityNonpositive, EtaNotInvertible
 from .atlas import PartitionAtlas
 from .weights import WeightScheme
 
@@ -157,7 +157,11 @@ def _density_leaves(exact: tuple) -> tuple:
 
 
 def _density_fiber(theta, floats: list) -> FiberDensity:
-    """The float fiber from the floats of _density_leaves (s0 is the first knot)."""
+    """The float fiber from the floats of _density_leaves (s0 is the first knot).
+
+    Every fiber is built here, so h > 0 and the invertibility of the mass
+    coordinate are checked once per build: a constant chamber's fiber once.
+    """
     k = len(floats) // 2
     values = np.array(floats)
     kn, hv = values[:k], values[k:]
@@ -166,6 +170,8 @@ def _density_fiber(theta, floats: list) -> FiberDensity:
         raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
     cum = np.zeros(k)
     np.cumsum(0.5 * (hv[1:] + hv[:-1]) * (kn[1:] - kn[:-1]), out=cum[1:])
+    if cum[-1] <= 0 or np.any(np.diff(cum) < 0):
+        raise EtaNotInvertible(f"nu mass coordinate is not invertible at theta={float(theta)}")
     return FiberDensity(theta=theta, s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
 
 

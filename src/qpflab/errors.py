@@ -33,10 +33,6 @@ class EscapeTimeout(TimeoutError_):
     """The first-return orbit of a point did not terminate within the horizon."""
 
 
-class IntervalTooWide(PreconditionError):
-    """An interval has no well-defined itinerary; bisect and retry."""
-
-
 class BoxNotFound(QpfLabError):
     """Perturbation-box bisection hit the resolution floor."""
 

@@ -59,7 +59,6 @@ _FIELDS = {
     ("grids", "vertical"): ("vertical", int),
     ("grids", "bins"): ("bins", int),
     ("run", "seed"): ("seed", int),
-    ("run", "depth"): ("depth", int),
     ("run", "crossings"): ("crossings", int),
     ("run", "burnin"): ("burnin", int),
     ("run", "iters"): ("iters", int),
@@ -100,7 +99,6 @@ class Manifest:
     vertical: int = 4096
     bins: int = 4096
     seed: int = 0
-    depth: int = 4
     crossings: int = 0
     burnin: int = 10**5
     iters: int = 10**7
@@ -178,7 +176,5 @@ def _validate(m: Manifest) -> None:
             raise ManifestError(f"grid {name}={val} out of range")
     if not (0 < m.epsilon < 1):
         raise ManifestError("epsilon must lie in (0,1)")
-    if m.depth < 0 or m.depth > 64:
-        raise ManifestError("depth out of range")
     if m.cocycle_family not in ("constant", "rotation", "diagonal", "harper"):
         raise ManifestError(f"cocycle family {m.cocycle_family!r} not supported")

@@ -3,13 +3,14 @@
 A pipeline run owns every stage as an immutable snapshot, so audits and
 reports can be generated repeatedly without recomputation.  Crossing
 insertions, when requested, happen before the final flattening pass and are
-re-verified on the finished curve; witnesses that did not survive are
-reported as inconclusive rather than silently kept.
+re-verified on the finished curve; each witness records in `verified`
+whether its crossing survived.  Every reader of the blown-up map, the
+non-minimality probes included, reads the exact transported map `tmap`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -45,18 +46,10 @@ class BlowupPipeline:
     mu_shifted: MeasureFamily
     fiber_grid: int = 4096
     vertical_grid: int = 4096
-    _sampled: QpfSystem | None = field(default=None, repr=False)
 
     @property
     def f_system(self) -> QpfSystem:
         return self.tmap.as_system()
-
-    def sampled_f(self, fiber_grid: int | None = None, vertical_grid: int | None = None) -> QpfSystem:
-        fg = fiber_grid or self.fiber_grid
-        vg = vertical_grid or self.vertical_grid
-        if self._sampled is None or self._sampled.table.shape != (fg, vg + 1):
-            self._sampled = self.f_system.sample(fg, vg)
-        return self._sampled
 
     def semiconjugacy_report(self, grid: int | None = None, vertical: int | None = None):
         return verify_semiconjugacy(self.tmap, self.mu_shifted,

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import mod1, mod1_array, signed_gap
-from .errors import (BoxNotFound, EscapeTimeout, IntervalTooWide, LambdaNotFound,
+from .errors import (BoxNotFound, EscapeTimeout, LambdaNotFound,
                      OrbitSearchTimeout, PreconditionError, SurgeryStalled)
 from .geometry import OrbitIntersections, crosses_over, image_curve, intersection_projection
 from .plgraph import CircIntervalSet, PLGraph
@@ -74,11 +74,19 @@ def _orbit_point(system: QpfSystem, theta, x, k: int):
     return mod1(theta), mod1(x)
 
 
-def _return_times(meets, n: int, horizon: int, timeout: Exception) -> Itinerary:
-    """Times k with meets(k), searched forward and backward from 0 in gaps <= n.
+def itinerary_of_point(system: QpfSystem, graph: PLGraph, z, n: int, horizon: int) -> Itinerary:
+    """Finite return-time set N(z) of a point z on the graph, gaps <= n.
 
-    More than horizon returns in all raise the given timeout error.
+    Return times are searched forward and backward from 0 in gaps <= n; more
+    than horizon returns in all raise EscapeTimeout.
     """
+    theta, x = Fraction(z[0]), Fraction(z[1])
+    if not graph.contains_point(theta, x):
+        raise PreconditionError("itinerary base point must lie on the graph")
+
+    def meets(k: int) -> bool:
+        return graph.contains_point(*_orbit_point(system, theta, x, k))
+
     times = [0]
     for direction in (+1, -1):
         k = 0
@@ -90,31 +98,8 @@ def _return_times(meets, n: int, horizon: int, timeout: Exception) -> Itinerary:
             times.append(hit)
             k = hit
             if len(times) > horizon + 1:
-                raise timeout
+                raise EscapeTimeout(f"first-return orbit did not terminate within {horizon} steps")
     return Itinerary(tuple(sorted(times)), n)
-
-
-def itinerary_of_point(system: QpfSystem, graph: PLGraph, z, n: int, horizon: int) -> Itinerary:
-    """Finite return-time set N(z) of a point z on the graph, gaps <= n."""
-    theta, x = Fraction(z[0]), Fraction(z[1])
-    if not graph.contains_point(theta, x):
-        raise PreconditionError("itinerary base point must lie on the graph")
-    return _return_times(
-        lambda k: graph.contains_point(*_orbit_point(system, theta, x, k)), n, horizon,
-        EscapeTimeout(f"first-return orbit did not terminate within {horizon} steps"))
-
-
-def itinerary_of_interval(system: QpfSystem, graph: PLGraph, arc, n: int,
-                          horizon: int = 10**4) -> Itinerary:
-    """Return times of an interval: k with R^k(Gamma|I) meeting Gamma, gaps <= n."""
-    lo, hi = Fraction(arc[0]), Fraction(arc[1])
-
-    def meets(k: int) -> bool:
-        proj = intersection_projection(image_curve(system, graph, -k), graph)
-        return not proj.intersect_arc(lo, hi).is_empty
-
-    return _return_times(meets, n, horizon, IntervalTooWide(
-        "interval has no terminating itinerary; bisect and retry"))
 
 
 # ---------------------------------------------------------------------------
@@ -779,54 +764,3 @@ def _arc_overlap(arc_i, shift, arc_j, inside_point):
         if mod1(inside_point - lo) <= hi - lo:
             return (lo, hi)
     return None
-
-
-# ---------------------------------------------------------------------------
-# escaping hypothesis
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class EscapeReport:
-    escaping: bool
-    inconclusive: bool
-    max_time: int
-    tested: int
-    witness: tuple | None
-
-
-def check_escaping(system: QpfSystem, graph: PLGraph, n: int, horizon: int,
-                   grid: int = 8) -> EscapeReport:
-    """Sampled check that every point leaves Gamma u ... u R^n(Gamma)."""
-    if horizon <= 0:
-        return EscapeReport(escaping=False, inconclusive=True, max_time=0, tested=0, witness=None)
-    curves = [image_curve(system, graph, j) for j in range(n + 1)]
-
-    def on_union(theta, x) -> bool:
-        return any(c.contains_point(theta, x) for c in curves)
-
-    samples = []
-    for c in curves:
-        ts = list(c.thetas)
-        for a, b in zip(ts, ts[1:] + [ts[0] + 1]):
-            samples.append((a, c.circle_value(a)))
-            mid = a + (b - a) / 2
-            samples.append((mod1(mid), c.circle_value(mid)))
-    for i in range(grid):
-        for j in range(grid):
-            samples.append((Fraction(i, grid), Fraction(j, grid)))
-
-    max_time = 0
-    for theta, x in samples:
-        escaped = False
-        for k in range(1, horizon + 1):
-            th, xx = _orbit_point(system, theta, x, k)
-            if not on_union(th, xx):
-                escaped = True
-                max_time = max(max_time, k)
-                break
-        if not escaped:
-            return EscapeReport(escaping=False, inconclusive=False, max_time=horizon,
-                                tested=len(samples), witness=(float(theta), float(x)))
-    return EscapeReport(escaping=True, inconclusive=False, max_time=max_time,
-                        tested=len(samples), witness=None)

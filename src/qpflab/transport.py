@@ -20,7 +20,7 @@ import numpy as np
 from .atlas import PartitionAtlas
 from .chamber import grid_classes, map_leaves
 from .circle import mod1, mod1_array
-from .errors import EtaNotInvertible, InvariantViolation, PreconditionError
+from .errors import InvariantViolation, PreconditionError
 from .measure import MeasureFamily, Projection, quantile_table
 from .systems import QpfSystem
 
@@ -57,8 +57,6 @@ class TransportedMap:
         theta = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         theta_next = mod1(theta + self.system.omega)
         fd = self.nu.fiber(theta_next)
-        if fd.total <= 0 or np.any(np.diff(fd.cum) < 0):
-            raise EtaNotInvertible("nu fiber mass coordinate is not invertible")
         p0 = self.phi_minus(theta, self.curve0)
         p1 = self.phi_minus(theta_next, self.curve1)
         us = mod1_array(np.asarray(xs, dtype=float) - p0) * fd.total
@@ -222,12 +220,10 @@ class NonminimalityReport:
     annulus_verified_fibers: int
     probes: list
     hit_fraction: float
-    inconclusive: int
 
 
 def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
                          witnesses=(), grid: int = 256,
-                         sampled: QpfSystem | None = None,
                          probe_points: int = 64, slack: int = 64) -> NonminimalityReport:
     """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes.
 
@@ -259,39 +255,37 @@ def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
             check(pi.fiber(Fraction(g, grid)).plateau_of(n0), f"fiber {g}/{grid}")
     probes = []
     hits = 0
-    inconclusive = 0
     for wit in witnesses:
-        if sampled is None:
-            inconclusive += 1
-            probes.append(ProbeResult(witness_m=wit.m, hit_time=None, tested_points=0))
-            continue
-        hit = _probe_hit_time(sampled, wit, float(height), probe_points, wit.m + slack)
+        hit = _probe_hit_time(tmap, wit, float(height), probe_points, wit.m + slack)
         probes.append(ProbeResult(witness_m=wit.m, hit_time=hit, tested_points=probe_points))
         if hit is not None:
             hits += 1
     frac = hits / len(probes) if probes else 1.0
     return NonminimalityReport(annulus_curve=n0, annulus_height=float(height),
                                annulus_verified_fibers=grid, probes=probes,
-                               hit_fraction=frac, inconclusive=inconclusive)
+                               hit_fraction=frac)
 
 
-def _probe_hit_time(sampled: QpfSystem, wit, height: float, npts: int, n_max: int):
-    """First n <= n_max with f^n(U) meeting V, on the sampled fiber tables."""
+def _probe_hit_time(tmap: TransportedMap, wit, height: float, npts: int, n_max: int):
+    """First n <= n_max with f^n(U) meeting V, walked on f itself.
+
+    U is a k x k grid (k = isqrt(npts)) over the arc I and (0, height).  Each
+    of its k fibers walks an exact theta orbit, from the Fraction of its float
+    arc point, and f is read once per fiber and step.  A hit is a point whose
+    theta after the step lies in the arc J and whose x lies in (0, height).
+    """
     ilo, ihi = wit.i_arc
     jlo, jhi = wit.j_arc
     span_i = (ihi - ilo) % 1.0 or 1.0
     span_j = (jhi - jlo) % 1.0 or 1.0
     k = int(np.sqrt(npts))
-    thetas = (ilo + span_i * (np.arange(k) + 0.5) / k) % 1.0
-    xs = height * (np.arange(k) + 0.5) / k
-    th = np.repeat(thetas, k)
-    x = np.tile(xs, k)
-    omega = float(sampled.omega)
+    thetas = [Fraction(t) for t in (ilo + span_i * (np.arange(k) + 0.5) / k) % 1.0]
+    xs = [height * (np.arange(k) + 0.5) / k] * k
+    omega = tmap.system.omega
     for n in range(1, n_max + 1):
-        x = sampled.table_step(th, x)
-        th = (th + omega) % 1.0
-        in_j = np.mod(th - jlo, 1.0) <= span_j
-        in_v = (x > 0.0) & (x < height)
-        if np.any(in_j & in_v):
-            return n
+        xs = [tmap.fiber_values(th, x) for th, x in zip(thetas, xs)]
+        thetas = [mod1(th + omega) for th in thetas]
+        for th, x in zip(thetas, xs):
+            if (float(th) - jlo) % 1.0 <= span_j and np.any((x > 0.0) & (x < height)):
+                return n
     return None

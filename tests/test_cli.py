@@ -23,7 +23,6 @@ seed = 3
 crossings = 0
 iters = 20000
 burnin = 100
-depth = 2
 """
 
 
@@ -66,6 +65,15 @@ def test_weights_alpha_is_unknown_key(tmp_path):
         load_manifest(write_manifest(tmp_path, "[weights]\nalpha = 0.3\n"))
 
 
+def test_depth_is_neither_key_nor_flag(tmp_path):
+    # every command flattens to 2N+1 from [weights] n
+    p = write_manifest(tmp_path, SMALL + "depth = 2\n")
+    assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 2
+    with pytest.raises(SystemExit):
+        main(["curve", "--manifest", str(write_manifest(tmp_path, SMALL, name="s.ini")),
+              "--depth", "2"])
+
+
 def _readme() -> str:
     return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -73,7 +81,7 @@ def _readme() -> str:
 def test_readme_example_manifest_loads(tmp_path):
     block = _readme().split("```ini\n", 1)[1].split("```", 1)[0]
     m = load_manifest(write_manifest(tmp_path, block))
-    assert (m.fibers, m.depth, m.iters) == (4096, 4, 10000000)
+    assert (m.fibers, m.weights_n, m.iters) == (4096, 8, 10000000)
 
 
 def test_readme_accepted_keys_match_schema():
@@ -116,7 +124,7 @@ def test_curve_command_artifacts(tmp_path):
 def test_curve_search_timeout_exit_5(tmp_path):
     # N = 4 at depth 2N+1 = 9 with two crossings: seed 2's crossing search times out
     body = SMALL.replace("seed = 3", "seed = 2").replace("crossings = 0", "crossings = 2")
-    p = write_manifest(tmp_path, body.replace("depth = 2", "depth = 9"))
+    p = write_manifest(tmp_path, body)
     assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 5
 
 
@@ -182,15 +190,25 @@ def test_blowup_passes_probe_points(tmp_path, monkeypatch):
     seen = []
     probe = transport._probe_hit_time
 
-    def recording_probe(sampled, wit, height, npts, n_max):
+    def recording_probe(tmap, wit, height, npts, n_max):
         seen.append(npts)
-        return probe(sampled, wit, height, npts, n_max)
+        return probe(tmap, wit, height, npts, n_max)
 
     monkeypatch.setattr(transport, "_probe_hit_time", recording_probe)
     body = SMALL.replace("crossings = 0", "crossings = 1") + "probe_points = 16\n"
     p = write_manifest(tmp_path, body)
     assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 0
     assert seen and set(seen) == {16}
+
+
+def test_blowup_probes_never_sample_f(tmp_path, monkeypatch):
+    # the witnesses' probes walk f itself: no table of any map is built
+    from qpflab.systems import QpfSystem
+    sampled = []
+    monkeypatch.setattr(QpfSystem, "sample", lambda self, *a, **k: sampled.append(a))
+    p = write_manifest(tmp_path, SMALL.replace("crossings = 0", "crossings = 1"))
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 0
+    assert sampled == []
 
 
 def test_analyze_reads_f_once_per_classifier_step(tmp_path, monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.atlas import build_partition_atlas
-from qpflab.density import audit_density, build_bumps, build_density_h
-from qpflab.errors import DensityNonpositive, PreconditionError
+from qpflab.density import _density_fiber, audit_density, build_bumps, build_density_h
+from qpflab.errors import DensityNonpositive, EtaNotInvertible, PreconditionError
 from qpflab.geometry import image_curve
 from qpflab.measure import build_mu, build_pi
 from qpflab.plgraph import PLGraph
@@ -98,3 +98,12 @@ def test_density_rejects_nonsymmetric_or_bad_ratio(stack4):
     field = build_density_h(w, atlas, bumps)
     with pytest.raises(PreconditionError, match="symmetric"):
         build_f(R, field, skewed_pi)
+
+
+def test_fiber_build_rejects_a_non_invertible_mass_coordinate():
+    # h > 0 everywhere, but the knots run backwards over [1/4, 1/2]: the
+    # prefix integral decreases there, so the fiber build refuses it
+    knots, hvals = [0.0, 0.5, 0.25, 1.0], [1.0, 1.0, 1.0, 1.0]
+    with pytest.raises(EtaNotInvertible, match="theta=0.5"):
+        _density_fiber(F(1, 2), knots + hvals)
+    assert _density_fiber(F(1, 2), sorted(knots) + hvals).total == 1.0

@@ -374,8 +374,7 @@ def test_projection_lift_determinism(small4):
 def test_invariance_proxy(small4):
     fs = minimal_set_via_projection(small4.projection, small4.system, iters=300000,
                                     fiber_grid=256, bins=256, seed=0)
-    sampled = small4.sampled_f(256, 512)
-    assert invariance_defect(fs, sampled) < 0.05
+    assert invariance_defect(fs, small4.f_system.sample(256, 512)) < 0.05
 
 
 def test_refinement_monotonicity(small4):

@@ -4,17 +4,15 @@ import pytest
 
 from qpflab import surgery
 from qpflab.circle import mod1
-from qpflab.errors import (BoxNotFound, EscapeTimeout, IntervalTooWide, OrbitSearchTimeout,
-                           PreconditionError)
+from qpflab.errors import BoxNotFound, EscapeTimeout, OrbitSearchTimeout, PreconditionError
 from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
                              intersection_projection, is_flat_intersection)
 from qpflab.pipeline import prepare_curve
 from qpflab.plgraph import PLGraph
 from qpflab.surgery import (_localize_in_triangle, _orbit_candidates, _orbit_point,
-                            apply_perturbation, check_escaping, ensure_crossing,
-                            find_perturbation_box, flatten_to_depth, graphs_equal_off,
-                            itinerary_of_interval, itinerary_of_point, validate_box,
-                            verify_x_law)
+                            apply_perturbation, ensure_crossing, find_perturbation_box,
+                            flatten_to_depth, graphs_equal_off, itinerary_of_point,
+                            validate_box, verify_x_law)
 from qpflab.systems import QpfSystem
 
 R = QpfSystem.translation()
@@ -47,11 +45,6 @@ def test_point_itinerary_engineered_return():
     assert -1 in it.times and 0 in it.times
 
 
-def test_interval_itinerary_mirrors_point():
-    it = itinerary_of_interval(R, CONST, (F(1, 7), F(1, 7) + F(1, 100)), n=3)
-    assert it.times == (0,)
-
-
 def test_escape_timeout_on_invariant_graph():
     frozen = QpfSystem.translation(rho=F(0))
     with pytest.raises(EscapeTimeout):
@@ -61,8 +54,6 @@ def test_escape_timeout_on_invariant_graph():
 @pytest.mark.parametrize("itinerary, timeout", [
     (lambda g, horizon: itinerary_of_point(FROZEN, g, (F(1, 2), F(1, 5)), 5, horizon),
      EscapeTimeout),
-    (lambda g, horizon: itinerary_of_interval(FROZEN, g, (F(49, 100), F(51, 100)), 5, horizon),
-     IntervalTooWide),
 ])
 def test_return_horizon_is_exact(itinerary, timeout):
     # the curve sits at 1/5 over [2/5, 3/5] only: with rho = 0 the fiber point returns
@@ -246,13 +237,3 @@ def test_ensure_crossing_thin_arcs_within_bound():
 def test_ensure_crossing_timeout():
     with pytest.raises(OrbitSearchTimeout):
         ensure_crossing(R, CONST, (F(1, 10), F(2, 10)), (F(6, 10), F(7, 10)), depth=3, m_max=1)
-
-
-def test_escaping_cases():
-    rep = check_escaping(R, CONST, 3, 10)
-    assert rep.escaping and rep.max_time >= 1
-    frozen = QpfSystem.translation(rho=F(0))
-    rep2 = check_escaping(frozen, CONST, 2, 8)
-    assert not rep2.escaping and not rep2.inconclusive
-    rep3 = check_escaping(R, CONST, 3, 0)
-    assert rep3.inconclusive and not rep3.escaping

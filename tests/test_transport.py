@@ -92,7 +92,7 @@ def test_nonminimality_annulus(small4):
     rep = verify_nonminimality(small4.tmap, small4.atlas, grid=64)
     assert rep.annulus_height == float(small4.weights.a(0))
     assert rep.annulus_verified_fibers == 64
-    assert rep.inconclusive == 0 and rep.hit_fraction == 1.0  # no witnesses supplied
+    assert rep.probes == [] and rep.hit_fraction == 1.0  # no witnesses supplied
 
 
 def test_identity_transport_when_mu_is_lebesgue():
