@@ -125,9 +125,10 @@ class PartitionAtlas:
 
     def audit_chamber(self, ch) -> None:
         """Raise AtlasInvariantViolation unless the invariants hold on the whole chamber."""
-        probe = Probe(ch.a, ch.b)
-        self._check(self.chambers.template_on(probe), self.projection.chambers.template_on(probe),
-                    f"theta in ({float(ch.a)}, {float(ch.b)})", (ch.a, ch.b))
+        with Probe(ch.a, ch.b) as probe:
+            self._check(self.chambers.template_on(probe),
+                        self.projection.chambers.template_on(probe),
+                        f"theta in ({float(ch.a)}, {float(ch.b)})", (ch.a, ch.b))
 
     def _check(self, fa: FiberAtlas, fp, where: str, ends=None) -> None:
         """The invariants of one fiber, or of one chamber through its closed ends.

@@ -3,14 +3,20 @@
 Over an affine base the window curves are exact PL graphs, so between finitely
 many cut points of the circle the combinatorics of every stage are fixed and
 each exact quantity is affine in theta.  A stage builds its table by running
-its exact builder once per chamber on ``Affine`` numbers: arithmetic stays
-exact, and each comparison is decided at the chamber's midpoint while the root
-of the compared difference is recorded.  A run that records no root strictly
-inside its chamber has the same combinatorics at every point of it; otherwise
-the chamber is split at the roots and run again.  ``fiber(theta)`` evaluates
-the template of the chamber holding theta, and a theta on a cut point goes to
-the stage's direct builder.  Float readers skip the Fractions: ``floats``
-reads a template's numbers from integer rows, rounded as float() rounds them.
+its exact builder once per chamber on ``Affine`` numbers c0 + c1*theta, inside
+the chamber's ``Probe``: arithmetic stays exact, and each comparison is decided
+at the midpoint of the active probe while the root of the compared difference
+is recorded.  ``Probe.sign`` decides a comparison in floats, without forming
+the exact difference, when the difference clears a rounding bound with one sign
+at both closed ends, and exactly otherwise.  A run that records no root
+strictly inside its chamber has the same combinatorics at every point of it;
+otherwise the chamber is split at the roots and run again.  An Affine holds no
+probe, so a stage reads the templates of the stage below as they are; only a
+piece split off the wrapping chamber past 1 rebinds them one turn on.
+``fiber(theta)`` evaluates the template of the chamber holding theta, and a
+theta on a cut point goes to the stage's direct builder.  Float readers skip
+the Fractions: ``floats`` reads a template's numbers from integer rows, rounded
+as float() rounds them.
 """
 
 from __future__ import annotations
@@ -26,18 +32,54 @@ from .circle import mod1
 from .errors import QpfLabError
 
 
+_active: list = []     # the probes of the builds in progress, innermost last; see Probe
+
+
 class Probe:
-    """One chamber (a, b) under construction, in unrolled theta: midpoint and roots met."""
+    """One chamber (a, b) under construction, in unrolled theta: midpoint and roots met.
+
+    Entered as a context manager around a build, it is the probe that every
+    Affine compares, hashes and rounds at; a nested build pushes its own, and
+    leaving the with-block pops it on success and on error alike.
+    """
 
     def __init__(self, a: Fraction, b: Fraction):
         self.a, self.b, self.ref, self.roots = a, b, (a + b) / 2, set()
+        self.fa, self.fb = float(a), float(b)
+
+    def __enter__(self) -> "Probe":
+        _active.append(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _active.pop()
 
     @property
     def theta(self) -> "Affine":
-        return Affine(Fraction(0), Fraction(1), self)
+        return Affine(Fraction(0), Fraction(1))
 
-    def sign(self, d) -> int:
-        """Sign of d at the midpoint; records the root of a theta-dependent d."""
+    def sign(self, x, y=0) -> int:
+        """Sign of x - y at the midpoint; records the root of a theta-dependent x - y in (a, b).
+
+        The difference is first screened in floats at the closed ends, with
+        no exact subtraction.  Each side, given by the floats (x0, x1) of its
+        (c0, c1), or (x0, 0) for a constant, is x0 + x1*t at t = fa and fb to
+        within about 4 ulp of |x0| + |x1*t|, so the float differences va and
+        vb err by far less than the bound
+        1e-14*(|x0| + |y0| + (|x1| + |y1|)*(|fa| + |fb|)) + 1e-300 (the last
+        term covers subnormal underflow).  When both clear it with one strict
+        sign, x - y has no root in [a, b] and that is its sign at the
+        midpoint.  Otherwise the root and the midpoint sign are exact.
+        """
+        (x0, x1), (y0, y1), fa, fb = _floats(x), _floats(y), self.fa, self.fb
+        va = x0 + x1 * fa - (y0 + y1 * fa)
+        vb = x0 + x1 * fb - (y0 + y1 * fb)
+        bound = 1e-14 * (abs(x0) + abs(y0) + (abs(x1) + abs(y1)) * (abs(fa) + abs(fb))) + 1e-300
+        if va > bound and vb > bound:
+            return 1
+        if va < -bound and vb < -bound:
+            return -1
+        d = x - y
         if isinstance(d, Affine):
             root = -d.c0 / d.c1
             if self.a < root < self.b:
@@ -46,9 +88,16 @@ class Probe:
         return (d > 0) - (d < 0)
 
 
-def affine(c0, c1, probe: Probe):
-    """c0 + c1*theta on the probe's chamber; a plain Fraction when c1 = 0."""
-    return c0 if c1 == 0 else Affine(c0, c1, probe)
+def _floats(x) -> tuple:
+    """(c0, c1) of an Affine, or (x, 0) of a constant, as correctly rounded floats."""
+    if isinstance(x, Affine):
+        return x.c0.numerator / x.c0.denominator, x.c1.numerator / x.c1.denominator
+    return x.numerator / x.denominator, 0.0
+
+
+def affine(c0, c1):
+    """c0 + c1*theta; a plain Fraction when c1 = 0."""
+    return c0 if c1 == 0 else Affine(c0, c1)
 
 
 @total_ordering
@@ -56,31 +105,34 @@ class Affine:
     """c0 + c1*theta (c1 != 0) on one chamber, theta unrolled across it.
 
     Sums and products with constants stay exact.  Comparisons, equality,
-    hashing and float() read the value at the probe's midpoint, and
-    comparisons record the root; float() serves error messages and the float
-    tables a template carries unused.
+    hashing and float() read the value at the midpoint of the active probe,
+    the innermost build in progress, and comparisons record the root there;
+    float() serves error messages and the float tables a template carries
+    unused.
     """
 
-    __slots__ = ("c0", "c1", "probe")
+    __slots__ = ("c0", "c1")
 
-    def __init__(self, c0, c1, probe: Probe):
-        self.c0, self.c1, self.probe = c0, c1, probe
+    def __init__(self, c0, c1):
+        self.c0, self.c1 = c0, c1
 
     def at(self, t):
         return self.c0 + self.c1 * t
 
     def __add__(self, other):
         if isinstance(other, Affine):
-            return affine(self.c0 + other.c0, self.c1 + other.c1, self.probe)
-        return Affine(self.c0 + other, self.c1, self.probe)
+            return affine(self.c0 + other.c0, self.c1 + other.c1)
+        return Affine(self.c0 + other, self.c1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Affine(-self.c0, -self.c1, self.probe)
+        return Affine(-self.c0, -self.c1)
 
     def __sub__(self, other):
-        return self + -other
+        if isinstance(other, Affine):
+            return affine(self.c0 - other.c0, self.c1 - other.c1)
+        return Affine(self.c0 - other, self.c1)
 
     def __rsub__(self, other):
         return -self + other
@@ -88,7 +140,7 @@ class Affine:
     def __mul__(self, other):
         if isinstance(other, Affine):
             raise TypeError("a product of two theta-dependent values is not affine")
-        return affine(self.c0 * other, self.c1 * other, self.probe)
+        return affine(self.c0 * other, self.c1 * other)
 
     __rmul__ = __mul__
 
@@ -97,24 +149,25 @@ class Affine:
 
     def __mod__(self, one):
         """Reduction mod 1, as circle.mod1 asks for it; records the integer crossings."""
-        k = math.floor(self.at(self.probe.ref))
-        self.probe.sign(self - (k + 1))
-        self.probe.sign(self - k)
+        probe = _active[-1]
+        k = math.floor(self.at(probe.ref))
+        probe.sign(self, k + 1)
+        probe.sign(self, k)
         return self - k
 
     def __eq__(self, other):
         if not isinstance(other, (Affine, Fraction, int)):
             return NotImplemented
-        return self.probe.sign(self - other) == 0
+        return _active[-1].sign(self, other) == 0
 
     def __lt__(self, other):
-        return self.probe.sign(self - other) < 0
+        return _active[-1].sign(self, other) < 0
 
     def __hash__(self):
-        return hash(self.at(self.probe.ref))
+        return hash(self.at(_active[-1].ref))
 
     def __float__(self):
-        return float(self.at(self.probe.ref))
+        return float(self.at(_active[-1].ref))
 
 
 def map_leaves(obj, leaf):
@@ -144,9 +197,9 @@ def _has_affine(obj) -> bool:
     return False
 
 
-def rebind(template, probe: Probe, shift):
-    """The template in the probe's theta, where the template's own theta is it + shift."""
-    return map_leaves(template, lambda x: affine(x.c0 + x.c1 * shift, x.c1, probe))
+def rebind(template, shift):
+    """The template in another theta, where the template's own theta is it + shift."""
+    return map_leaves(template, lambda x: Affine(x.c0 + x.c1 * shift, x.c1))
 
 
 def restamp(theta, fiber):
@@ -217,7 +270,8 @@ class ChamberTable:
             a, b = todo.pop()
             probe = Probe(a, b)
             try:
-                template = build(probe)
+                with probe:
+                    template = build(probe)
             except QpfLabError:
                 if not probe.roots:     # it fails at the midpoint itself
                     raise
@@ -255,9 +309,14 @@ class ChamberTable:
         return ch if ch is not None and ch.constant else None
 
     def template_on(self, probe: Probe):
-        """The template of the chamber that holds the probe's, bound to the probe."""
+        """The template of the chamber that holds the probe's, in the probe's theta.
+
+        The two unrolled thetas differ only on a piece split off the wrapping
+        chamber past 1, which starts over in [0, 1): that template is rebound.
+        """
         ch, t = self.locate(probe.ref)
-        return rebind(ch.template, probe, t - probe.ref)
+        shift = t - probe.ref
+        return rebind(ch.template, shift) if shift else ch.template
 
     def fiber(self, theta, direct, finish=restamp, leaves=None):
         """The fiber at theta: direct(theta) on a cut point, else finish(theta, x).

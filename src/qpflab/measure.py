@@ -10,6 +10,7 @@ data is recorded exactly and reused by the partition atlas.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -103,6 +104,36 @@ class FiberMeasure:
         return np.interp(np.asarray(us, dtype=float) % 1.0, knots_u, knots_x)
 
 
+class CurveLines:
+    """The exact line of each piece of a PL curve, laid out for the chamber templates.
+
+    The piece from breakpoint (t0, v0) to the next one, of slope c1, has the
+    lift value c0 + c1*theta with c0 = v0 - c1*t0, and k turns later
+    c0 + (degree - c1)*k + c1*theta.  The pieces cover the three turns from
+    theta_0 - 1, which hold the unrolled midpoint of every chamber, in (0, 2).
+    """
+
+    def __init__(self, curve: PLGraph):
+        ts, vs, degree = curve.thetas, curve.values, curve.degree
+        ends = list(zip(ts, vs))
+        pieces = []
+        for (t0, v0), (t1, v1) in zip(ends, ends[1:] + [(ts[0] + 1, vs[0] + degree)]):
+            c1 = (v1 - v0) / (t1 - t0)
+            pieces.append((t0, v0 - c1 * t0, c1))
+        self.starts = [t0 + k for k in (-1, 0, 1) for t0, _, _ in pieces]
+        self.lines = [(c0 + (degree - c1) * k, c1) for k in (-1, 0, 1) for _, c0, c1 in pieces]
+        self.float_starts = [float(t) for t in self.starts]
+
+    def at(self, ref: Fraction) -> tuple:
+        """(c0, c1) of the piece holding ref in (theta_0 - 1, theta_0 + 2), by a float bisect."""
+        x = float(ref)
+        i = bisect_right(self.float_starts, x) - 1
+        # float() is monotone, so only a start that rounds to x itself can lie past ref
+        while self.float_starts[i] == x and self.starts[i] > ref:
+            i -= 1
+        return self.lines[i]
+
+
 @dataclass(eq=False)
 class MeasureFamily:
     curves: dict                 # n -> PLGraph
@@ -127,13 +158,18 @@ class MeasureFamily:
         kinks = {t for c in self.curves.values() for t in c.kinks()}
         return ChamberTable(kinks, self._template)
 
+    @cached_property
+    def lines(self) -> dict:
+        """n -> CurveLines of the curve, built once for all chambers."""
+        return {n: CurveLines(c) for n, c in self.curves.items()}
+
     def _template(self, probe: Probe) -> FiberMeasure:
-        """The fiber on one chamber: no kink inside, so each curve is one affine piece."""
-        positions = {}
-        for n, c in self.curves.items():
-            va, vb = c.value(probe.a), c.value(probe.b)
-            slope = (vb - va) / (probe.b - probe.a)
-            positions[n] = mod1(affine(va - slope * probe.a, slope, probe))
+        """The fiber on one chamber: no kink inside, so each curve is one line on it.
+
+        Any piece holding the midpoint has that line, the two sides of a
+        collinear breakpoint too.
+        """
+        positions = {n: mod1(affine(*lines.at(probe.ref))) for n, lines in self.lines.items()}
         return replace(self._measure(probe.theta, positions), theta=None)
 
     def fiber(self, theta) -> FiberMeasure:

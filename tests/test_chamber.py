@@ -16,17 +16,17 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from qpflab import transport
+from qpflab import chamber, transport
 from qpflab.atlas import audit_atlas, build_partition_atlas
 from qpflab.chamber import Affine, Chamber, Probe, grid_classes
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
-from qpflab.density import audit_density
+from qpflab.density import audit_density, build_bumps, build_density_h
 from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
                            LiftAmbiguous)
-from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu, build_pi,
-                            quantile_table)
+from qpflab.measure import (MeasureFamily, Projection, build_fiber_projection, build_mu,
+                            build_pi, quantile_table)
 from qpflab.pipeline import default_pipeline, run_blowup
 from qpflab.plgraph import PLGraph
 from qpflab.systems import Lift, QpfSystem, rotation_number
@@ -128,11 +128,126 @@ def test_chamber_fibers_equal_direct_builds(stacks, curve, data):
 @given(c0=st.fractions(-3, 3, max_denominator=10**40), c1=st.fractions(-3, 3, max_denominator=10**20),
        t=st.fractions(0, 2, max_denominator=10**30), reduce=st.booleans())
 def test_floats_are_float_of_the_exact_values(c0, c1, t, reduce):
-    probe = Probe(F(0), F(2))
-    numbers = (c0, Affine(c0, c1, probe) if c1 else c0, c1)
+    with Probe(F(0), F(2)):
+        numbers = (c0, Affine(c0, c1) if c1 else c0, c1)
+        ch = Chamber(F(0), F(2), numbers)
     exact = [x.at(t) if isinstance(x, Affine) else x for x in numbers]
     want = [float(mod1(x) if reduce else x) for x in exact]
-    assert Chamber(F(0), F(2), numbers).floats(t, tuple, reduce) == want
+    assert ch.floats(t, tuple, reduce) == want
+
+
+def exact_sign(a, b, c0, c1):
+    """Probe.sign by the exact rule alone: the root if a < root < b, the sign at the midpoint."""
+    root = -c0 / c1
+    v = c0 + c1 * (a + b) / 2
+    return (v > 0) - (v < 0), ({root} if a < root < b else set())
+
+
+@st.composite
+def chamber_differences(draw):
+    """(a, b, x, y, c0, c1): a chamber and two values whose difference x - y is
+    c0 + c1*theta, its root anywhere, on an end, on the midpoint or within 1e-15
+    of an end; y is 0, a constant or an Affine."""
+    frac = st.fractions(0, 1, max_denominator=10**40)
+    a = draw(frac)
+    width = draw(st.one_of(frac, frac.map(lambda w: w / 10**20)).filter(bool))
+    b = a + width
+    c1 = draw(st.fractions(-10**6, 10**6, max_denominator=10**40).filter(bool))
+    near = draw(st.fractions(-1, 1, max_denominator=10**40)) / 10**15
+    root = draw(st.one_of(st.fractions(-1, 3, max_denominator=10**40),
+                          st.sampled_from((a, b, (a + b) / 2, a + near, b + near))))
+    c0 = -c1 * root
+    y0, y1 = (draw(st.one_of(st.just(F(0)), st.fractions(-10**3, 10**3, max_denominator=10**40)))
+              for _ in range(2))
+    y = chamber.affine(y0, y1) if y0 or y1 else 0
+    return a, b, chamber.affine(c0 + y0, c1 + y1), y, c0, c1
+
+
+@settings(max_examples=400, deadline=None)
+@given(chamber_differences())
+@example((F(1), F(2), Affine(F(-3, 2), F(501)), Affine(F(0), F(500)), F(-3, 2), F(1)))
+def test_sign_screen_agrees_with_the_exact_rule(case):
+    a, b, x, y, c0, c1 = case
+    probe = Probe(a, b)
+    assert (probe.sign(x, y), probe.roots) == exact_sign(a, b, c0, c1)
+
+
+def test_sign_decides_clear_differences_in_floats(monkeypatch):
+    for name in ("at", "__sub__", "__rsub__"):     # no exact difference is ever formed
+        monkeypatch.setattr(Affine, name, None)
+    probe = Probe(F(1, 3), F(2, 3))
+    assert probe.sign(Affine(F(1, 10**9), F(1))) == 1
+    assert probe.sign(Affine(F(2, 3) + F(1, 10**9), F(-1))) == 1
+    assert probe.sign(Affine(F(-1), F(1, 7))) == -1
+    assert probe.sign(Affine(F(1), F(1)), Affine(F(-1), F(2))) == 1
+    assert probe.sign(F(1, 2), Affine(F(0), F(2))) == -1
+    assert probe.roots == set()
+
+
+def fresh_stack(pipe):
+    """The density field of a stack over copies of its stages, no table built yet."""
+    mu = replace(pipe.mu)
+    atlas = build_partition_atlas(mu, Projection(mu=mu, n0=pipe.n0), pipe.epsilon)
+    return build_density_h(pipe.weights, atlas, build_bumps(atlas, pipe.epsilon))
+
+
+def wrap_pieces(table, parent):
+    """Chambers of table before parent's first cut: split off parent's wrapping chamber."""
+    return sum(bool(parent.cuts) and ch.b <= parent.cuts[0] for ch in table.chambers)
+
+
+def test_tables_rebind_only_shifted_wrap_pieces(stacks, monkeypatch):
+    shifts = []
+    rebind = chamber.rebind
+    monkeypatch.setattr(chamber, "rebind", lambda t, shift: shifts.append(shift) or rebind(t, shift))
+    pipe = stacks["crossed"]
+    density = fresh_stack(pipe)
+    tables = [density.atlas.mu, density.atlas.projection, density.atlas, density.bumps, density]
+    chambers = [len(stage.chambers.chambers) for stage in tables]
+    assert chambers == [len(pipe.density.chambers.chambers)] * 5 and chambers[0] > 100
+    assert sum(wrap_pieces(b.chambers, a.chambers) for a, b in zip(tables, tables[1:])) == 0
+    assert shifts == []
+    # the switch just past 0 splits the atlas's wrapping chamber, and the piece before it
+    # reads the mu and pi templates one turn on
+    for shift in (0, F(1, 100) - SWITCH):
+        shifts.clear()
+        atlas = switching_atlas(shift)
+        pieces = wrap_pieces(atlas.chambers, atlas.projection.chambers)
+        assert pieces == (shift != 0)
+        assert shifts == [1, 1] * pieces
+
+
+def collinear_mu():
+    """A degree-one curve whose first breakpoint, 1/5, is no kink, and a constant curve.
+
+    The wrapping chamber runs from the kink at 9/10 to the one at 3/2, so its
+    midpoint 6/5 sits on that collinear breakpoint one turn on.
+    """
+    turn = PLGraph.from_points([(F(1, 5), F(1, 10)), (F(1, 2), F(7, 40)), (F(9, 10), F(41, 40))],
+                               degree=1)
+    return build_mu({0: PLGraph.constant(F(1, 2)), 1: turn}, masses={0: F(1, 4), 1: F(1, 4)},
+                    beta=F(1, 2), waive_flatness=True)
+
+
+@pytest.mark.parametrize("curve", ["tent", "crossed", "collinear"])
+def test_template_lines_are_the_lines_through_the_chamber_ends(stacks, curve, monkeypatch):
+    mu = collinear_mu() if curve == "collinear" else replace(stacks[curve].mu)
+    values = []
+    value = PLGraph.value
+    monkeypatch.setattr(PLGraph, "value", lambda g, t: values.append(t) or value(g, t))
+    table = mu.chambers
+    assert values == []
+    monkeypatch.undo()
+    refs = [(ch.a + ch.b) / 2 for ch in table.chambers]
+    for ch, ref in zip(table.chambers, refs):
+        for n, c in mu.curves.items():
+            va, vb = c.value(ch.a), c.value(ch.b)
+            slope = (vb - va) / (ch.b - ch.a)
+            assert mu.lines[n].at(ref) == (va - slope * ch.a, slope)
+        theta = mod1(ref)
+        assert mu.fiber(theta).atoms == mu._fiber_uncached(theta).atoms
+    if curve == "collinear":
+        assert F(6, 5) in refs and F(1, 5) not in mu.curves[1].kinks()
 
 
 def test_f_walk_reads_no_template_in_fractions(stacks, monkeypatch):
@@ -210,12 +325,13 @@ def test_certificate_reads_both_chamber_ends(pivot):
     atlas.audit_chamber(ch)
     at = ch.a + pivot * (ch.b - ch.a)
     # move one U arc (and its V arc) by theta - at: the fiber at `at` is unchanged
-    shift = Affine(-at, F(1), Probe(ch.a, ch.b))
-    n = next(iter(ch.template.u))
-    u, v = dict(ch.template.u), dict(ch.template.v)
-    u[n] = tuple((lo + shift, hi + shift) for lo, hi in u[n])
-    v[n] = tuple((lo + shift, hi + shift) for lo, hi in v[n])
-    ch.template = replace(ch.template, u=u, v=v)
+    with Probe(ch.a, ch.b):
+        shift = Affine(-at, F(1))
+        n = next(iter(ch.template.u))
+        u, v = dict(ch.template.u), dict(ch.template.v)
+        u[n] = tuple((lo + shift, hi + shift) for lo, hi in u[n])
+        v[n] = tuple((lo + shift, hi + shift) for lo, hi in v[n])
+        ch.template = replace(ch.template, u=u, v=v)
     if pivot == F(1, 2):
         atlas.audit_fiber(at)
     with pytest.raises(AtlasInvariantViolation):
@@ -400,10 +516,11 @@ def test_annulus_certificate_reads_both_chamber_ends(zero_end):
     # the one grid fiber, theta = 0, lies outside the chamber whose anchor plateau moves
     ch = next(c for c in pi.chambers.chambers if c.a > 0)
     pivot = getattr(ch, zero_end)
-    lift = Affine(-pivot, F(1), Probe(ch.a, ch.b)) * (F(1) / (ch.b - ch.a))
-    lift = lift if zero_end == "a" else -lift           # 0 at one end, 1 at the other
-    plateaus = tuple(replace(p, start=p.start + lift) if pi.n0 in p.members else p
-                     for p in ch.template.plateaus)
-    ch.template = replace(ch.template, plateaus=plateaus)
+    with Probe(ch.a, ch.b):
+        lift = Affine(-pivot, F(1)) * (F(1) / (ch.b - ch.a))
+        lift = lift if zero_end == "a" else -lift       # 0 at one end, 1 at the other
+        plateaus = tuple(replace(p, start=p.start + lift) if pi.n0 in p.members else p
+                         for p in ch.template.plateaus)
+        ch.template = replace(ch.template, plateaus=plateaus)
     with pytest.raises(InvariantViolation, match="annulus normalization fails"):
         verify_nonminimality(tmap, None, grid=1)
