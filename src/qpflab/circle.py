@@ -36,13 +36,6 @@ def mod1_array(x):
     return x - np.floor(x)
 
 
-def circ_dist(a: Scalar, b: Scalar) -> Scalar:
-    """Circular distance, always <= 1/2."""
-    d = mod1(a - b)
-    half = Fraction(1, 2) if isinstance(d, Fraction) else 0.5
-    return d if d <= half else 1 - d
-
-
 def signed_gap(a: Scalar, b: Scalar) -> Scalar:
     """Representative of b - a in (-1/2, 1/2]."""
     d = mod1(b - a)

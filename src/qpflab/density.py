@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -145,9 +146,12 @@ class DensityField:
             for comp in fb[m].knots:
                 for (u, g) in comp:
                     pieces.append((u, 1 - coef * g))
+        # each knot is hashed once, here or by setdefault; the ends take h = 1
         val_map = {_unrolled(s0, u): h for u, h in pieces}
-        knots = sorted({s0, s0 + 1, *val_map})
-        return tuple(knots), tuple(val_map.get(u, Fraction(1)) for u in knots)
+        val_map.setdefault(s0, Fraction(1))
+        val_map.setdefault(s0 + 1, Fraction(1))
+        knots, hvals = zip(*sorted(val_map.items(), key=itemgetter(0)))
+        return knots, hvals
 
 
 def _density_leaves(exact: tuple) -> tuple:

@@ -59,10 +59,6 @@ class LiftAmbiguous(QpfLabError):
     """A measure lift could not be resolved from the overlap side data."""
 
 
-class NotSameMeasure(QpfLabError):
-    """Two projections do not transport the same fiber measures."""
-
-
 class AtlasInvariantViolation(InvariantViolation):
     """A partition-atlas invariant failed; message carries fiber and index."""
 
@@ -81,10 +77,6 @@ class DensityNonpositive(InvariantViolation):
 
 class EtaNotInvertible(QpfLabError):
     """The fiberwise mass coordinate is not invertible (atom upstream)."""
-
-
-class DegenerateTriple(PreconditionError):
-    """A projective triple is repeated or not strictly cyclically ordered."""
 
 
 class ManifestError(ConfigError):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .chamber import ChamberTable, Probe, affine
 from .circle import mod1, mod1_array
-from .errors import LiftAmbiguous, NotSameMeasure, PreconditionError
+from .errors import LiftAmbiguous, PreconditionError
 from .geometry import OrbitIntersections, _branch_sign_near, intersection_projection
 from .plgraph import PLGraph
 from .weights import WeightScheme
@@ -67,9 +67,6 @@ class FiberMeasure:
     masses: dict                # curve index -> mass
     t_split: dict               # (j, i) -> Fraction top-fraction of j relative to i
 
-    def total_mass(self) -> Fraction:
-        return self.beta + sum(a.mass for a in self.atoms)
-
     def atom_of(self, curve: int) -> FiberAtom:
         for a in self.atoms:
             if curve in a.members:
@@ -84,24 +81,6 @@ class FiberMeasure:
         idx = np.searchsorted(pos, xs, side="right")
         cum = np.concatenate(([0.0], np.cumsum(mass)))
         return float(self.beta) * xs + cum[idx]
-
-    def quantile(self, us: np.ndarray) -> np.ndarray:
-        """Generalized inverse of the fiber CDF."""
-        pos = [float(a.position) for a in self.atoms]
-        mass = [float(a.mass) for a in self.atoms]
-        beta = float(self.beta)
-        knots_u = [0.0]
-        knots_x = [0.0]
-        acc = 0.0
-        for p, m in zip(pos, mass):
-            knots_u.append(beta * p + acc)
-            knots_x.append(p)
-            acc += m
-            knots_u.append(beta * p + acc)
-            knots_x.append(p)
-        knots_u.append(beta * 1.0 + acc)
-        knots_x.append(1.0)
-        return np.interp(np.asarray(us, dtype=float) % 1.0, knots_u, knots_x)
 
 
 class CurveLines:
@@ -329,18 +308,6 @@ class FiberProjection:
                 return p
         raise KeyError(curve)
 
-    def preimage_of_point(self, x) -> tuple:
-        """Exact preimage arc [xi-, xi+] of a target point (degenerate off atoms)."""
-        x = mod1(Fraction(x))
-        for p in self.plateaus:
-            if p.target == x:
-                return (mod1(p.start), mod1(p.start) + p.length)
-        # off-atom: invert the affine part
-        chat = mod1(x - self.anchor_pos)
-        acc = sum((p.length for p in self.plateaus if p.chat < chat), Fraction(0))
-        u = self.start + self.beta * chat + acc
-        return (mod1(u), mod1(u))
-
 
 def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> FiberProjection:
     """Anchored quantile of fm: the atom at anchor_pos starts at source -top.
@@ -407,11 +374,6 @@ def build_pi(mu: MeasureFamily, n0: int = 0) -> Projection:
     return proj
 
 
-def preimage_interval(proj: Projection, theta, x) -> tuple:
-    """Arc [xi-, xi+] = pi_theta^{-1}(x); degenerate iff x carries no atom."""
-    return proj.fiber(theta).preimage_of_point(x)
-
-
 def kolmogorov_distance(fm: FiberMeasure, samples: np.ndarray) -> float:
     """sup_x |F_emp(x) - F_mu(x)| with atom jumps handled on both sides."""
     ys = np.sort(np.asarray(samples, dtype=float) % 1.0)
@@ -426,30 +388,3 @@ def kolmogorov_distance(fm: FiberMeasure, samples: np.ndarray) -> float:
     e_right = np.searchsorted(ys, cand, side="right") / n
     e_left = np.searchsorted(ys, cand, side="left") / n
     return float(max(np.max(np.abs(e_right - f_right)), np.max(np.abs(e_left - f_left))))
-
-
-def find_conjugating_rotation(proj_a: Projection, proj_b: Projection, grid: int = 256,
-                              tol: float = 1e-9):
-    """Continuous alpha(theta) with pi_a = pi_b o (x -> x + alpha(theta))."""
-    alphas = np.empty(grid)
-    residual = 0.0
-    common = sorted(set(proj_a.mu.curves) & set(proj_b.mu.curves))
-    if not common:
-        raise NotSameMeasure("projections share no curves")
-    for g in range(grid):
-        theta = Fraction(g, grid)
-        fa, fb = proj_a.fiber(theta), proj_b.fiber(theta)
-        offsets = []
-        for n in common:
-            pa, pb = fa.plateau_of(n), fb.plateau_of(n)
-            if pa.length != pb.length:
-                raise NotSameMeasure(f"atom masses differ at curve {n}")
-            offsets.append(mod1(pb.start - pa.start))
-        base = offsets[0]
-        for off in offsets[1:]:
-            d = abs(float(mod1(off - base + Fraction(1, 2)) - Fraction(1, 2)))
-            residual = max(residual, d)
-        alphas[g] = float(base)
-    if residual > tol:
-        raise NotSameMeasure(f"plateau offsets disagree by {residual:.3e}")
-    return alphas, residual

@@ -186,9 +186,6 @@ class FiberSet:
     def fiber_occupancy(self, i: int) -> np.ndarray:
         return np.flatnonzero(self.bins[i])
 
-    def fiber_measure(self, i: int) -> float:
-        return float(self.bins[i].sum()) / self.resolution
-
     @cached_property
     def component_counts(self) -> np.ndarray:
         """Connected runs of occupied vertical bins per fiber (circular).
@@ -235,11 +232,11 @@ def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int =
     """Binned closure of one long orbit tail; deterministic given the seed."""
     if iters < 10 * fiber_grid:
         raise PreconditionError("iters must be at least 10x the fiber grid")
-    sampled = system if system.kind == "sampled" else system.sample(fiber_grid, vertical_grid)
+    table = system.sample(fiber_grid, vertical_grid)
     if start is None:
         rng = np.random.default_rng(seed)
         start = (rng.random(), rng.random())
-    occ = _orbit_occupancy(sampled.table, float(system.omega), float(start[0]),
+    occ = _orbit_occupancy(table, float(system.omega), float(start[0]),
                            float(start[1]), burnin, iters, bins)
     return FiberSet(bins=occ, resolution=bins, burnin=burnin, iters=iters, seed=seed)
 
@@ -427,16 +424,19 @@ def _longest_true_run(mask: np.ndarray) -> int:
     return min(best, len(mask))
 
 
-def invariance_defect(fs: FiberSet, sampled: QpfSystem) -> float:
-    """Fraction of occupied bins that leave the set after one sampled step."""
+def invariance_defect(fs: FiberSet, table: np.ndarray, omega) -> float:
+    """Fraction of occupied bins that leave the set after one step of a sampled table.
+
+    The table is `QpfSystem.sample`'s; each bin center steps on its nearest row.
+    """
     n = fs.resolution
     idx = np.argwhere(fs.bins)
     if len(idx) == 0:
         return 0.0
     th = (idx[:, 0] + 0.5) / n
     x = (idx[:, 1] + 0.5) / n
-    x1 = sampled.table_step(th, x)
-    th1 = (th + float(sampled.omega)) % 1.0
+    x1 = row_step(table, nearest_rows(th, len(table)), x)
+    th1 = (th + float(omega)) % 1.0
     bi = (th1 * n).astype(int) % n
     bj = (x1 * n).astype(int) % n
     stays = fs.bins[bi, bj]

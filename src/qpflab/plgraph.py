@@ -180,9 +180,6 @@ class PLGraph:
         new_thetas = tuple(sorted(abscissas))
         return PLGraph(new_thetas, tuple(new_lift(t) for t in new_thetas), self.degree).canonical()
 
-    def breakpoint_count(self) -> int:
-        return len(self.thetas)
-
 
 def merged_abscissas(g1: PLGraph, g2: PLGraph) -> tuple[Fraction, ...]:
     return tuple(sorted(set(g1.thetas) | set(g2.thetas)))

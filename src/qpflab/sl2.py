@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circle import OMEGA_GOLDEN
-from .errors import DegenerateTriple, PreconditionError
+from .errors import PreconditionError
 from .minimal import FiberSet, approximate_minimal_set
 from .systems import QpfSystem
 
@@ -59,7 +59,7 @@ class Mat2:
 
     def require_unimodular(self, tol: float = 1e-12) -> "Mat2":
         if abs(self.det() - 1.0) > tol:
-            raise PreconditionError(f"matrix determinant {self.det()} != 1")
+            raise PreconditionError(f"matrix determinant {self.det()} != 1: not in SL(2,R)")
         return self
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
@@ -82,15 +82,8 @@ class Mat2:
         return Mat2(*_diagonal(lam))
 
 
-def projective_action(m: Mat2, x: float) -> float:
-    """Image direction of the line at angle pi*x under the matrix."""
-    t = math.pi * (x % 1.0)
-    v = (math.cos(t), math.sin(t))
-    w = (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
-    return (math.atan2(w[1], w[0]) / math.pi) % 1.0
-
-
 def projective_action_array(m: Mat2, xs: np.ndarray) -> np.ndarray:
+    """Image directions of the lines at angles pi*xs under the matrix."""
     t = np.pi * np.mod(xs, 1.0)
     cv, sv = np.cos(t), np.sin(t)
     return np.mod(np.arctan2(m.c * cv + m.d * sv, m.a * cv + m.b * sv) / np.pi, 1.0)
@@ -120,6 +113,7 @@ class Cocycle:
 
     @staticmethod
     def constant(m: Mat2, omega=OMEGA_GOLDEN) -> "Cocycle":
+        m.require_unimodular()
         return Cocycle(omega=Fraction(omega), family="constant", params=(m.a, m.b, m.c, m.d))
 
     @staticmethod
@@ -128,6 +122,8 @@ class Cocycle:
 
     @staticmethod
     def diagonal(lam: float, omega=OMEGA_GOLDEN) -> "Cocycle":
+        if lam == 0:
+            raise PreconditionError("diagonal cocycle needs lam != 0 (diag(lam, 1/lam))")
         return Cocycle(omega=Fraction(omega), family="diagonal", params=(lam,))
 
     @staticmethod
@@ -138,8 +134,7 @@ class Cocycle:
 def cocycle_qpf(c: Cocycle) -> QpfSystem:
     """The qpf circle system induced by the projective action."""
     return QpfSystem.from_callable(
-        c.omega, lambda theta, xs: projective_action_array(c.matrix(float(theta)), xs),
-        kind="cocycle", label=f"cocycle:{c.family}")
+        c.omega, lambda theta, xs: projective_action_array(c.matrix(float(theta)), xs))
 
 
 @dataclass
@@ -269,61 +264,3 @@ def _cluster_count(occupied: np.ndarray, bins: int, tol: int) -> int:
     wrap_gap = occupied[0] + bins - occupied[-1]
     splits = int(np.sum(gaps > tol)) + (1 if wrap_gap > tol else 0)
     return max(1, splits)
-
-
-# ---------------------------------------------------------------------------
-# triples
-# ---------------------------------------------------------------------------
-
-
-def _direction(x: float):
-    t = math.pi * (x % 1.0)
-    return (math.cos(t), math.sin(t))
-
-
-def _cyclically_ordered(a: float, z: float, b: float) -> bool:
-    gaps = ((z - a) % 1.0, (b - z) % 1.0, (a - b) % 1.0)
-    return all(g > 0 for g in gaps) and abs(sum(gaps) - 1.0) < 1e-12
-
-
-def triple_map(src, dst) -> Mat2:
-    """The unimodular matrix sending one cyclically ordered triple to another.
-
-    Both triples are (a, z, b) in the projective chart; the construction maps
-    each through the standard frame and verifies the round trip to 1e-10.
-    """
-    for triple in (src, dst):
-        a, z, b = triple
-        if len({a % 1.0, z % 1.0, b % 1.0}) < 3:
-            raise DegenerateTriple("triple has repeated projective points")
-        if not _cyclically_ordered(a, z, b):
-            raise DegenerateTriple("triple is not strictly cyclically ordered")
-
-    def frame(triple):
-        v1, v2, v3 = (_direction(t) for t in triple)
-        det = v1[0] * v2[1] - v1[1] * v2[0]
-        c1 = (v3[0] * v2[1] - v3[1] * v2[0]) / det
-        c2 = (v1[0] * v3[1] - v1[1] * v3[0]) / det
-        return ((c1 * v1[0], c2 * v2[0]), (c1 * v1[1], c2 * v2[1]))
-
-    fs = frame(src)
-    fd = frame(dst)
-    det_fs = fs[0][0] * fs[1][1] - fs[0][1] * fs[1][0]
-    inv_fs = ((fs[1][1] / det_fs, -fs[0][1] / det_fs),
-              (-fs[1][0] / det_fs, fs[0][0] / det_fs))
-    raw = (
-        fd[0][0] * inv_fs[0][0] + fd[0][1] * inv_fs[1][0],
-        fd[0][0] * inv_fs[0][1] + fd[0][1] * inv_fs[1][1],
-        fd[1][0] * inv_fs[0][0] + fd[1][1] * inv_fs[1][0],
-        fd[1][0] * inv_fs[0][1] + fd[1][1] * inv_fs[1][1],
-    )
-    det = raw[0] * raw[3] - raw[1] * raw[2]
-    if det <= 0:
-        raise DegenerateTriple("triples are not coherently oriented")
-    s = 1.0 / math.sqrt(det)
-    m = Mat2(raw[0] * s, raw[1] * s, raw[2] * s, raw[3] * s)
-    for u, v in zip(src, dst):
-        d = (projective_action(m, u) - v) % 1.0
-        if min(d, 1.0 - d) > 1e-10:
-            raise DegenerateTriple(f"triple map residual {min(d, 1.0 - d):.2e} too large")
-    return m

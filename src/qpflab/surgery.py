@@ -42,18 +42,6 @@ class Itinerary:
             if not 0 < b - a <= self.gap_bound:
                 raise ValueError(f"itinerary gap {b - a} outside (0, {self.gap_bound}]")
 
-    @property
-    def r(self) -> int:
-        return sum(1 for q in self.times if q < 0)
-
-    @property
-    def s(self) -> int:
-        return sum(1 for q in self.times if q > 0)
-
-    @property
-    def length(self) -> int:
-        return self.r + self.s
-
     def window(self) -> tuple[int, int]:
         return self.times[0] - self.gap_bound, self.times[-1] + self.gap_bound
 

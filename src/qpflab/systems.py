@@ -2,8 +2,8 @@
 
 A QpfSystem is the map (theta, x) -> (theta + omega, f_theta(x)).  Exact kinds
 (translation, PL skew rotation) evaluate in rational arithmetic and admit
-exact curve images; sampled / cocycle-induced / blowup-built kinds evaluate
-through float fiber maps.
+exact curve images; every other system (a cocycle's projective action, the
+blown-up map) evaluates through one float fiber map.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ EXACT_KINDS = ("translation", "skew")
 class QpfSystem:
     """A family of monotone degree-one circle fiber maps over theta -> theta + omega.
 
-    Affine kinds carry a displacement (rho or phi); the sampled kind carries a
-    table of normalized lifts; every other kind carries one vectorized map
-    circle_fn(theta, xs) -> f_theta(xs) mod 1, from which the lift, its
-    inverse and the sampled table are all derived.
+    Affine kinds carry a displacement (rho or phi); the one other kind,
+    "callable", carries a vectorized map circle_fn(theta, xs) -> f_theta(xs)
+    mod 1, from which the lift and the sampled table are derived.
     """
 
     omega: Fraction
@@ -37,9 +36,7 @@ class QpfSystem:
     rho: Optional[Fraction] = None
     phi: Optional[PLGraph] = None
     circle_fn: Optional[Callable] = None
-    table: Optional[np.ndarray] = None
     max_depth: int = 128
-    label: str = ""
 
     # -- constructors --------------------------------------------------------
 
@@ -54,8 +51,8 @@ class QpfSystem:
         return QpfSystem(omega=Fraction(omega), kind="skew", phi=phi)
 
     @staticmethod
-    def from_callable(omega, circle_fn, kind="cocycle", label="") -> "QpfSystem":
-        return QpfSystem(omega=Fraction(omega), kind=kind, circle_fn=circle_fn, label=label)
+    def from_callable(omega, circle_fn) -> "QpfSystem":
+        return QpfSystem(omega=Fraction(omega), kind="callable", circle_fn=circle_fn)
 
     @property
     def is_affine(self) -> bool:
@@ -78,30 +75,14 @@ class QpfSystem:
         xs = np.asarray(xs, dtype=float)
         if self.is_affine:
             return mod1_array(xs + float(self.displacement(theta)))
-        if self.kind == "sampled":
-            return self.table_step(float(theta), xs)
         return self.circle_fn(theta, xs)
 
-    def fiber_circle_inv(self, theta, y):
-        """Inverse fiber map on the circle: exact for affine kinds, else bisection."""
-        if self.is_affine:
-            return mod1(y - self.displacement(theta))
-        return _bisect_inverse(lambda x: float(self.circle_values(theta, [x])[0]), y)
+    def sample(self, fiber_grid: int, vertical_grid: int) -> np.ndarray:
+        """The normalized-lift fiber maps on a grid, one row per fiber.
 
-    def table_step(self, th, x: np.ndarray) -> np.ndarray:
-        """Circle values of the tabulated fiber maps at arrays of points (th, x).
-
-        Each point takes the nearest fiber row of the table, then linear
-        interpolation in x between the vertical knots; x = 1 uses the last
-        cell, as the orbit kernel does.
-        """
-        return row_step(self.table, nearest_rows(th, self.table.shape[0]), x)
-
-    def sample(self, fiber_grid: int, vertical_grid: int) -> "QpfSystem":
-        """Tabulate normalized-lift fiber maps on a grid (the 'sampled' kind).
-
-        Each row is the lift with F_theta(0) = f_theta(0) in [0, 1), rising by
-        exactly 1 over the fiber.
+        Row i holds the lift F at theta = i / fiber_grid at the vertical_grid + 1
+        knots of [0, 1], with F(0) = f(0) in [0, 1), rising by exactly 1 over
+        the fiber.  `row_step` steps a point through the table.
         """
         knots = np.linspace(0.0, 1.0, vertical_grid + 1)
         rows = np.empty((fiber_grid, vertical_grid + 1))
@@ -113,8 +94,7 @@ class QpfSystem:
             f0 = vals[0]
             rows[i] = f0 + np.mod(vals - f0, 1.0)
             rows[i, -1] = f0 + 1.0
-        return QpfSystem(omega=self.omega, kind="sampled", table=rows,
-                         label=f"sampled({self.label or self.kind})")
+        return rows
 
 
 def nearest_rows(th: np.ndarray, g: int) -> np.ndarray:
@@ -155,22 +135,6 @@ def pl_values_float(graph: PLGraph, t: np.ndarray) -> np.ndarray:
     return np.interp(t - k, ts, vs) + k * graph.degree
 
 
-def _bisect_inverse(f_circle, y, tol=1e-13):
-    """Invert a monotone degree-one circle map by bisection on its lift."""
-    y = y % 1.0
-    f0 = f_circle(0.0)
-    target = (y - f0) % 1.0
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        delta = (f_circle(mid) - f0) % 1.0
-        if delta <= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 @dataclass(frozen=True, eq=False)
 class Lift:
     """Lift of a QpfSystem normalized by F_theta(0) in [0, 1)."""
@@ -192,13 +156,6 @@ class Lift:
         ms = [math.floor(x) for x in xs]
         f0, *frs = self.base.circle_values(theta, [0.0, *(x - m for x, m in zip(xs, ms))]).tolist()
         return [m + f0 + (fr - f0) % 1.0 for m, fr in zip(ms, frs)]
-
-    def inverse(self, theta, y):
-        """x with F_theta(x) = y."""
-        if self.base.is_affine:
-            return y - mod1(self.base.displacement(theta))
-        f0 = float(self.base.circle_values(theta, [0.0])[0])
-        return math.floor(y - f0) + float(self.base.fiber_circle_inv(theta, y % 1.0))
 
 
 def _base_arithmetic(base: QpfSystem, theta):
@@ -233,24 +190,11 @@ def _orbit(lift: Lift, theta, xs, n: int) -> list:
     return orbits
 
 
-def compose_fiber(lift: Lift, theta, n: int, x):
-    """n-step fiber composition F^n_theta(x); n may be negative."""
-    if n >= 0:
-        return _orbit(lift, theta, [x], n)[0][-1] if n else x
-    theta, omega = _base_arithmetic(lift.base, theta)
-    for k in range(1, -n + 1):
-        x = lift.inverse(mod1(theta - k * omega), x)
-    return x
-
-
 @dataclass
 class DeviationTrace:
     rho_estimate: float
     devs: np.ndarray          # D_1 .. D_N
     sup_growth: np.ndarray    # running sup |D_n|, nondecreasing
-
-    def sup(self) -> float:
-        return float(self.sup_growth[-1]) if len(self.sup_growth) else 0.0
 
 
 def _displacements(orbit: list, x) -> np.ndarray:

@@ -67,8 +67,7 @@ class TransportedMap:
             th = theta if isinstance(theta, Fraction) else Fraction(theta).limit_denominator(10**15)
             return self.fiber_values(th, xs)
 
-        return QpfSystem.from_callable(self.system.omega, circle_fn,
-                                       kind="blowup", label="blowup-built")
+        return QpfSystem.from_callable(self.system.omega, circle_fn)
 
 
 @lru_cache(maxsize=None)

@@ -284,6 +284,35 @@ def test_locate_matches_fraction_bisect(stacks):
     assert degree_one.cuts[0] == 0
 
 
+def three_pass_knots(density, fp, fb):
+    """DensityField._knots hashing each knot three times: the reference for the one-pass build."""
+    w = density.weights
+    s0 = fp.start
+    pieces = []
+    for m in density.bumps.indices():
+        coef = (w.a(m) - w.a(m - 1)) / fb[m].integral
+        for comp in fb[m].knots:
+            for (u, g) in comp:
+                pieces.append((u, 1 - coef * g))
+    val_map = {s0 + mod1(u - s0): h for u, h in pieces}
+    knots = sorted({s0, s0 + 1, *val_map})
+    return tuple(knots), tuple(val_map.get(u, F(1)) for u in knots)
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed"])
+def test_density_knots_equal_three_pass_build(stacks, curve):
+    density = stacks[curve].density
+    pi, bumps = density.atlas.projection, density.bumps
+    for ch in density.chambers.chambers:
+        with Probe(ch.a, ch.b) as probe:
+            fp, fb = pi.chambers.template_on(probe), bumps.chambers.template_on(probe)
+            assert density._knots(fp, fb) == three_pass_knots(density, fp, fb) == ch.template
+            assert probe.roots == set()
+    for theta in density.chambers.cuts or [F(1, 3)]:     # the direct builds, on the cuts
+        fp, fb = pi.fiber(theta), bumps.fiber(theta)
+        assert density._knots(fp, fb) == three_pass_knots(density, fp, fb)
+
+
 def test_chamber_cuts(stacks):
     # the constant stack is one chamber with no cut; the others cut at every real
     # kink, and elsewhere only where a curve crosses an integer or meets another

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, strategies as st
 
-from qpflab.circle import OMEGA_GOLDEN, RHO_SILVER, circ_dist, mod1, mod1_array, signed_gap
+from qpflab.circle import OMEGA_GOLDEN, RHO_SILVER, mod1, mod1_array, signed_gap
 
 fractions = st.fractions(min_value=-5, max_value=5, max_denominator=997)
 
@@ -23,14 +23,6 @@ def test_mod1_range(x):
     m = mod1(x)
     assert 0 <= m < 1
     assert (x - m).denominator == 1
-
-
-@given(fractions, fractions)
-def test_circ_dist_bounds(a, b):
-    d = circ_dist(a, b)
-    assert 0 <= d <= Fraction(1, 2)
-    assert d == circ_dist(b, a)
-    assert circ_dist(a, a) == 0
 
 
 @given(fractions, fractions)

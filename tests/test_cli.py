@@ -1,14 +1,16 @@
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
+from qpflab import cli
 from qpflab.cli import main
+from qpflab.errors import ManifestError, QpfLabError
 from qpflab.manifest import _SCHEMA, Manifest, load_manifest
-from qpflab.errors import ManifestError
 from qpflab.plgraph import PLGraph
 
 SMALL = """
@@ -115,7 +117,7 @@ def test_curve_command_artifacts(tmp_path):
     out = tmp_path / "curve_out"
     assert main(["curve", "--manifest", str(p), "--out", str(out), "--emit-svg"]) == 0
     graph = read_curve(out / "curve.txt")
-    assert graph.breakpoint_count() >= 1
+    assert len(graph.thetas) >= 1
     cert_lines = (out / "certificate.jsonl").read_text().splitlines()
     assert cert_lines
     assert (out / "curves.svg").read_text().startswith("<svg")
@@ -183,6 +185,44 @@ burnin = 100
     assert main(["cocycle", "--manifest", str(pc), "--out", str(outc)]) == 0
     hist = (outc / "cardinality_hist.csv").read_text().splitlines()
     assert hist[0] == "clusters,fibers"
+
+
+@pytest.mark.parametrize("family", ["family = constant\na = 2\nd = 1",
+                                    "family = diagonal\nlam = 0"])
+def test_cocycle_outside_sl2_exits_3(tmp_path, capsys, family):
+    p = write_manifest(tmp_path, f"[cocycle]\n{family}\n[grids]\nfibers = 64\n"
+                                 "vertical = 64\nbins = 64\n")
+    assert main(["cocycle", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("precondition failed: ")
+
+
+def readme_exit_table() -> dict:
+    """Error class -> (exit code, stderr prefix), from the README's table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| `([^`]+)` \|$", text, re.M)
+    return {name: (int(code), prefix) for name, code, prefix in rows}
+
+
+def error_classes(cls=QpfLabError) -> dict:
+    """cls and every subclass of it, by name."""
+    found = {cls.__name__: cls}
+    for sub in cls.__subclasses__():
+        found.update(error_classes(sub))
+    return found
+
+
+def test_every_error_class_exits_as_the_readme_says(tmp_path, monkeypatch, capsys):
+    table = readme_exit_table()
+    classes = error_classes()
+    assert sorted(table) == sorted(classes)
+    p = write_manifest(tmp_path, SMALL)
+    for name, cls in classes.items():
+        def stub(manifest, out, emit_svg=False, cls=cls):
+            raise cls("stubbed")
+
+        monkeypatch.setattr(cli, "cmd_curve", stub)
+        code = main(["curve", "--manifest", str(p), "--out", str(tmp_path / "o")])
+        assert (code, capsys.readouterr().err) == (table[name][0], f"{table[name][1]} stubbed\n")
 
 
 def test_blowup_passes_probe_points(tmp_path, monkeypatch):

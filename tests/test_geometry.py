@@ -9,7 +9,7 @@ from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
                              intersection_projection, is_flat_intersection)
 from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, cocycle_qpf
-from qpflab.systems import Lift, QpfSystem, compose_fiber
+from qpflab.systems import Lift, QpfSystem, _orbit
 
 
 def test_image_constant_translation():
@@ -41,7 +41,7 @@ def test_image_skew_pointwise_oracle():
     for i in range(257):
         theta = F(i, 257)
         x0 = tent.circle_value(theta - 2 * system.omega)
-        expected = compose_fiber(lift, theta - 2 * system.omega, 2, x0)
+        expected = _orbit(lift, theta - 2 * system.omega, [x0], 2)[0][-1]
         assert mod1(F(expected) - img.circle_value(theta)) == 0
 
 

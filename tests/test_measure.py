@@ -6,10 +6,9 @@ from hypothesis import given, strategies as st
 
 from qpflab import geometry, measure, pipeline, surgery
 from qpflab.circle import mod1
-from qpflab.errors import NotSameMeasure, PreconditionError
+from qpflab.errors import PreconditionError
 from qpflab.geometry import OrbitIntersections, image_curve
-from qpflab.measure import (FiberAtom, FiberMeasure, build_mu, build_pi,
-                            find_conjugating_rotation, kolmogorov_distance, preimage_interval,
+from qpflab.measure import (FiberAtom, FiberMeasure, build_mu, build_pi, kolmogorov_distance,
                             quantile_table)
 from qpflab.plgraph import PLGraph
 from qpflab.surgery import FlattenCertificate, flatten_to_depth
@@ -26,10 +25,14 @@ def default_family(half_width=8):
     return w, build_mu(fam, weights=w)
 
 
+def fiber_mass(fm):
+    return fm.beta + sum(a.mass for a in fm.atoms)
+
+
 def test_single_atom_cdf_jump():
     mu = build_mu({0: PLGraph.constant(F(0))}, masses={0: F(1, 2)}, beta=F(1, 2))
     fm = mu.fiber(F(1, 3))
-    assert fm.total_mass() == 1
+    assert fiber_mass(fm) == 1
     cdf = fm.cdf(np.array([0.0, 0.5, 0.99]))
     assert abs(cdf[0] - 0.5) < 1e-15  # jump at the atom
     assert abs(cdf[1] - 0.75) < 1e-15
@@ -38,13 +41,13 @@ def test_single_atom_cdf_jump():
 def test_family_mass_one_everywhere():
     _, mu = default_family()
     for g in range(16):
-        assert mu.fiber(F(g, 16)).total_mass() == 1
+        assert fiber_mass(mu.fiber(F(g, 16))) == 1
 
 
 def test_zero_curves_is_lebesgue():
     mu = build_mu({}, masses={}, beta=F(1))
     fm = mu.fiber(F(1, 7))
-    assert fm.total_mass() == 1 and not fm.atoms
+    assert fiber_mass(fm) == 1 and not fm.atoms
 
 
 def test_quantile_closed_form_half_atom():
@@ -60,24 +63,30 @@ def test_preimage_intervals():
     w, mu = default_family()
     pi = build_pi(mu, 0)
     theta = F(1, 3)
-    pos = mu.curves[5].circle_value(theta)
-    lo, hi = preimage_interval(pi, theta, pos)
-    assert hi - lo == w.a(5)  # atom preimage width equals the atom mass exactly
-    plo, phi_ = preimage_interval(pi, theta, F(1, 100))
-    assert plo == phi_  # off-atom preimages are single points
+    # the preimage of curve 5's position is its plateau, as wide as its mass exactly
+    plateau = pi.fiber(theta).plateau_of(5)
+    assert plateau.target == mu.curves[5].circle_value(theta)
+    assert plateau.length == w.a(5)
 
 
 def test_quantile_cdf_inversion_property():
+    # the quantile table from an atom inverts the fiber CDF counted from that atom
     _, mu = default_family(half_width=4)
     rng = np.random.default_rng(11)
     for g in range(4):
         fm = mu.fiber(F(g, 4))
+        anchor = fm.atom_of(0)
+        fp = quantile_table(fm, anchor.position, F(0))
+        below = fm.cdf([float(anchor.position)])[0] - float(anchor.mass)
+
+        def cdf(ys):
+            return np.mod(fm.cdf(ys) - below, 1.0)
+
         us = rng.random(2500)
         xs = rng.random(2500)
-        q = fm.quantile(us)
-        assert np.all(fm.cdf(q) >= us - 1e-9)
-        c = fm.cdf(xs)
-        assert np.all(fm.quantile(c) <= xs + 1e-9)
+        assert np.all(np.mod(cdf(fp.map_array(us)) - us + 0.5, 1.0) - 0.5 >= -1e-9)
+        d = np.mod(fp.map_array(cdf(xs)) - xs, 1.0)
+        assert np.all(np.minimum(d, 1.0 - d) <= 1e-9)
 
 
 def test_pushforward_kolmogorov():
@@ -90,29 +99,19 @@ def test_pushforward_kolmogorov():
 
 
 def test_conjugating_rotation_identity_and_anchor():
+    # a change of anchor rotates the source by one offset, the same at every plateau
     _, mu = default_family(half_width=4)
-    pi0 = build_pi(mu, 0)
-    alphas, residual = find_conjugating_rotation(pi0, pi0, grid=32)
-    assert residual == 0 and np.allclose(alphas, 0.0)
-    pi1 = build_pi(mu, 1)
-    alphas, residual = find_conjugating_rotation(pi0, pi1, grid=32)
-    assert residual <= 1e-12
-    # verified: shifting the source by alpha aligns the fiber maps
     theta = F(1, 8)
+    fp0, fp1 = build_pi(mu, 0).fiber(theta), build_pi(mu, 1).fiber(theta)
+    offsets = {mod1(fp1.plateau_of(n).start - fp0.plateau_of(n).start) for n in mu.curves}
+    assert len(offsets) == 1
+    # shifting the source by that offset aligns the fiber maps
+    alpha = float(offsets.pop())
     xs = np.linspace(0, 1, 64, endpoint=False)
-    lhs = pi0.fiber(theta).map_array(xs)
-    rhs = pi1.fiber(theta).map_array((xs + alphas[4]) % 1.0)
+    lhs = fp0.map_array(xs)
+    rhs = fp1.map_array((xs + alpha) % 1.0)
     d = np.abs(lhs - rhs)
     assert float(np.minimum(d, 1 - d).max()) <= 1e-9
-
-
-def test_conjugating_rotation_rejects_different_measure():
-    _, mu = default_family(half_width=4)
-    w2 = make_weights(k=5, half_width=4, epsilon=F(1, 2))
-    fam = {n: image_curve(R, PLGraph.constant(F(1, 5)), n) for n in range(-4, 5)}
-    mu2 = build_mu(fam, weights=w2)
-    with pytest.raises(NotSameMeasure):
-        find_conjugating_rotation(build_pi(mu, 0), build_pi(mu2, 0), grid=8)
 
 
 def test_flatness_precondition_gate():
@@ -205,7 +204,7 @@ def atom_layouts(draw):
 def test_quantile_table_properties(layout):
     fm, anchor, top = layout
     fp = quantile_table(fm, anchor.position, top)
-    assert fm.total_mass() == 1
+    assert fiber_mass(fm) == 1
     # each plateau maps to its atom's position
     for p in fp.plateaus:
         mids = np.array([float(mod1(p.start + p.length * t)) for t in (F(1, 3), F(1, 2), F(2, 3))])

@@ -9,13 +9,13 @@ from hypothesis import given, strategies as st
 
 from qpflab.errors import PreconditionError
 from qpflab.minimal import (_BLOCK, _CHUNK, _LIFT_BLOCK, FiberSet, StackedKnots,
-                            _longest_true_run, approximate_minimal_set,
+                            _longest_true_run, _orbit_occupancy, approximate_minimal_set,
                             fiber_component_count, invariance_defect,
                             minimal_set_via_projection, structure_diagnostics)
 from qpflab.pipeline import run_blowup
 from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, cocycle_qpf
-from qpflab.systems import QpfSystem
+from qpflab.systems import QpfSystem, nearest_rows, row_step
 from qpflab.weights import make_weights
 
 
@@ -112,16 +112,15 @@ ROTATION = cocycle_qpf(Cocycle.rotation(0.3))
 DIAGONAL = cocycle_qpf(Cocycle.diagonal(2.0))
 
 
-def random_sampled_system(rows=64, knots=65, seed=0):
-    """A sampled map with random increasing fiber tables (normalized lifts)."""
+def random_table(rows=64, knots=65, seed=0):
+    """A table of random increasing fiber maps (normalized lifts), as QpfSystem.sample gives."""
     rng = np.random.default_rng(seed)
     steps = rng.random((rows, knots - 1)) + 0.05
     table = np.concatenate([np.zeros((rows, 1)), np.cumsum(steps, axis=1)], axis=1)
-    table = table / table[:, -1:] + rng.random((rows, 1))
-    return QpfSystem(omega=QpfSystem.translation().omega, kind="sampled", table=table)
+    return table / table[:, -1:] + rng.random((rows, 1))
 
 
-RANDOM = random_sampled_system()
+RANDOM = random_table()
 
 
 @pytest.mark.parametrize("system, burnin, iters, grid, bins, start", [
@@ -140,23 +139,27 @@ RANDOM = random_sampled_system()
     (DIAGONAL, 100, 2 * _BLOCK, 256, 256, None),          # orbits meet at a fixed point
 ])
 def test_orbit_kernel_matches_scalar_reference(system, burnin, iters, grid, bins, start):
-    fs = approximate_minimal_set(system, burnin=burnin, iters=iters, fiber_grid=grid,
-                                 vertical_grid=grid, bins=bins, seed=3, start=start)
+    # a random table (RANDOM) goes to the kernel directly, over the golden omega
+    if isinstance(system, np.ndarray):
+        table, omega = system, float(QpfSystem.translation().omega)
+        occ = _orbit_occupancy(table, omega, start[0], start[1], burnin, iters, bins)
+    else:
+        table, omega = system.sample(grid, grid), float(system.omega)
+        occ = approximate_minimal_set(system, burnin=burnin, iters=iters, fiber_grid=grid,
+                                      vertical_grid=grid, bins=bins, seed=3, start=start).bins
     if start is None:
         rng = np.random.default_rng(3)
         start = (rng.random(), rng.random())
-    table = system.table if system.kind == "sampled" else system.sample(grid, grid).table
-    ref = reference_orbit(table, float(system.omega), float(start[0]), float(start[1]),
-                          burnin, iters, bins)
-    assert np.array_equal(fs.bins, ref)
+    ref = reference_orbit(table, omega, float(start[0]), float(start[1]), burnin, iters, bins)
+    assert np.array_equal(occ, ref)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0 - 2.0**-53])
 def test_table_step_matches_orbit_step(x):
     # the array step and the orbit kernel's step are one map, last cell included
     thetas = np.linspace(0.0, 1.0, 37, endpoint=False)
-    got = RANDOM.table_step(thetas, np.full(len(thetas), x))
-    want = [reference_step(RANDOM.table, float(th), x) for th in thetas]
+    got = row_step(RANDOM, nearest_rows(thetas, len(RANDOM)), np.full(len(thetas), x))
+    want = [reference_step(RANDOM, float(th), x) for th in thetas]
     assert got.tolist() == want
 
 
@@ -374,7 +377,7 @@ def test_projection_lift_determinism(small4):
 def test_invariance_proxy(small4):
     fs = minimal_set_via_projection(small4.projection, small4.system, iters=300000,
                                     fiber_grid=256, bins=256, seed=0)
-    assert invariance_defect(fs, small4.f_system.sample(256, 512)) < 0.05
+    assert invariance_defect(fs, small4.f_system.sample(256, 512), small4.system.omega) < 0.05
 
 
 def test_refinement_monotonicity(small4):
@@ -384,6 +387,6 @@ def test_refinement_monotonicity(small4):
                                       fiber_grid=256, bins=256, seed=0)
     # doubling the grid never increases the estimated fiber measure much
     for i in range(128):
-        m_coarse = coarse.fiber_measure(i)
-        m_fine = max(fine.fiber_measure(2 * i), fine.fiber_measure(2 * i + 1))
+        m_coarse = coarse.bins[i].mean()
+        m_fine = max(fine.bins[2 * i].mean(), fine.bins[2 * i + 1].mean())
         assert m_fine <= m_coarse + 17 / 128  # one bin width per component

@@ -3,22 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from qpflab.errors import DegenerateTriple
+from qpflab.errors import PreconditionError
 from qpflab.minimal import approximate_minimal_set
 from qpflab.sl2 import (Cocycle, Mat2, cocycle_qpf, lyapunov, minimal_fiber_cardinality,
-                        projective_action, triple_map)
-from qpflab.systems import Lift, compose_fiber
+                        projective_action_array)
+
+
+def act(m, x):
+    """The image direction of the one line at angle pi*x."""
+    return float(projective_action_array(m, np.array([x]))[0])
 
 
 def test_projective_action_basics():
-    assert abs(projective_action(Mat2.identity(), 0.37) - 0.37) < 1e-12
-    assert abs(projective_action(Mat2.rotation(0.25), 0.1) - 0.35) < 1e-12
+    assert abs(act(Mat2.identity(), 0.37) - 0.37) < 1e-12
+    assert abs(act(Mat2.rotation(0.25), 0.1) - 0.35) < 1e-12
     m = Mat2.diagonal(2.0)
-    assert projective_action(m, 0.0) == 0.0
-    assert abs(projective_action(m, 0.5) - 0.5) < 1e-12
+    assert act(m, 0.0) == 0.0
+    assert abs(act(m, 0.5) - 0.5) < 1e-12
     # 0 attracts, 1/2 repels
-    assert abs(projective_action(m, 0.1)) < 0.1
-    assert abs(projective_action(m, 0.45) - 0.5) > 0.05
+    assert abs(act(m, 0.1)) < 0.1
+    assert abs(act(m, 0.45) - 0.5) > 0.05
 
 
 def test_homomorphism_property():
@@ -27,8 +31,8 @@ def test_homomorphism_property():
         a = Mat2.rotation(float(rng.random()))
         b = Mat2.diagonal(0.5 + 2 * float(rng.random()))
         x = float(rng.random())
-        lhs = projective_action(a @ b, x)
-        rhs = projective_action(a, projective_action(b, x))
+        lhs = act(a @ b, x)
+        rhs = act(a, act(b, x))
         d = abs(lhs - rhs) % 1.0
         assert min(d, 1 - d) < 1e-12
 
@@ -38,7 +42,7 @@ def test_orientation_and_degree_one():
     for _ in range(50):
         m = (Mat2.rotation(float(rng.random())) @ Mat2.diagonal(0.3 + 3 * float(rng.random())))
         xs = np.linspace(0, 1, 64, endpoint=False)
-        vals = np.array([projective_action(m, float(x)) for x in xs])
+        vals = projective_action_array(m, xs)
         lift = vals.copy()
         for i in range(1, len(lift)):
             while lift[i] < lift[i - 1] - 1e-12:
@@ -50,6 +54,13 @@ def test_unimodular_check():
     Mat2(1.0, 0.0, 0.0, 1.0).require_unimodular()
     with pytest.raises(Exception):
         Mat2(2.0, 0.0, 0.0, 1.0).require_unimodular()
+
+
+def test_cocycle_inputs_are_sl2():
+    with pytest.raises(PreconditionError, match="determinant"):
+        Cocycle.constant(Mat2(2.0, 0.0, 0.0, 1.0))
+    with pytest.raises(PreconditionError, match="lam != 0"):
+        Cocycle.diagonal(0.0)
 
 
 def test_lyapunov_diagonal_and_rotation():
@@ -141,24 +152,9 @@ def test_cocycle_qpf_feeds_minimal_sets():
 ])
 def test_sampled_cocycle_rows_are_normalized_lifts(cocycle):
     # every row rises monotonically by exactly one turn from f_theta(0)
-    table = cocycle_qpf(cocycle).sample(512, 512).table
+    table = cocycle_qpf(cocycle).sample(512, 512)
     assert np.all(np.diff(table, axis=1) >= 0.0)
     assert np.max(np.abs(table[:, -1] - table[:, 0] - 1.0)) <= 1e-15
-
-
-@pytest.mark.parametrize("cocycle, n", [
-    (Cocycle.harper(0.0, 2.0), 3),
-    (Cocycle.diagonal(2.0), 4),
-    (Cocycle.rotation(math.sqrt(2) / 3), 6),
-])
-def test_cocycle_lift_inverse(cocycle, n):
-    lift = Lift(cocycle_qpf(cocycle))
-    omega = float(cocycle.omega)
-    for theta in np.linspace(0.0, 1.0, 16, endpoint=False):
-        for x in (0.1, 0.37, 0.8, 1.6, -0.45):
-            assert abs(lift.inverse(theta, lift.value(theta, x)) - x) <= 1e-12
-            y = compose_fiber(lift, theta, n, x)
-            assert abs(compose_fiber(lift, theta + n * omega, -n, y) - x) <= 1e-10
 
 
 def test_cardinality_verdicts():
@@ -180,44 +176,3 @@ def test_cardinality_verdicts():
 def test_cluster_tolerance_precondition():
     with pytest.raises(Exception):
         minimal_fiber_cardinality(Cocycle.diagonal(2.0), cluster_tol=1)
-
-
-def test_triple_map_identity_and_example():
-    m = triple_map((0.0, 0.25, 0.5), (0.0, 0.25, 0.5))
-    for u in (0.0, 0.25, 0.5, 0.7):
-        d = abs(projective_action(m, u) - u) % 1.0
-        assert min(d, 1 - d) < 1e-10
-    m2 = triple_map((0.0, 0.25, 0.5), (0.0, 0.375, 0.5))
-    assert abs(m2.det() - 1.0) < 1e-12
-    for u, v in zip((0.0, 0.25, 0.5), (0.0, 0.375, 0.5)):
-        d = abs(projective_action(m2, u) - v) % 1.0
-        assert min(d, 1 - d) < 1e-10
-
-
-def test_triple_map_round_trip_random():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    done = 0
-    while done < 30:
-        a = float(rng.random())
-        z = (a + 0.05 + 0.4 * float(rng.random())) % 1.0
-        b = (z + 0.05 + 0.4 * float(rng.random())) % 1.0
-        a2 = float(rng.random())
-        z2 = (a2 + 0.05 + 0.4 * float(rng.random())) % 1.0
-        b2 = (z2 + 0.05 + 0.4 * float(rng.random())) % 1.0
-        try:
-            m = triple_map((a, z, b), (a2, z2, b2))
-        except DegenerateTriple:
-            continue
-        done += 1
-        for u, v in zip((a, z, b), (a2, z2, b2)):
-            d = abs(projective_action(m, u) - v) % 1.0
-            worst = max(worst, min(d, 1 - d))
-    assert worst <= 1e-9
-
-
-def test_triple_map_degenerate():
-    with pytest.raises(DegenerateTriple):
-        triple_map((0.0, 0.0, 0.5), (0.0, 0.25, 0.5))
-    with pytest.raises(DegenerateTriple):
-        triple_map((0.0, 0.5, 0.25), (0.0, 0.25, 0.5))  # wrong cyclic order

@@ -23,7 +23,6 @@ FROZEN = QpfSystem.translation(rho=F(0))
 def test_point_itinerary_constant_curve():
     it = itinerary_of_point(R, CONST, (F(1, 7), F(1, 5)), n=3, horizon=50)
     assert it.times == (0,)
-    assert it.length == 0
 
 
 def test_point_itinerary_needs_point_on_curve():
