@@ -15,6 +15,8 @@ from typing import Union
 
 import numpy as np
 
+from .errors import PreconditionError
+
 Scalar = Union[int, float, Fraction]
 
 
@@ -34,6 +36,28 @@ def mod1_array(x):
     divmod that makes np.mod an order of magnitude slower.
     """
     return x - np.floor(x)
+
+
+#: orbit_thetas is exact up to its final roundings for |k| below this
+ORBIT_STEPS = 1 << 27
+
+
+def orbit_thetas(theta0: float, omega: float, lo: int, hi: int) -> np.ndarray:
+    """The base orbit theta_k = theta0 + k * omega mod 1 for k in [lo, hi), in closed form.
+
+    omega splits as omega_hi + omega_lo (Veltkamp's split), omega_hi keeping
+    26 significant bits, so k * omega_hi and its fractional part are exact
+    for |k| < 2**27 and |k * omega_lo| < 1.  theta_k is then
+    mod1(mod1(k * omega_hi) + (theta0 + k * omega_lo)), within 2**-51 of the
+    exact value on the circle at any k; the naive mod1(theta0 + k * omega)
+    is off by 1.2e-10 at k = 10**6.  For theta0 in [0, 1).
+    """
+    if lo <= -ORBIT_STEPS or hi > ORBIT_STEPS:
+        raise PreconditionError(f"orbit steps [{lo}, {hi}) reach past |k| < 2**27")
+    c = omega * (2.0**27 + 1.0)
+    omega_hi = c - (c - omega)
+    ks = np.arange(lo, hi, dtype=float)
+    return mod1_array(mod1_array(ks * omega_hi) + (theta0 + ks * (omega - omega_hi)))
 
 
 def signed_gap(a: Scalar, b: Scalar) -> Scalar:

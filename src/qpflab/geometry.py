@@ -12,13 +12,13 @@ from fractions import Fraction
 from .circle import mod1
 from .errors import PreconditionError
 from .plgraph import CircIntervalSet, PLGraph, _ceil, _floor, merged_abscissas
-from .systems import QpfSystem
+from .systems import MAX_DEPTH, QpfSystem
 
 
 def image_curve(system: QpfSystem, graph: PLGraph, n: int, check_depth: bool = True) -> PLGraph:
     """Exact graph of R^n(Gamma); only affine bases (translation, PL skew) have one."""
-    if check_depth and abs(n) > system.max_depth:
-        raise PreconditionError(f"|n|={abs(n)} exceeds max depth {system.max_depth}")
+    if check_depth and abs(n) > MAX_DEPTH:
+        raise PreconditionError(f"|n|={abs(n)} exceeds max depth {MAX_DEPTH}")
     if not system.is_affine:
         raise PreconditionError("exact curve images need a translation or PL skew base")
     cur = graph

@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .chamber import grid_classes
-from .circle import mod1_array
+from .circle import mod1_array, orbit_thetas
 from .errors import PreconditionError
-from .systems import QpfSystem, nearest_rows, pl_values_float, row_step
+from .systems import QpfSystem, flat_row_step, nearest_rows, pl_values_float, row_step
 
 # The speculative orbit runs in blocks of _SEGMENTS x _SEGMENT steps; each
 # segment's guess starts _WARMUP steps early.  On a contracting cocycle two
@@ -59,42 +59,44 @@ def _walk(flat, vres, offsets, x):
     return out
 
 
-def _speculate(table, rows, segs, x):
+def _speculate(flat, vres, base, segs, x):
     """Guesses of the orbit from x over segs segments, stepped all at once.
 
-    rows[_WARMUP + k] is the table row of step k.  Segment s covers steps
-    s*_SEGMENT onward; its guess starts from x at step s*_SEGMENT - _WARMUP
-    and every segment steps at once through `row_step`.  Segment 0 restarts
-    from x itself, so its guesses are exact.  Returns the guessed x at the
-    start of each segment (a list) and after every step (flat).
+    base[_WARMUP + k] is the flat offset of the table row of step k.
+    Segment s covers steps s*_SEGMENT onward; its guess starts from x at
+    step s*_SEGMENT - _WARMUP and every segment steps at once through
+    `flat_row_step`.  Segment 0 restarts from x itself, so its guesses are
+    exact.  Returns the guessed x at the start of each segment (a list) and
+    after every step (flat).
     """
     guess = np.full(segs, x)
     for t in range(_WARMUP):
-        guess = row_step(table, rows[t::_SEGMENT][:segs], guess)
+        guess = flat_row_step(flat, vres, base[t::_SEGMENT][:segs], guess)
     guess[0] = x
     starts = guess.tolist()
     xs = np.empty((segs, _SEGMENT))
     for t in range(_SEGMENT):
-        guess = row_step(table, rows[_WARMUP + t::_SEGMENT][:segs], guess)
+        guess = flat_row_step(flat, vres, base[_WARMUP + t::_SEGMENT][:segs], guess)
         xs[:, t] = guess
     return starts, xs.reshape(-1)
 
 
-def _speculative_block(table, flat, ths, n, x):
+def _speculative_block(flat, vk, ths, n, x):
     """The orbit over one block of n steps from x, guessed, then repaired.
 
-    ths[_WARMUP + k] is theta before step k.  The scalar pass walks the true
-    orbit segment by segment, each up to the first step whose x equals the
-    guess: a step is a function of x and the row, so from there on the guess
-    is the orbit.  Returns x after each step, the last x, and the number of
-    steps whose guess was wrong.
+    flat is the raveled table, vk its row length; ths[_WARMUP + k] is theta
+    before step k.  The scalar pass walks the true orbit segment by segment,
+    each up to the first step whose x equals the guess: a step is a function
+    of x and the row, so from there on the guess is the orbit.  Returns x
+    after each step, the last x, and the number of steps whose guess was
+    wrong.
     """
-    g, vk = table.shape
     vres = vk - 1
     segs = -(-n // _SEGMENT)
-    rows = nearest_rows(ths[:_WARMUP + segs * _SEGMENT], g)
-    starts, xs = _speculate(table, rows, segs, x)
-    rv = memoryview(rows)
+    base = nearest_rows(ths[:_WARMUP + segs * _SEGMENT], len(flat) // vk) * vk
+    starts, xs = _speculate(flat, vres, base, segs, x)
+    fv = memoryview(flat)
+    bv = memoryview(base)
     xv = memoryview(xs)
     repaired = 0
     for s, start in enumerate(starts):
@@ -102,7 +104,7 @@ def _speculative_block(table, flat, ths, n, x):
         hi = min(lo + _SEGMENT, n)
         if x != start:
             for k in range(lo, hi):
-                (x,) = _walk(flat, vres, (rv[_WARMUP + k] * vk,), x)
+                (x,) = _walk(fv, vres, (bv[_WARMUP + k],), x)
                 if x == xv[k]:
                     break
                 xv[k] = x
@@ -125,47 +127,44 @@ def _set_bins(occ, ths, xs):
 def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
     """Occupancy of the orbit tail of the tabulated map on a bins x bins grid.
 
-    The base recursion is a scalar loop.  The fiber recursion runs block by
+    The base orbit of each block, with the _WARMUP thetas before it, comes
+    in closed form from `orbit_thetas`.  The fiber recursion runs block by
     block: guessed segment-parallel, then repaired by one scalar pass
     (`_speculative_block`).  Every recorded x is either computed by the
-    scalar step or equal to a value the true orbit reached, and `row_step`
-    does the scalar step's float operations in the same order, so the
-    occupancy is bit-identical to the plain one-step loop.  Once a block
-    needed repair on more than 1/_GIVE_UP of its steps (a map that does not
-    contract, such as a rotation), the rest of the run takes the plain
-    chunked walk.  The visited bins of each block are set in one scatter.
+    scalar step or equal to a value the true orbit reached, and
+    `flat_row_step` does the scalar step's float operations in the same
+    order, so the occupancy is bit-identical to the plain one-step loop over
+    the same thetas.  Once a block needed repair on more than 1/_GIVE_UP of
+    its steps (a map that does not contract, such as a rotation), the rest
+    of the run takes the plain chunked walk.  The visited bins of each block
+    are set in one scatter.
     """
     g, vk = table.shape
     vres = vk - 1
-    flat = memoryview(np.ascontiguousarray(table).ravel())
+    flat = np.ascontiguousarray(table).reshape(-1)
+    fv = memoryview(flat)
     occ = np.zeros((bins, bins), dtype=np.bool_)
-    # ths[_WARMUP + k] is theta before step k of the block; the _WARMUP
-    # entries in front are the thetas before the block, for the warm-up
-    ths = np.zeros(_WARMUP + _BLOCK + 1)
-    thv = memoryview(ths)
-    th = ths[_WARMUP] = theta0
     x = x0
     total = burnin + iters
     done = 0
     speculate = True
     while done < total:
         n = min(_BLOCK if speculate else _CHUNK, total - done)
-        for k in range(_WARMUP + 1, _WARMUP + n + 1):
-            th = (th + omega) % 1.0
-            thv[k] = th
+        # ths[_WARMUP + k] is theta before step done + k, for k from -_WARMUP
+        # to n and on to the end of the last segment, which is guessed whole
+        ths = orbit_thetas(theta0, omega, done - _WARMUP, done + -(-n // _SEGMENT) * _SEGMENT + 1)
         if speculate:
-            xs, x, repaired = _speculative_block(table, flat, ths, n, x)
+            xs, x, repaired = _speculative_block(flat, vk, ths, n, x)
             speculate = repaired * _GIVE_UP <= n
         else:
             rows = nearest_rows(ths[_WARMUP:_WARMUP + n], g)
-            walked = _walk(flat, vres, (rows * vk).tolist(), x)
+            walked = _walk(fv, vres, (rows * vk).tolist(), x)
             x = walked[-1]
             xs = np.array(walked)
         skip = max(0, burnin - done)
         if skip < n:
             _set_bins(occ, ths[_WARMUP + 1 + skip:_WARMUP + n + 1], xs[skip:])
         del xs                  # not held while the next block is built
-        ths[:_WARMUP + 1] = ths[n:_WARMUP + n + 1]
         done += n
     return occ
 

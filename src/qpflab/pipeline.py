@@ -22,7 +22,7 @@ from .geometry import OrbitIntersections, crosses_over, image_curve
 from .measure import MeasureFamily, Projection, build_mu, build_pi
 from .plgraph import PLGraph
 from .surgery import CrossingWitness, FlattenCertificate, ensure_crossing, flatten_to_depth
-from .systems import QpfSystem
+from .systems import MAX_DEPTH, QpfSystem
 from .transport import TransportedMap, build_f, verify_semiconjugacy
 from .weights import WeightScheme, make_weights
 
@@ -93,7 +93,7 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     epsilon = Fraction(epsilon)
     n = weights.half_width
     depth = 2 * n + 1
-    if 2 * depth + 1 > system.max_depth:
+    if 2 * depth + 1 > MAX_DEPTH:
         raise PreconditionError("weight window too deep for the configured max depth")
     cert = None
     witnesses: list = []

@@ -13,10 +13,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import OMEGA_GOLDEN
+from .circle import OMEGA_GOLDEN, orbit_thetas
 from .errors import PreconditionError
 from .minimal import FiberSet, approximate_minimal_set
 from .systems import QpfSystem
+
+# lyapunov takes its thetas in chunks of at most this many steps, the
+# orbit kernel's block
+_THETA_CHUNK = 1 << 14
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
@@ -33,15 +37,6 @@ def _det(m: tuple) -> float:
 
 def _norm(m: tuple) -> float:
     return math.sqrt(m[0] ** 2 + m[1] ** 2 + m[2] ** 2 + m[3] ** 2)
-
-
-def _rotation(angle_over_pi: float) -> tuple:
-    t = math.pi * angle_over_pi
-    return (math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
-
-
-def _diagonal(lam: float) -> tuple:
-    return (lam, 0.0, 0.0, 1.0 / lam)
 
 
 @dataclass(frozen=True)
@@ -68,19 +63,6 @@ class Mat2:
     def norm(self) -> float:
         return _norm(self.entries())
 
-    @staticmethod
-    def identity() -> "Mat2":
-        return Mat2(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def rotation(angle_over_pi: float) -> "Mat2":
-        """Rotation by pi * angle_over_pi; projective action x -> x + angle_over_pi."""
-        return Mat2(*_rotation(angle_over_pi))
-
-    @staticmethod
-    def diagonal(lam: float) -> "Mat2":
-        return Mat2(*_diagonal(lam))
-
 
 def projective_action_array(m: Mat2, xs: np.ndarray) -> np.ndarray:
     """Image directions of the lines at angles pi*xs under the matrix."""
@@ -95,17 +77,23 @@ class Cocycle:
     family: str              # "constant" | "rotation" | "diagonal" | "harper"
     params: tuple
 
-    def entries(self, theta: float) -> tuple:
-        """Entries (a, b, c, d) of the matrix at theta, as plain floats."""
+    def entries(self, theta) -> tuple:
+        """Entries (a, b, c, d) of the matrix at theta, a float or an array of thetas.
+
+        An entry that varies with theta is an array at an array of thetas;
+        every other entry is a plain float.
+        """
         if self.family == "constant":
             return self.params
         if self.family == "rotation":
-            return _rotation(self.params[0])
+            t = math.pi * self.params[0]
+            return (math.cos(t), -math.sin(t), math.sin(t), math.cos(t))
         if self.family == "diagonal":
-            return _diagonal(self.params[0])
+            lam = self.params[0]
+            return (lam, 0.0, 0.0, 1.0 / lam)
         if self.family == "harper":
             energy, lam = self.params
-            return (energy - 2.0 * lam * math.cos(2 * math.pi * theta), -1.0, 1.0, 0.0)
+            return (energy - 2.0 * lam * np.cos(2 * np.pi * theta), -1.0, 1.0, 0.0)
         raise PreconditionError(f"unknown cocycle family {self.family!r}")
 
     def matrix(self, theta: float) -> Mat2:
@@ -148,42 +136,60 @@ class LyapunovEstimate:
 def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) -> LyapunovEstimate:
     """(1/N) log ||A^N|| with periodic norm renormalization of the running product.
 
-    Each renormalization block is formed separately, so its determinant (exactly
-    1 for an SL(2,R) product) measures the float drift chunk by chunk.
-    det_drift sums |log det| over the blocks of norm below 1e6 only: in a
-    larger block the determinant cancels to noise.  On a strongly hyperbolic
-    cocycle that leaves out every full block (Harper E=0, lambda=2: all
-    32-step blocks), so det_drift reads 0 there or covers only a shorter
-    final block.
+    The thetas come from `orbit_thetas` in chunks of at most _THETA_CHUNK
+    steps, whole blocks each.  The renormalization blocks of a chunk are
+    formed side by side (`_block_products`), each in the order of the
+    one-step loop, so its determinant (exactly 1 for an SL(2,R) product)
+    measures the float drift block by block.  det_drift sums |log det| over
+    the blocks of norm below 1e6 only: in a larger block the determinant
+    cancels to noise.  On a strongly hyperbolic cocycle that leaves out
+    every full block (Harper E=0, lambda=2: all 32-step blocks), so
+    det_drift reads 0 there or covers only a shorter final block.
     """
     if n < 10**3:
         raise PreconditionError("n >= 1000 required")
     omega = float(c.omega)
-    identity = (1.0, 0.0, 0.0, 1.0)
-    b = identity
+    b = (1.0, 0.0, 0.0, 1.0)
     log_norm = 0.0
     drift_log = 0.0
-    theta = theta0 % 1.0
-    step = 0
-    while step < n:
-        chunk = identity
-        for _ in range(min(renorm_every, n - step)):
-            chunk = _mul(c.entries(theta), chunk)
-            theta = (theta + omega) % 1.0
-            step += 1
-        d = _det(chunk)
-        if d > 0:
-            # |log det| of an exactly-unimodular block measures the float drift;
-            # for strongly hyperbolic blocks the subtraction cancels and the
-            # chunk is skipped rather than reported as fake drift
-            if _norm(chunk) < 1e6:
-                drift_log += abs(math.log(d))
-        acc = _mul(chunk, b)
-        s = _norm(acc)
-        log_norm += math.log(s)
-        b = (acc[0] / s, acc[1] / s, acc[2] / s, acc[3] / s)
+    theta0 %= 1.0
+    span = max(1, _THETA_CHUNK // renorm_every) * renorm_every
+    for lo in range(0, n, span):
+        thetas = orbit_thetas(theta0, omega, lo, min(lo + span, n))
+        blocks = _block_products(c, thetas, renorm_every)
+        for chunk in zip(*(e.tolist() for e in blocks)):
+            d = _det(chunk)
+            if d > 0:
+                # |log det| of an exactly-unimodular block measures the float drift;
+                # for strongly hyperbolic blocks the subtraction cancels and the
+                # chunk is skipped rather than reported as fake drift
+                if _norm(chunk) < 1e6:
+                    drift_log += abs(math.log(d))
+            acc = _mul(chunk, b)
+            s = _norm(acc)
+            log_norm += math.log(s)
+            b = (acc[0] / s, acc[1] / s, acc[2] / s, acc[3] / s)
     return LyapunovEstimate(value=log_norm / n, n=n, renorm_every=renorm_every,
                             det_drift=abs(drift_log))
+
+
+def _block_products(c: Cocycle, thetas: np.ndarray, size: int) -> tuple:
+    """Entry arrays of A(theta_{s+size-1}) ... A(theta_s) over consecutive blocks of thetas.
+
+    Block j covers thetas[j*size:(j+1)*size]; the last may be shorter.  All
+    blocks take one array step at a time, chunk = A(theta_t) @ chunk from
+    the identity, which are the float operations of the one-step loop in
+    the same order.
+    """
+    count = -(-len(thetas) // size)
+    prod = (np.ones(count), np.zeros(count), np.zeros(count), np.ones(count))
+    for t in range(min(size, len(thetas))):
+        ts = thetas[t::size]            # the blocks that have a step t
+        k = len(ts)
+        step = _mul(c.entries(ts), tuple(e[:k] for e in prod))
+        for e, v in zip(prod, step):
+            e[:k] = v
+    return prod
 
 
 @dataclass

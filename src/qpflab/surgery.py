@@ -18,7 +18,7 @@ from .errors import (BoxNotFound, EscapeTimeout, LambdaNotFound,
                      OrbitSearchTimeout, PreconditionError, SurgeryStalled)
 from .geometry import OrbitIntersections, crosses_over, image_curve, intersection_projection
 from .plgraph import CircIntervalSet, PLGraph
-from .systems import QpfSystem
+from .systems import MAX_DEPTH, QpfSystem
 
 RESOLUTION_FLOOR = Fraction(1, 10**9)
 
@@ -491,7 +491,7 @@ def default_eps_schedule(n: int, eps0=Fraction(1, 10)) -> Fraction:
 def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
                      eps_schedule=default_eps_schedule, max_surgeries: int = 400):
     """Surgery loop making Gamma /\\ R^k Gamma flat for 1 <= k <= depth."""
-    if 2 * depth + 1 > system.max_depth:
+    if 2 * depth + 1 > MAX_DEPTH:
         raise PreconditionError(f"depth {depth} exceeds the configured max depth")
     cur = graph
     table = OrbitIntersections(system, cur)

@@ -21,6 +21,9 @@ from .plgraph import PLGraph
 
 EXACT_KINDS = ("translation", "skew")
 
+#: the deepest curve image |n| and window 2 * depth + 1 any system admits
+MAX_DEPTH = 128
+
 
 @dataclass(frozen=True, eq=False)
 class QpfSystem:
@@ -36,7 +39,6 @@ class QpfSystem:
     rho: Optional[Fraction] = None
     phi: Optional[PLGraph] = None
     circle_fn: Optional[Callable] = None
-    max_depth: int = 128
 
     # -- constructors --------------------------------------------------------
 
@@ -110,11 +112,21 @@ def row_step(table: np.ndarray, i: np.ndarray, x: np.ndarray) -> np.ndarray:
     float operations are those of the orbit kernel's scalar step, in the same
     order, so both give the same bits.
     """
-    vres = table.shape[1] - 1
+    vk = table.shape[1]
+    return flat_row_step(table.reshape(-1), vk - 1, i * vk, x)
+
+
+def flat_row_step(flat: np.ndarray, vres: int, base: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`row_step` on the rows of the raveled table that start at the offsets base.
+
+    The two knots of each point are read by `take` at base + j and
+    base + j + 1, which is cheaper than a 2-D gather on a few hundred points.
+    """
     pos = x * vres
     j = np.minimum(pos.astype(int), vres - 1)
     frac = pos - j
-    return (table[i, j] * (1.0 - frac) + table[i, j + 1] * frac) % 1.0
+    k = base + j
+    return mod1_array(flat.take(k) * (1.0 - frac) + flat.take(k + 1) * frac)
 
 
 @lru_cache(maxsize=256)

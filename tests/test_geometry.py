@@ -9,7 +9,7 @@ from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
                              intersection_projection, is_flat_intersection)
 from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, cocycle_qpf
-from qpflab.systems import Lift, QpfSystem, _orbit
+from qpflab.systems import MAX_DEPTH, Lift, QpfSystem, _orbit
 
 
 def test_image_constant_translation():
@@ -23,7 +23,7 @@ def test_image_constant_translation():
 def test_image_rejects_deep():
     system = QpfSystem.translation()
     with pytest.raises(PreconditionError):
-        image_curve(system, PLGraph.constant(F(0)), system.max_depth + 1)
+        image_curve(system, PLGraph.constant(F(0)), MAX_DEPTH + 1)
 
 
 def test_image_refuses_non_affine_base():

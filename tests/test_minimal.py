@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qpflab.circle import orbit_thetas
 from qpflab.errors import PreconditionError
 from qpflab.minimal import (_BLOCK, _CHUNK, _LIFT_BLOCK, FiberSet, StackedKnots,
                             _longest_true_run, _orbit_occupancy, approximate_minimal_set,
@@ -35,11 +36,11 @@ def reference_step(table, th, x):
 def reference_orbit(table, omega, theta0, x0, burnin, iters, bins):
     """The orbit binning one step at a time: the oracle for the chunked kernel."""
     occ = np.zeros((bins, bins), dtype=np.bool_)
-    th = theta0
+    thetas = orbit_thetas(theta0, omega, 0, burnin + iters + 1).tolist()
     x = x0
     for step in range(burnin + iters):
-        x = reference_step(table, th, x)
-        th = (th + omega) % 1.0
+        x = reference_step(table, thetas[step], x)
+        th = thetas[step + 1]
         if step >= burnin:
             bi = int(th * bins) % bins
             bj = int(x * bins) % bins

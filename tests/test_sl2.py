@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from qpflab.circle import orbit_thetas
 from qpflab.errors import PreconditionError
 from qpflab.minimal import approximate_minimal_set
-from qpflab.sl2 import (Cocycle, Mat2, cocycle_qpf, lyapunov, minimal_fiber_cardinality,
-                        projective_action_array)
+from qpflab.sl2 import (_THETA_CHUNK, Cocycle, Mat2, cocycle_qpf, lyapunov,
+                        minimal_fiber_cardinality, projective_action_array)
+
+IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
 
 
 def act(m, x):
@@ -14,10 +17,19 @@ def act(m, x):
     return float(projective_action_array(m, np.array([x]))[0])
 
 
+def rotation(angle_over_pi):
+    """The rotation by pi * angle_over_pi; projective action x -> x + angle_over_pi."""
+    return Cocycle.rotation(angle_over_pi).matrix(0.0)
+
+
+def diagonal(lam):
+    return Cocycle.diagonal(lam).matrix(0.0)
+
+
 def test_projective_action_basics():
-    assert abs(act(Mat2.identity(), 0.37) - 0.37) < 1e-12
-    assert abs(act(Mat2.rotation(0.25), 0.1) - 0.35) < 1e-12
-    m = Mat2.diagonal(2.0)
+    assert abs(act(IDENTITY, 0.37) - 0.37) < 1e-12
+    assert abs(act(rotation(0.25), 0.1) - 0.35) < 1e-12
+    m = diagonal(2.0)
     assert act(m, 0.0) == 0.0
     assert abs(act(m, 0.5) - 0.5) < 1e-12
     # 0 attracts, 1/2 repels
@@ -28,8 +40,8 @@ def test_projective_action_basics():
 def test_homomorphism_property():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        a = Mat2.rotation(float(rng.random()))
-        b = Mat2.diagonal(0.5 + 2 * float(rng.random()))
+        a = rotation(float(rng.random()))
+        b = diagonal(0.5 + 2 * float(rng.random()))
         x = float(rng.random())
         lhs = act(a @ b, x)
         rhs = act(a, act(b, x))
@@ -40,7 +52,7 @@ def test_homomorphism_property():
 def test_orientation_and_degree_one():
     rng = np.random.default_rng(1)
     for _ in range(50):
-        m = (Mat2.rotation(float(rng.random())) @ Mat2.diagonal(0.3 + 3 * float(rng.random())))
+        m = rotation(float(rng.random())) @ diagonal(0.3 + 3 * float(rng.random()))
         xs = np.linspace(0, 1, 64, endpoint=False)
         vals = projective_action_array(m, xs)
         lift = vals.copy()
@@ -72,17 +84,15 @@ def test_lyapunov_diagonal_and_rotation():
 
 
 def reference_lyapunov(c, n, theta0=0.0, renorm_every=32):
-    """lyapunov's block products formed with Mat2: the oracle for the tuple loop."""
-    omega = float(c.omega)
-    b = Mat2.identity()
+    """lyapunov's block products formed one step at a time with Mat2: its oracle."""
+    thetas = orbit_thetas(theta0 % 1.0, float(c.omega), 0, n).tolist()
+    b = IDENTITY
     log_norm = drift_log = 0.0
-    theta = theta0 % 1.0
     step = 0
     while step < n:
-        chunk = Mat2.identity()
+        chunk = IDENTITY
         for _ in range(min(renorm_every, n - step)):
-            chunk = c.matrix(theta) @ chunk
-            theta = (theta + omega) % 1.0
+            chunk = c.matrix(thetas[step]) @ chunk
             step += 1
         d = chunk.det()
         if d > 0 and chunk.norm() < 1e6:
@@ -109,19 +119,33 @@ def test_lyapunov_matches_mat2_reference(cocycle, theta0):
     assert est.det_drift == drift
 
 
+@pytest.mark.parametrize("cocycle", [
+    Cocycle.harper(0.0, 1.6),
+    Cocycle.rotation(0.3),
+    Cocycle.diagonal(1.01),
+    Cocycle.constant(Mat2(2.0, 1.0, 1.0, 1.0)),
+])
+@pytest.mark.parametrize("n, theta0", [
+    (12345, 0.37),                       # not a multiple of the block length
+    (_THETA_CHUNK - 1, 0.0),             # around one chunk of thetas
+    (_THETA_CHUNK, 0.0),
+    (_THETA_CHUNK + 1, 0.9),
+    (2 * _THETA_CHUNK + 33, 0.0),
+])
+def test_lyapunov_matches_mat2_reference_across_chunks(cocycle, n, theta0):
+    # every family, blocks side by side in one chunk or split over several
+    est = lyapunov(cocycle, n, theta0=theta0)
+    assert (est.value, est.det_drift) == reference_lyapunov(cocycle, n, theta0=theta0)
+
+
 def test_lyapunov_det_drift_leaves_out_blocks_of_norm_1e6():
     # on Harper E=0 every full 32-step block has norm >= 1e6, so at n = 5e4
     # det_drift is |log det| of the final 16-step block alone
     c = Cocycle.harper(0.0, 2.0)
     n = 5 * 10**4
-    omega = float(c.omega)
-    theta = 0.0
-    for _ in range(n - n % 32):
-        theta = (theta + omega) % 1.0
-    block = Mat2.identity()
-    for _ in range(n % 32):
+    block = IDENTITY
+    for theta in orbit_thetas(0.0, float(c.omega), n - n % 32, n).tolist():
         block = c.matrix(theta) @ block
-        theta = (theta + omega) % 1.0
     assert n % 32 == 16 and block.norm() < 1e6
     assert lyapunov(c, n).det_drift == abs(math.log(block.det()))
 

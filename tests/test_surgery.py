@@ -13,7 +13,7 @@ from qpflab.surgery import (_localize_in_triangle, _orbit_candidates, _orbit_poi
                             apply_perturbation, ensure_crossing, find_perturbation_box,
                             flatten_to_depth, graphs_equal_off, itinerary_of_point,
                             validate_box, verify_x_law)
-from qpflab.systems import QpfSystem
+from qpflab.systems import MAX_DEPTH, QpfSystem
 
 R = QpfSystem.translation()
 CONST = PLGraph.constant(F(1, 5))
@@ -216,7 +216,7 @@ def test_crossing_search_timeout_names_arcs_and_budget():
 
 def test_flatten_rejects_excessive_depth():
     with pytest.raises(PreconditionError):
-        flatten_to_depth(R, CONST, R.max_depth)
+        flatten_to_depth(R, CONST, MAX_DEPTH)
 
 
 def test_ensure_crossing_full_circle():
