@@ -18,7 +18,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .chamber import grid_pass
 from .plgraph import PLGraph
+
+# the side of every SVG image, in pixels
+SVG_SIZE = 640
 
 
 def write_curve(path: Path, graph: PLGraph) -> None:
@@ -101,9 +105,9 @@ def svg_document(width: int, height: int, elements) -> str:
             f'height="{height}" viewBox="0 0 {width} {height}">\n{body}\n</svg>\n')
 
 
-def svg_polyline(points, color: str, width: float = 1.0) -> str:
+def svg_polyline(points, color: str) -> str:
     pts = " ".join(f"{x:.3f},{y:.3f}" for x, y in points)
-    return f'<polyline fill="none" stroke="{color}" stroke-width="{width}" points="{pts}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.0" points="{pts}"/>'
 
 
 def svg_rect(x, y, w, h, color: str, opacity: float = 1.0) -> str:
@@ -111,10 +115,10 @@ def svg_rect(x, y, w, h, color: str, opacity: float = 1.0) -> str:
             f'fill="{color}" fill-opacity="{opacity:.3f}"/>')
 
 
-def curve_svg(graphs, size: int = 640) -> str:
+def curve_svg(graphs) -> str:
     """Plot circle graphs (wrap-split polylines)."""
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    elements = [svg_rect(0, 0, size, size, "#ffffff")]
+    elements = [svg_rect(0, 0, SVG_SIZE, SVG_SIZE, "#ffffff")]
     for gi, graph in enumerate(graphs):
         color = colors[gi % len(colors)]
         ts = np.linspace(0.0, 1.0, 512)
@@ -124,40 +128,39 @@ def curve_svg(graphs, size: int = 640) -> str:
         for t, v in zip(ts, vals):
             if segment and abs(v - segment[-1][1]) > 0.5:
                 elements.append(svg_polyline(
-                    [(x * size, (1 - y) * size) for x, y in segment], color))
+                    [(x * SVG_SIZE, (1 - y) * SVG_SIZE) for x, y in segment], color))
                 segment = []
             segment.append((t, v))
         if segment:
             elements.append(svg_polyline(
-                [(x * size, (1 - y) * size) for x, y in segment], color))
-    return svg_document(size, size, elements)
+                [(x * SVG_SIZE, (1 - y) * SVG_SIZE) for x, y in segment], color))
+    return svg_document(SVG_SIZE, SVG_SIZE, elements)
 
 
-def atlas_svg(atlas, order, grid: int = 128, size: int = 640) -> str:
-    """Raster bands of the atlas allocations across fibers."""
+def atlas_svg(atlas, order, grid: int) -> str:
+    """Raster bands of the atlas allocations across fibers, one column per grid fiber."""
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
-    elements = [svg_rect(0, 0, size, size, "#ffffff")]
-    cell = size / grid
-    for g in range(grid):
-        fa = atlas.fiber(Fraction(g, grid))
+    elements = [svg_rect(0, 0, SVG_SIZE, SVG_SIZE, "#ffffff")]
+    cell = SVG_SIZE / grid
+    for g, fa in enumerate(grid_pass(grid, [(atlas.chambers, 0)], atlas.fiber)):
         for ni, n in enumerate(order):
             color = colors[ni % len(colors)]
             for lo, hi in fa.u[n]:
                 lo_f = float(lo) % 1.0
                 h = float(hi - lo)
-                elements.append(svg_rect(g * cell, (1 - lo_f - h) * size, cell,
-                                         h * size, color, 0.8))
-    return svg_document(size, size, elements)
+                elements.append(svg_rect(g * cell, (1 - lo_f - h) * SVG_SIZE, cell,
+                                         h * SVG_SIZE, color, 0.8))
+    return svg_document(SVG_SIZE, SVG_SIZE, elements)
 
 
-def fiberset_svg(fs, size: int = 640) -> str:
+def fiberset_svg(fs) -> str:
     """Raster strips of a binned fiber set (downsampled to the image size)."""
     n = fs.resolution
-    step = max(1, n // size)
+    step = max(1, n // SVG_SIZE)
     reduced = fs.bins[::step, ::step]
-    elements = [svg_rect(0, 0, size, size, "#ffffff")]
-    cell = size / reduced.shape[0]
+    elements = [svg_rect(0, 0, SVG_SIZE, SVG_SIZE, "#ffffff")]
+    cell = SVG_SIZE / reduced.shape[0]
     for i, j in np.argwhere(reduced):
-        elements.append(svg_rect(i * cell, size - (j + 1) * cell, cell, cell, "#222222"))
-    return svg_document(size, size, elements)
+        elements.append(svg_rect(i * cell, SVG_SIZE - (j + 1) * cell, cell, cell, "#222222"))
+    return svg_document(SVG_SIZE, SVG_SIZE, elements)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .chamber import Affine, ChamberTable, Probe, grid_classes
+from .chamber import Affine, ChamberTable, Probe, class_thetas
 from .errors import AtlasInvariantViolation, CoverFailure, PreconditionError
 from .measure import MeasureFamily, Projection, allocation_rank
 
@@ -178,13 +178,11 @@ class AtlasAudit:
     passed: bool
 
 
-def build_partition_atlas(mu: MeasureFamily, projection: Projection,
-                          epsilon, order=None) -> PartitionAtlas:
-    if order is None:
-        order = tuple(sorted(mu.curves.keys(), key=allocation_rank))
+def build_partition_atlas(mu: MeasureFamily, projection: Projection, epsilon) -> PartitionAtlas:
     if projection.mu is not mu:
         raise PreconditionError("projection must be built from the same measure family")
-    return PartitionAtlas(projection=projection, epsilon=Fraction(epsilon), order=tuple(order))
+    return PartitionAtlas(projection=projection, epsilon=Fraction(epsilon),
+                          order=tuple(sorted(mu.curves.keys(), key=allocation_rank)))
 
 
 def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
@@ -192,9 +190,9 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
 
     The certificate covers each chamber through its closed ends and each cut
     point through its direct build.  The grid audit reads the atlas and
-    projection fibers, so it runs once per grid class of those two tables
-    (chamber.grid_classes): the other members of a class have the same
-    fibers.  Raises AtlasInvariantViolation on the first failure.
+    projection fibers, so it reads one theta per grid class of those two
+    tables (chamber.class_thetas): the other members of a class have the
+    same fibers.  Raises AtlasInvariantViolation on the first failure.
     """
     table = atlas.chambers
     for ch in table.chambers:
@@ -203,11 +201,7 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
         atlas.audit_fiber(cut)
     max_components = {n: 0 for n in atlas.order}
     min_v_frac = 1.0
-    reps = grid_classes(grid, [(table, 0), (atlas.projection.chambers, 0)])
-    for g in range(grid):
-        if reps[g] != g:
-            continue
-        theta = Fraction(g, grid)
+    for theta in class_thetas(grid, [(table, 0), (atlas.projection.chambers, 0)]):
         atlas.audit_fiber(theta)
         fa = atlas.fiber(theta)
         for n in atlas.order:

@@ -339,8 +339,8 @@ class ChamberTable:
         return restamp(theta, fiber)
 
 
-def grid_classes(grid: int, reads, tag=None) -> list:
-    """For each g < grid, the first g' whose grid fiber theta = g'/grid has g's inputs.
+def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
+    """For each g in range(0, grid, step), the first such g' whose fiber g'/grid has g's inputs.
 
     A grid pass reads, at theta, the fiber of each table at theta + shift
     for the (table, shift) pairs in reads.  g and g' are in one class when
@@ -353,7 +353,7 @@ def grid_classes(grid: int, reads, tag=None) -> list:
     out = []
     shifts = list({shift for _, shift in reads})
     slots = [(table, shifts.index(shift)) for table, shift in reads]
-    for g in range(grid):
+    for g in range(0, grid, step):
         theta = Fraction(g, grid)
         at = [theta + shift for shift in shifts]     # one Fraction sum per distinct shift
         key = [table.constant_at(at[i]) for table, i in slots]
@@ -363,3 +363,24 @@ def grid_classes(grid: int, reads, tag=None) -> list:
         key = (*map(id, key), tag(g) if tag else None)
         out.append(first.setdefault(key, g))
     return out
+
+
+def grid_pass(grid: int, reads, fn, tag=None, step: int = 1):
+    """A row pass: fn(g/grid) for each g in range(0, grid, step), computed once per grid class.
+
+    A class's value is held only until its last member has taken it.
+    """
+    gs = range(0, grid, step)
+    reps = grid_classes(grid, reads, tag, step)
+    last = dict(zip(reps, gs))
+    held: dict = {}
+    for g, r in zip(gs, reps):
+        value = held.pop(r) if r in held else fn(Fraction(g, grid))
+        if last[r] > g:
+            held[r] = value
+        yield value
+
+
+def class_thetas(grid: int, reads) -> list:
+    """For a pass that reduces (a maximum, a check): the theta of each grid class's first member."""
+    return [Fraction(g, grid) for g, r in enumerate(grid_classes(grid, reads)) if r == g]

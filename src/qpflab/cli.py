@@ -2,8 +2,9 @@
 
 Commands: curve, blowup, analyze, cocycle.  Identical manifests and seeds
 produce byte-identical data artifacts; wall-clock timing lives only in the
-sidecar run.log.  Exit codes: 0 ok, 2 config, 3 precondition, 4 invariant
-violation, 5 timeout.
+sidecar run.log.  Exit codes: 0 ok, 4 when a run fails its own audit, and
+else the one the error class carries (qpflab.errors): 2 config,
+3 precondition, 4 invariant violation, 5 timeout.
 """
 
 from __future__ import annotations
@@ -12,14 +13,14 @@ import argparse
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import artifacts
-from .chamber import grid_classes
-from .errors import (ConfigError, InvariantViolation, PreconditionError,
-                     QpfLabError, TimeoutError_)
+from .chamber import grid_pass
+from .errors import QpfLabError
 from .manifest import Manifest, load_manifest
 from .minimal import fiber_component_count, minimal_set_via_projection, structure_diagnostics
 from .pipeline import prepare_curve, run_blowup
@@ -29,10 +30,7 @@ from .transport import verify_nonminimality
 from .weights import make_weights
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_PRECONDITION = 3
 EXIT_INVARIANT = 4
-EXIT_TIMEOUT = 5
 
 
 def main(argv=None) -> int:
@@ -57,21 +55,9 @@ def main(argv=None) -> int:
         handler = {"curve": cmd_curve, "blowup": cmd_blowup,
                    "analyze": cmd_analyze, "cocycle": cmd_cocycle}[args.command]
         code = handler(manifest, args.out, emit_svg=args.emit_svg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except TimeoutError_ as exc:
-        print(f"timeout: {exc}", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except PreconditionError as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except QpfLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        print(f"{exc.prefix} {exc}", file=sys.stderr)
+        return exc.exit_code
     (args.out / "run.log").write_text(
         f"command={args.command}\nelapsed_s={time.time() - t0:.3f}\n"
         f"finished_at={time.strftime('%Y-%m-%dT%H:%M:%S')}\n", encoding="ascii")
@@ -93,7 +79,7 @@ def _run_blowup(manifest: Manifest, system):
                       waive_flatness=manifest.waive_flatness)
 
 
-def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
+def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     system = manifest.base_system()
     curve = manifest.initial_curve()
     depth = 2 * manifest.weights_n + 1          # the flattening depth of run_blowup
@@ -115,7 +101,7 @@ def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     return EXIT_OK if cert.flat and all(w.verified for w in witnesses) else EXIT_INVARIANT
 
 
-def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
+def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     pipeline = _run_blowup(manifest, manifest.base_system())
     _echo_manifest(manifest, out)
     atlas_audit = pipeline.atlas_audit()
@@ -128,20 +114,14 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     # per-fiber nu CDF tables on the uniform vertical grid, written row by row
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
     knots = np.broadcast_to(xs, (manifest.fibers, len(xs)))
-    artifacts.write_cdf_tables(out / "nu_cdf.bin", knots,
-                               _cdf_rows(pipeline.density, manifest.fibers, xs))
+    artifacts.write_cdf_tables(out / "nu_cdf.bin", knots, grid_pass(
+        manifest.fibers, [(pipeline.density.chambers, 0)], partial(_cdf_row, pipeline.density, xs)))
     artifacts.write_curve(out / "curve.txt", pipeline.curve)
-    atlas_rows = []
     step = max(1, manifest.fibers // 256)
-    reps = grid_classes(manifest.fibers, [(pipeline.atlas.chambers, 0)])
-    arcs_of = {}                # grid class -> the U arcs of its fibers
-    for g in range(0, manifest.fibers, step):
-        if reps[g] not in arcs_of:
-            fa = pipeline.atlas.fiber(Fraction(g, manifest.fibers))
-            arcs_of[reps[g]] = {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]]
-                                for n in pipeline.atlas.order}
-        atlas_rows.append({"fiber": g, "u": arcs_of[reps[g]]})
-    artifacts.write_jsonl(out / "atlas.jsonl", atlas_rows)
+    arcs = grid_pass(manifest.fibers, [(pipeline.atlas.chambers, 0)],
+                     partial(_u_arcs, pipeline.atlas), step=step)
+    artifacts.write_jsonl(out / "atlas.jsonl", [{"fiber": g, "u": u} for g, u
+                                                in zip(range(0, manifest.fibers, step), arcs)])
     artifacts.write_csv(out / "residual.csv", ["fiber", "residual"],
                         [(i, float(r)) for i, r in enumerate(report.residual_per_fiber)])
     summary = {
@@ -171,26 +151,21 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
-def _cdf_rows(density, fibers: int, xs: np.ndarray):
-    """The nu CDF row of each grid fiber, computed once per grid class.
-
-    A class's row is held only until its last member has taken it.
-    """
-    reps = grid_classes(fibers, [(density.chambers, 0)])
-    last = {r: g for g, r in enumerate(reps)}
-    held = {}
-    for g, r in enumerate(reps):
-        row = held.pop(r, None)
-        if row is None:
-            fd = density.fiber(Fraction(g, fibers))
-            row = fd.mass_from(0.0, xs)
-            row[-1] = fd.total
-        if last[r] > g:
-            held[r] = row
-        yield row
+def _cdf_row(density, xs: np.ndarray, theta) -> np.ndarray:
+    """The nu CDF of the fiber at theta on the vertical grid xs."""
+    fd = density.fiber(theta)
+    row = fd.mass_from(0.0, xs)
+    row[-1] = fd.total
+    return row
 
 
-def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
+def _u_arcs(atlas, theta) -> dict:
+    """The U arcs of the atlas fiber at theta, as the atlas.jsonl row holds them."""
+    fa = atlas.fiber(theta)
+    return {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]] for n in atlas.order}
+
+
+def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     system = manifest.base_system()
     lift = Lift(system)
     n_rot = max(1000, 10 * manifest.fibers)
@@ -233,7 +208,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool = False) -> int:
+def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     fam = manifest.cocycle_family
     omega = manifest.omega
     if fam == "harper":

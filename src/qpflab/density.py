@@ -18,11 +18,14 @@ from operator import itemgetter
 
 import numpy as np
 
-from .chamber import ChamberTable, grid_classes
+from .chamber import ChamberTable, class_thetas
 from .circle import mod1, mod1_array
 from .errors import BumpBoundViolation, DensityNonpositive, EtaNotInvertible
 from .atlas import PartitionAtlas
 from .weights import WeightScheme
+
+# audit_density's bound on a layer-integral defect, in vertical grid cells
+_LAYER_TOL_CELLS = 10.0
 
 
 @dataclass(frozen=True)
@@ -187,24 +190,19 @@ def build_density_h(weights: WeightScheme, atlas: PartitionAtlas, bumps: BumpFam
     return DensityField(weights=weights, atlas=atlas, bumps=bumps)
 
 
-def audit_density(field: DensityField, grid: int, tol_cells: float = 10.0,
-                  vertical: int = 4096) -> dict:
+def audit_density(field: DensityField, grid: int, vertical: int = 4096) -> dict:
     """Grid audit: positivity floor and the layer-integral transport identities.
 
     Layer integrals are recomputed from the assembled knot table (the
     trapezoid rule is exact on the PL density), not from the identity that
-    produced them.  The audit reads the density and atlas fibers, so it runs
-    once per grid class of those two tables (chamber.grid_classes).
+    produced them.  The audit reads the density and atlas fibers, so it reads
+    one theta per grid class of those two tables (chamber.class_thetas).
     """
     w = field.weights
     floor = float(w.min_density_bound())
     min_h, min_at = 1.0, Fraction(0)
     worst_layer = 0.0
-    reps = grid_classes(grid, [(field.chambers, 0), (field.atlas.chambers, 0)])
-    for g in range(grid):
-        if reps[g] != g:
-            continue
-        theta = Fraction(g, grid)
+    for theta in class_thetas(grid, [(field.chambers, 0), (field.atlas.chambers, 0)]):
         fd = field.fiber(theta)
         if fd.min_h < min_h:
             min_h, min_at = fd.min_h, theta
@@ -218,7 +216,7 @@ def audit_density(field: DensityField, grid: int, tol_cells: float = 10.0,
     if min_h < floor - 1e-12:
         raise DensityNonpositive(
             f"min h {min_h} at theta={float(min_at)} below the derived floor {floor}")
-    if worst_layer > tol_cells / vertical:
+    if worst_layer > _LAYER_TOL_CELLS / vertical:
         raise DensityNonpositive(f"layer integral defect {worst_layer}")
     return {"min_h": min_h, "floor": floor, "worst_layer_defect": worst_layer}
 

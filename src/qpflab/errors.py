@@ -1,30 +1,36 @@
 """Error taxonomy shared by all modules.
 
-Every failure mode that a caller is expected to handle has its own class;
-the CLI maps them onto the documented exit codes.
+Every failure mode that a caller is expected to handle has its own class.
+A class carries the CLI's exit code and stderr prefix for it; subclasses
+inherit them from the kind of failure they are.
 """
 
 from __future__ import annotations
 
 
 class QpfLabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors: a failed search or construction."""
+    exit_code, prefix = 4, "error:"
 
 
 class ConfigError(QpfLabError):
-    """Invalid manifest / parameters (CLI exit 2)."""
+    """Invalid manifest / parameters."""
+    exit_code, prefix = 2, "config error:"
 
 
 class PreconditionError(QpfLabError):
-    """An operation was invoked without its contract inputs (CLI exit 3)."""
+    """An operation was invoked without its contract inputs."""
+    exit_code, prefix = 3, "precondition failed:"
 
 
 class InvariantViolation(QpfLabError):
-    """A verified invariant failed an audit (CLI exit 4)."""
+    """A verified invariant failed an audit."""
+    exit_code, prefix = 4, "invariant violation:"
 
 
 class TimeoutError_(QpfLabError):
-    """A bounded search ran out of budget (CLI exit 5)."""
+    """A bounded search ran out of budget."""
+    exit_code, prefix = 5, "timeout:"
 
 
 # -- curves / surgery ------------------------------------------------------

@@ -77,10 +77,10 @@ class OrbitIntersections:
     the shifted set equals the one intersection_projection gives directly.
     """
 
-    def __init__(self, system: QpfSystem, graph: PLGraph, images: dict | None = None):
+    def __init__(self, system: QpfSystem, graph: PLGraph):
         self.system = system
         self.graph = graph
-        self._images = dict(images or {})     # k -> R^k(Gamma)
+        self._images: dict = {}               # k -> R^k(Gamma)
         self._x: dict = {}                    # k >= 1 -> X_k
 
     def image(self, k: int) -> PLGraph:

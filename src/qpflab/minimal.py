@@ -9,12 +9,11 @@ property and bound the occupied measure of each fiber (a Cantor proxy).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .chamber import grid_classes
+from .chamber import grid_pass
 from .circle import mod1_array, orbit_thetas
 from .errors import PreconditionError
 from .systems import QpfSystem, flat_row_step, nearest_rows, pl_values_float, row_step
@@ -213,7 +212,8 @@ class FiberSet:
             yield f"{i}: " + " ".join(map("{}+{}".format, starts.tolist(), lengths.tolist()))
 
     @staticmethod
-    def from_rle_lines(lines, resolution: int, burnin=0, iters=0, seed=0) -> "FiberSet":
+    def from_rle_lines(lines, resolution: int) -> "FiberSet":
+        """The fiber set of to_rle_lines' rows; the rows hold no run parameters, so they read 0."""
         bins = np.zeros((resolution, resolution), dtype=bool)
         for line in lines:
             head, _, body = line.partition(":")
@@ -221,7 +221,7 @@ class FiberSet:
             for token in body.split():
                 start, _, length = token.partition("+")
                 bins[i, int(start):int(start) + int(length)] = True
-        return FiberSet(bins=bins, resolution=resolution, burnin=burnin, iters=iters, seed=seed)
+        return FiberSet(bins=bins, resolution=resolution, burnin=0, iters=0, seed=0)
 
 
 def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int = 10**7,
@@ -242,7 +242,7 @@ def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int =
 
 def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 10**6,
                                burnin: int = 0, fiber_grid: int = 1024, bins: int = 1024,
-                               seed: int = 0, start: tuple | None = None) -> FiberSet:
+                               seed: int = 0) -> FiberSet:
     """Binned orbit of the ideal transported map through the semi-conjugacy.
 
     Off the blown set the ideal f is conjugate to the base map by pi, so its
@@ -250,27 +250,27 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
     avoids compounding the truncation defect of the table-iterated map and is
     the honest approximator of K = clos(pi^{-1}(Xi^c)).
 
-    The samples are walked in blocks of _LIFT_BLOCK: each block recomputes
-    its thetas and targets from the sample indices, lifts every target
-    through the inverse knots of its nearest grid fiber (one stacked table,
-    `StackedKnots`) and sets its bins in one scatter.  The occupancy is a
-    union of bins, so it is the same for any blocking.
+    The samples are walked in blocks of _LIFT_BLOCK: each block takes its
+    thetas, and over a translation base its targets, from `orbit_thetas`,
+    lifts every target through the inverse knots of its nearest grid fiber
+    (one stacked table, `StackedKnots`) and sets its bins in one scatter.
+    The occupancy is a union of bins, so it is the same for any blocking.
     """
     if not system.is_affine:
         raise PreconditionError("projection-lifted orbits need an affine base")
     rng = np.random.default_rng(seed)
-    if start is None:
-        start = (rng.random(), rng.random())
-    theta0, target0 = float(start[0]), float(start[1])
+    theta0, target0 = rng.random(), rng.random()
     omega = float(system.omega)
-    knots = StackedKnots.stack(_inverse_knot_rows(projection, fiber_grid))
+    # the members of a grid class of the projection table read one restamped fiber
+    knots = StackedKnots.stack(grid_pass(fiber_grid, [(projection.chambers, 0)],
+                                         lambda theta: projection.fiber(theta).inverse_knots))
     occ = np.zeros(bins * bins, dtype=bool)
     t = target0
     for lo in range(burnin, burnin + iters, _LIFT_BLOCK):
-        ks = np.arange(lo, min(lo + _LIFT_BLOCK, burnin + iters), dtype=float)
-        thetas = mod1_array(theta0 + ks * omega)
+        hi = min(lo + _LIFT_BLOCK, burnin + iters)
+        thetas = orbit_thetas(theta0, omega, lo, hi)
         if system.kind == "translation":
-            targets = mod1_array(target0 + ks * float(system.rho))
+            targets = orbit_thetas(target0, float(system.rho), lo, hi)
         else:
             # the skew displacements summed along the exact base orbit
             targets = []
@@ -284,20 +284,6 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         occ[(thetas * bins).astype(int) % bins * bins + (xs * bins).astype(int) % bins] = True
     return FiberSet(bins=occ.reshape(bins, bins), resolution=bins, burnin=burnin,
                     iters=iters, seed=seed)
-
-
-def _inverse_knot_rows(projection, fiber_grid: int) -> list:
-    """The inverse knots of every grid fiber, built once per grid class.
-
-    The members of a class (chamber.grid_classes over the projection table)
-    read one restamped fiber, so they share its row.
-    """
-    reps = grid_classes(fiber_grid, [(projection.chambers, 0)])
-    rows: dict = {}
-    for g, r in enumerate(reps):
-        if r not in rows:
-            rows[r] = projection.fiber(Fraction(g, fiber_grid)).inverse_knots
-    return [rows[r] for r in reps]
 
 
 @dataclass(frozen=True, eq=False)

@@ -64,7 +64,7 @@ class BlowupPipeline:
 
 
 def prepare_curve(system: QpfSystem, curve: PLGraph, depth: int,
-                  crossings: int = 0, seed: int = 0, m_max: int = 10**4):
+                  crossings: int = 0, seed: int = 0):
     """Flatten to the requested depth, optionally inserting certified crossings."""
     witnesses: list[CrossingWitness] = []
     cur, cert = flatten_to_depth(system, curve, depth)
@@ -77,7 +77,7 @@ def prepare_curve(system: QpfSystem, curve: PLGraph, depth: int,
             jlo = Fraction(int(rng.integers(0, 10**6)), 10**6)
             arc_i = (ilo, ilo + Fraction(int(width_i * 10**6), 10**6))
             arc_j = (jlo, jlo + Fraction(int(width_j * 10**6), 10**6))
-            cur, wit = ensure_crossing(system, cur, arc_i, arc_j, depth, m_max=m_max)
+            cur, wit = ensure_crossing(system, cur, arc_i, arc_j, depth)
             witnesses.append(wit)
         cur, cert = flatten_to_depth(system, cur, depth)
         for wit in witnesses:

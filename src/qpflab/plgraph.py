@@ -165,11 +165,7 @@ class PLGraph:
             k = _floor(t - lo)
             u = t - k  # in [lo, lo+1)
             if u <= hi:
-                for (ta, va), (tb, vb) in zip(path, path[1:]):
-                    if ta <= u <= tb:
-                        val = va if u == ta else va + (vb - va) * (u - ta) / (tb - ta)
-                        return val + k * self.degree
-                return path[-1][1] + k * self.degree
+                return polyline_value(path, u) + k * self.degree
             return self.value(t)
 
         abscissas = {mod1(t) for t, _ in path}
@@ -179,6 +175,14 @@ class PLGraph:
                 abscissas.add(t)
         new_thetas = tuple(sorted(abscissas))
         return PLGraph(new_thetas, tuple(new_lift(t) for t in new_thetas), self.degree).canonical()
+
+
+def polyline_value(path, t: Fraction) -> Fraction:
+    """The value at t of the PL path through the points (t_i, v_i), t_0 < ... < t_k."""
+    for (ta, va), (tb, vb) in zip(path, path[1:]):
+        if ta <= t <= tb:
+            return va if t == ta else va + (vb - va) * (t - ta) / (tb - ta)
+    raise ValueError("abscissa outside path")
 
 
 def merged_abscissas(g1: PLGraph, g2: PLGraph) -> tuple[Fraction, ...]:

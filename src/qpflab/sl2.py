@@ -21,6 +21,12 @@ from .systems import QpfSystem
 # lyapunov takes its thetas in chunks of at most this many steps, the
 # orbit kernel's block
 _THETA_CHUNK = 1 << 14
+# lyapunov renormalizes the running product every this many steps
+_RENORM_EVERY = 32
+# Mat2.require_unimodular's bound on |det - 1|
+_UNIMODULAR_TOL = 1e-12
+# minimal_fiber_cardinality counts the clusters of this many random fibers
+_CARDINALITY_FIBERS = 256
 
 
 def _mul(p: tuple, q: tuple) -> tuple:
@@ -52,8 +58,8 @@ class Mat2:
     def det(self) -> float:
         return _det(self.entries())
 
-    def require_unimodular(self, tol: float = 1e-12) -> "Mat2":
-        if abs(self.det() - 1.0) > tol:
+    def require_unimodular(self) -> "Mat2":
+        if abs(self.det() - 1.0) > _UNIMODULAR_TOL:
             raise PreconditionError(f"matrix determinant {self.det()} != 1: not in SL(2,R)")
         return self
 
@@ -129,11 +135,10 @@ def cocycle_qpf(c: Cocycle) -> QpfSystem:
 class LyapunovEstimate:
     value: float
     n: int
-    renorm_every: int
     det_drift: float     # sum of |log det| over the blocks of norm below 1e6
 
 
-def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) -> LyapunovEstimate:
+def lyapunov(c: Cocycle, n: int, theta0: float = 0.0) -> LyapunovEstimate:
     """(1/N) log ||A^N|| with periodic norm renormalization of the running product.
 
     The thetas come from `orbit_thetas` in chunks of at most _THETA_CHUNK
@@ -153,10 +158,10 @@ def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) ->
     log_norm = 0.0
     drift_log = 0.0
     theta0 %= 1.0
-    span = max(1, _THETA_CHUNK // renorm_every) * renorm_every
+    span = max(1, _THETA_CHUNK // _RENORM_EVERY) * _RENORM_EVERY
     for lo in range(0, n, span):
         thetas = orbit_thetas(theta0, omega, lo, min(lo + span, n))
-        blocks = _block_products(c, thetas, renorm_every)
+        blocks = _block_products(c, thetas, _RENORM_EVERY)
         for chunk in zip(*(e.tolist() for e in blocks)):
             d = _det(chunk)
             if d > 0:
@@ -169,8 +174,7 @@ def lyapunov(c: Cocycle, n: int, theta0: float = 0.0, renorm_every: int = 32) ->
             s = _norm(acc)
             log_norm += math.log(s)
             b = (acc[0] / s, acc[1] / s, acc[2] / s, acc[3] / s)
-    return LyapunovEstimate(value=log_norm / n, n=n, renorm_every=renorm_every,
-                            det_drift=abs(drift_log))
+    return LyapunovEstimate(value=log_norm / n, n=n, det_drift=abs(drift_log))
 
 
 def _block_products(c: Cocycle, thetas: np.ndarray, size: int) -> tuple:
@@ -204,8 +208,7 @@ class CardinalityReport:
 
 def minimal_fiber_cardinality(c: Cocycle, fiber_grid: int = 1024, vertical_grid: int = 1024,
                               bins: int = 1024, iters: int = 2 * 10**6, burnin: int = 10**4,
-                              cluster_tol: int = 8, seed: int = 0,
-                              fiber_samples: int = 256) -> CardinalityReport:
+                              cluster_tol: int = 8, seed: int = 0) -> CardinalityReport:
     """Histogram of per-fiber cluster counts of the approximate minimal set."""
     if cluster_tol < 2:
         raise PreconditionError("cluster tolerance must be at least 2 bins")
@@ -216,7 +219,7 @@ def minimal_fiber_cardinality(c: Cocycle, fiber_grid: int = 1024, vertical_grid:
     occupancy = fs.occupied_count() / (bins * bins)
     hist: dict = {}
     rng = np.random.default_rng(seed + 1)
-    fibers = rng.integers(0, bins, size=fiber_samples)
+    fibers = rng.integers(0, bins, size=_CARDINALITY_FIBERS)
     for i in fibers:
         occ = fs.fiber_occupancy(int(i))
         if len(occ) == 0:

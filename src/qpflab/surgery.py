@@ -17,10 +17,18 @@ from .circle import mod1, mod1_array, signed_gap
 from .errors import (BoxNotFound, EscapeTimeout, LambdaNotFound,
                      OrbitSearchTimeout, PreconditionError, SurgeryStalled)
 from .geometry import OrbitIntersections, crosses_over, image_curve, intersection_projection
-from .plgraph import CircIntervalSet, PLGraph
+from .plgraph import CircIntervalSet, PLGraph, polyline_value
 from .systems import MAX_DEPTH, QpfSystem
 
 RESOLUTION_FLOOR = Fraction(1, 10**9)
+# the returns of a point's itinerary, forward and backward, before EscapeTimeout
+_ITINERARY_HORIZON = 10**4
+# flatten_to_depth sizes its boxes at depth n by _EPS0 / 2**n, and gives a
+# depth up after _MAX_SURGERIES surgeries
+_EPS0 = Fraction(1, 10)
+_MAX_SURGERIES = 400
+# ensure_crossing: the bound on the width and height of both crossing boxes
+_CROSSING_EPS = Fraction(1, 20)
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +126,16 @@ class PerturbationBox:
         return -self.eta < d < self.eta
 
 
+def arcs_disjoint(arcs) -> bool:
+    """Whether closed arcs (lo, hi) of positive length meet at most in their ends.
+
+    Exactly when the measure of their union is the sum of their lengths:
+    arcs that only touch merge into a union of the same measure, and two
+    that share an interval lose its length.
+    """
+    return CircIntervalSet.from_pieces(arcs).measure() == sum(hi - lo for lo, hi in arcs)
+
+
 def _pl_range(graph: PLGraph, a: Fraction, b: Fraction):
     """Exact (min, max) of the lift values over the window [a, b], b <= a+1."""
     span = b - a
@@ -142,16 +160,14 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
     if box.eta <= 0 or box.delta <= 0 or box.eta >= Fraction(1, 4):
         return False, "degenerate box dimensions"
     # item 1: pairwise disjoint iterates of I across the window
-    for k in range(kmin, kmax + 1):
-        for kk in range(k + 1, kmax + 1):
-            d = mod1((k - kk) * system.omega)
-            if d < box.delta or d > 1 - box.delta:
-                return False, f"iterates I+{k}w and I+{kk}w overlap"
+    lo_arc, hi_arc = box.arc
+    starts = [mod1(lo_arc + k * system.omega) for k in range(kmin, kmax + 1)]
+    if not arcs_disjoint([(a, a + box.delta) for a in starts]):
+        return False, f"iterates I+kw overlap for k in [{kmin}, {kmax}]"
     if table is None:
         table = OrbitIntersections(system, graph)
     copies = {k: table.image(-k) for k in range(kmin, kmax + 1)}
     # item 3: containment/disjointness of each copy over I
-    lo_arc, hi_arc = box.arc
     for k in range(kmin, kmax + 1):
         vmin, vmax = _pl_range(copies[k], lo_arc, hi_arc)
         if k in box.itinerary.times:
@@ -177,7 +193,7 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
 
 
 def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
-                          delta_max, eta_max, horizon: int = 10**4,
+                          delta_max, eta_max,
                           table: OrbitIntersections | None = None) -> PerturbationBox:
     """Box at z with z as left endpoint; eta fixed from vertical gaps, delta bisected.
 
@@ -187,7 +203,7 @@ def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
     theta, x = Fraction(z[0]), Fraction(z[1])
     if Fraction(delta_max) < RESOLUTION_FLOOR:
         raise BoxNotFound("delta_max below the resolution floor")
-    itin = itinerary_of_point(system, graph, z, n, horizon)
+    itin = itinerary_of_point(system, graph, z, n, _ITINERARY_HORIZON)
     kmin, kmax = itin.window()
     if table is None:
         table = OrbitIntersections(system, graph)
@@ -287,20 +303,13 @@ def plan_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
                        groups=groups, lam=lam)
 
 
-def _polyline_value(path, t: Fraction) -> Fraction:
-    for (ta, va), (tb, vb) in zip(path, path[1:]):
-        if ta <= t <= tb:
-            return va if t == ta else va + (vb - va) * (t - ta) / (tb - ta)
-    raise ValueError("abscissa outside path")
-
-
 def _polyline_intersection_closure(pa, pb) -> list:
     """Closed abscissa components where two polylines over [t0,t1] agree exactly."""
     knots = sorted({t for t, _ in pa} | {t for t, _ in pb})
     pieces = []
     for a, b in zip(knots, knots[1:]):
-        da = _polyline_value(pa, a) - _polyline_value(pb, a)
-        db = _polyline_value(pa, b) - _polyline_value(pb, b)
+        da = polyline_value(pa, a) - polyline_value(pb, a)
+        db = polyline_value(pa, b) - polyline_value(pb, b)
         if da == 0 and db == 0:
             pieces.append((a, b))
         elif da == 0:
@@ -408,7 +417,7 @@ def _transform_path(system: QpfSystem, path, q: int):
             abscissas.add(t0 + off)
     out = []
     for t in sorted(abscissas):
-        out.append((t, _polyline_value(path, t) + disp.value(t)))
+        out.append((t, polyline_value(path, t) + disp.value(t)))
     return out
 
 
@@ -484,12 +493,7 @@ class FlattenCertificate:
         }
 
 
-def default_eps_schedule(n: int, eps0=Fraction(1, 10)) -> Fraction:
-    return eps0 * Fraction(1, 2**n)
-
-
-def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
-                     eps_schedule=default_eps_schedule, max_surgeries: int = 400):
+def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int):
     """Surgery loop making Gamma /\\ R^k Gamma flat for 1 <= k <= depth."""
     if 2 * depth + 1 > MAX_DEPTH:
         raise PreconditionError(f"depth {depth} exceeds the configured max depth")
@@ -497,7 +501,7 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
     table = OrbitIntersections(system, cur)
     steps = []
     for n in range(1, depth + 1):
-        eps_n = eps_schedule(n)
+        eps_n = _EPS0 / 2**n
         guard = 0
         while True:
             xs = {k: table.x(k) for k in range(1, n + 1)}
@@ -505,7 +509,7 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int,
             if not degs:
                 break
             guard += 1
-            if guard > max_surgeries:
+            if guard > _MAX_SURGERIES:
                 raise SurgeryStalled(f"depth {n}: surgery budget exhausted "
                                      f"with {len(degs)} isolated points left")
             gap = None
@@ -587,7 +591,7 @@ def _sector_triangle(plan: SurgeryPlan):
 
 
 def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
-                    eps=Fraction(1, 20), m_max: int = 10**4):
+                    m_max: int = 10**4):
     """Insert a certified crossing of Gamma with some R^m(Gamma) over (I+mw) /\\ J."""
     if system.kind != "translation":
         raise PreconditionError("crossing insertion needs a (minimal) translation base")
@@ -600,7 +604,8 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
     table = OrbitIntersections(system, graph)
     theta_i = mod1(ilo + span_i / 3)
     box_i = find_perturbation_box(system, graph, (theta_i, graph.circle_value(theta_i)),
-                                  depth, min(span_i / 4, eps), eps, table=table)
+                                  depth, min(span_i / 4, _CROSSING_EPS), _CROSSING_EPS,
+                                  table=table)
     plan_i = plan_perturbation(system, graph, box_i, table=table)
     tri_i = _sector_triangle(plan_i)
 
@@ -624,8 +629,8 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
             try:
                 cand = find_perturbation_box(system, gamma_bar,
                                              (theta_j, gamma_bar.circle_value(theta_j)),
-                                             depth, min(span_j / 4, eps), eps,
-                                             table=bar_table)
+                                             depth, min(span_j / 4, _CROSSING_EPS),
+                                             _CROSSING_EPS, table=bar_table)
             except BoxNotFound:
                 continue
             if _families_disjoint(system, box_i, cand):
@@ -695,12 +700,7 @@ def _families_disjoint(system: QpfSystem, box_a: PerturbationBox, box_b: Perturb
         for q in box.itinerary.times:
             lo = mod1(box.theta + q * system.omega)
             arcs.append((lo, lo + box.delta))
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            d = mod1(arcs[j][0] - arcs[i][0])
-            if d < arcs[i][1] - arcs[i][0] or 1 - d < arcs[j][1] - arcs[j][0]:
-                return False
-    return True
+    return arcs_disjoint(arcs)
 
 
 def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_j, box_i,

@@ -24,6 +24,10 @@ EXACT_KINDS = ("translation", "skew")
 #: the deepest curve image |n| and window 2 * depth + 1 any system admits
 MAX_DEPTH = 128
 
+# classify_rho_boundedness suspects unbounded deviations when the sup over
+# the whole walk exceeds the sup over its first half by more than this factor
+_GROWTH_RATIO = 1.5
+
 
 @dataclass(frozen=True, eq=False)
 class QpfSystem:
@@ -63,13 +67,11 @@ class QpfSystem:
     # -- fiber evaluation ----------------------------------------------------
 
     def displacement(self, theta):
-        """Fiber displacement for affine kinds (exact for Fraction input)."""
+        """Exact fiber displacement for affine kinds (at the Fraction of a float theta)."""
         if self.kind == "translation":
             return self.rho
         if self.kind == "skew":
-            if isinstance(theta, Fraction):
-                return self.phi.value(theta)
-            return _pl_value_float(self.phi, float(theta))
+            return self.phi.value(theta)
         raise ValueError(f"{self.kind} systems have no affine displacement")
 
     def circle_values(self, theta, xs) -> np.ndarray:
@@ -134,10 +136,6 @@ def _pl_float_tables(graph: PLGraph):
     ts = np.array([float(t) for t in graph.thetas] + [float(graph.thetas[0]) + 1.0])
     vs = np.array([float(v) for v in graph.values] + [float(graph.values[0]) + graph.degree])
     return ts, vs
-
-
-def _pl_value_float(graph: PLGraph, t: float) -> float:
-    return float(pl_values_float(graph, np.float64(t)))
 
 
 def pl_values_float(graph: PLGraph, t: np.ndarray) -> np.ndarray:
@@ -260,7 +258,7 @@ class BoundednessReport:
 
 
 def classify_rho_boundedness(lift: Lift, n: int, fiber_samples: int,
-                             threshold: float = 1.5, rho: float | None = None) -> BoundednessReport:
+                             rho: float | None = None) -> BoundednessReport:
     """Heuristic deviation-growth dichotomy probe; the verdict is 'suspected' only.
 
     Each fiber sample walks its two start points together.  Without a given
@@ -287,6 +285,6 @@ def classify_rho_boundedness(lift: Lift, n: int, fiber_samples: int,
         ratio = 1.0
     else:
         ratio = sup_full / max(sup_half, 1e-300)
-    verdict = "unbounded-suspected" if ratio > threshold else "bounded-suspected"
+    verdict = "unbounded-suspected" if ratio > _GROWTH_RATIO else "bounded-suspected"
     return BoundednessReport(verdict=verdict, ratio=ratio, sup_full=sup_full,
                              sup_half=sup_half, growth=growth, rho=rho)

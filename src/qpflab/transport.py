@@ -18,11 +18,14 @@ from functools import lru_cache
 import numpy as np
 
 from .atlas import PartitionAtlas
-from .chamber import grid_classes, map_leaves
+from .chamber import class_thetas, grid_pass, map_leaves
 from .circle import mod1, mod1_array
 from .errors import InvariantViolation, PreconditionError
 from .measure import MeasureFamily, Projection, quantile_table
 from .systems import QpfSystem
+
+# a witness's hitting-time probe walks f at most this many steps past its m
+_PROBE_SLACK = 64
 
 
 @dataclass(eq=False)
@@ -122,45 +125,46 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
     Over a translation base R_theta is the same rotation at every theta, so
     the residual at theta reads only fibers: pi at theta and theta + w, and
     nu, mu_shifted and mu (for gamma_1) at theta + w.  It is then computed
-    once per grid class of those tables (chamber.grid_classes), split by
-    whether the fiber is in the shifted-window subsample, and the other
-    members take the representative's value.  Over other bases every fiber
-    is its own class.
+    once per grid class of those tables (chamber.grid_pass), split by
+    whether the fiber is in the shifted-window subsample.  Over other bases
+    every fiber is its own class.
     """
     system = tmap.system
     pi = tmap.projection
     w = pi.mu.weights
     omega = system.omega
     xs = np.arange(vertical) / vertical
-    res = np.empty(grid)
-    shifted_sup = 0.0
     stride = max(1, grid // 64)
-    reps = range(grid)
-    if system.kind == "translation":
-        reps = grid_classes(grid, [(pi.chambers, 0), (pi.chambers, omega),
-                                   (tmap.nu.chambers, omega), (mu_shifted.chambers, omega),
-                                   (pi.mu.chambers, omega)],
-                            tag=lambda g: g % stride == 0)
-    for g in range(grid):
-        if reps[g] != g:
-            res[g] = res[reps[g]]
-            continue
-        theta = Fraction(g, grid)
+
+    def residuals(theta):
+        """The residual at theta, and the shifted one (0 off the subsample)."""
         theta_next = theta + omega
         fvals = tmap.fiber_values(theta, xs)
         lhs = pi.fiber(theta_next).map_array(fvals)
         pivals = pi.fiber(theta).map_array(xs)
         rhs = system.circle_values(theta, pivals)
-        res[g] = float(np.max(circ_dist_array(lhs, rhs)))
+        res = float(np.max(circ_dist_array(lhs, rhs)))
+        if (theta * grid) % stride:
+            return res, 0.0
         # shifted-window identity pi' o f = R o pi at a subsample of fibers
-        if g % stride == 0:
-            gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
-            quant = quantile_table(mu_shifted.fiber(theta_next), gamma1, Fraction(0))
-            fd = tmap.nu.fiber(theta_next)
-            p1 = tmap.phi_minus(theta_next, tmap.curve1)
-            masses = fd.mass_from(p1, fvals) / fd.total
-            lhs_shift = quant.map_array(masses)
-            shifted_sup = max(shifted_sup, float(np.max(circ_dist_array(lhs_shift, rhs))))
+        gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
+        quant = quantile_table(mu_shifted.fiber(theta_next), gamma1, Fraction(0))
+        fd = tmap.nu.fiber(theta_next)
+        p1 = tmap.phi_minus(theta_next, tmap.curve1)
+        masses = fd.mass_from(p1, fvals) / fd.total
+        lhs_shift = quant.map_array(masses)
+        return res, float(np.max(circ_dist_array(lhs_shift, rhs)))
+
+    reads = [(pi.chambers, 0), (pi.chambers, omega), (tmap.nu.chambers, omega),
+             (mu_shifted.chambers, omega), (pi.mu.chambers, omega)]
+    tag = lambda g: g % stride == 0
+    if system.kind != "translation":
+        reads, tag = [], lambda g: g        # R_theta varies with theta: no reuse
+    res = np.empty(grid)
+    shifted_sup = 0.0
+    for g, (r, shifted) in enumerate(grid_pass(grid, reads, residuals, tag)):
+        res[g] = r
+        shifted_sup = max(shifted_sup, shifted)
     # truncation defect: positionwise atom masses of pi_* nu vs R_* mu
     tv = _tv_defect(tmap, mu_shifted, fibers=8)
     bound = float(w.a(w.half_width) / w.beta) + 4.0 / vertical if w is not None else float("nan")
@@ -223,14 +227,15 @@ class NonminimalityReport:
 
 def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
                          witnesses=(), grid: int = 256,
-                         probe_points: int = 64, slack: int = 64) -> NonminimalityReport:
+                         probe_points: int = 64) -> NonminimalityReport:
     """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes.
 
     The annulus normalization (the anchor plateau starts at or below 0 and
     reaches the annulus height) is certified for every theta: the start and
     length are affine on a projection chamber, so both closed ends of each
     chamber and each cut point (direct build) cover it.  The grid check
-    follows as a cross-check, once per grid class of the projection table.
+    follows as a cross-check, on one theta per grid class of the projection
+    table (chamber.class_thetas).
     """
     pi = tmap.projection
     n0 = pi.n0
@@ -248,14 +253,12 @@ def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
                   f"theta in ({float(ch.a)}, {float(ch.b)}), end {float(t)}")
     for cut in table.cuts:
         check(pi.fiber(cut).plateau_of(n0), f"cut point theta={float(cut)}")
-    reps = grid_classes(grid, [(table, 0)])
-    for g in range(grid):
-        if reps[g] == g:
-            check(pi.fiber(Fraction(g, grid)).plateau_of(n0), f"fiber {g}/{grid}")
+    for theta in class_thetas(grid, [(table, 0)]):
+        check(pi.fiber(theta).plateau_of(n0), f"fiber {theta * grid}/{grid}")
     probes = []
     hits = 0
     for wit in witnesses:
-        hit = _probe_hit_time(tmap, wit, float(height), probe_points, wit.m + slack)
+        hit = _probe_hit_time(tmap, wit, float(height), probe_points, wit.m + _PROBE_SLACK)
         probes.append(ProbeResult(witness_m=wit.m, hit_time=hit, tested_points=probe_points))
         if hit is not None:
             hits += 1

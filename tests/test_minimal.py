@@ -65,16 +65,15 @@ def reference_projection_lift(projection, system, iters, burnin, fiber_grid, bin
     rng = np.random.default_rng(seed)
     theta0, target0 = rng.random(), rng.random()
     omega = float(system.omega)
-    ks = np.arange(burnin, burnin + iters, dtype=float)
-    thetas = np.mod(theta0 + ks * omega, 1.0)
+    thetas = orbit_thetas(theta0, omega, burnin, burnin + iters)
     if system.kind == "translation":
-        targets = np.mod(target0 + ks * float(system.rho), 1.0)
+        targets = orbit_thetas(target0, float(system.rho), burnin, burnin + iters)
     else:
         targets = np.empty(iters)
         t = target0
-        for i, k in enumerate(range(burnin, burnin + iters)):
+        for i, theta in enumerate(thetas.tolist()):
             targets[i] = t
-            t = (t + reference_phi(system.phi, (theta0 + k * omega) % 1.0)) % 1.0
+            t = (t + reference_phi(system.phi, theta)) % 1.0
     fiber_idx = np.mod(np.floor(thetas * fiber_grid + 0.5).astype(int), fiber_grid)
     xs = np.empty(iters)
     for i in range(fiber_grid):

@@ -7,6 +7,12 @@ read on a class ``C`` of the package counts only for a method ``name`` of
 exempt, and so are the names that ``perfbench/tracer.py`` wraps (its
 ``SPANS``, loaded by path as ``test_trace_spans.py`` loads them) and the
 short list below.
+
+Likewise every defaulted parameter of qpflab is passed by some call in
+``src/qpflab`` or ``tests``: a value nothing sets is a module constant.  A
+parameter counts as passed when a call names it as a keyword, or passes it
+by position to a callable of the function's name, resolved as above (a call
+``C(...)`` reaches ``C.__init__``).
 """
 
 import ast
@@ -15,6 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "qpflab"
+TESTS = ROOT / "tests"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 # kept with no caller in src: the tests' oracles and the artifact readers
@@ -26,6 +33,9 @@ KEPT = {
     "read_cdf_tables", "from_rle_lines",                          # artifact readers
     "default_pipeline",                 # the spec-default stack of the test fixtures
 }
+
+# defaulted parameters kept with no caller setting them: default_pipeline's fixture knobs
+KNOBS = {"default_pipeline." + name for name in ("k", "epsilon", "curve_value", "crossings", "seed")}
 
 
 def traced_names() -> set:
@@ -88,3 +98,91 @@ def test_a_read_on_another_class_is_no_use(tmp_path):
         "main()\n", encoding="utf-8")
     unused = sorted(unused_definitions(tmp_path, exempt=set()))
     assert unused == ["mod.py:2 build", "mod.py:9 build"]
+
+
+def _parse(*dirs) -> dict:
+    return {path: ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted(d.glob("*.py"))}
+
+
+def _callee(func, classes):
+    """(name, class it is read on or None) of a call's function, or None."""
+    if isinstance(func, ast.Name):
+        return func.id, None
+    if isinstance(func, ast.Attribute):
+        on = func.value.id if isinstance(func.value, ast.Name) else None
+        return func.attr, on if on in classes else None
+    return None
+
+
+def unpassed_defaults(src: Path = SRC, callers=(TESTS,), exempt=KNOBS) -> list:
+    """'file:line name(parameter)' of each defaulted parameter in src that no call passes.
+
+    The calls are those in src and in the callers' directories; exempt
+    holds 'name.parameter' entries.
+    """
+    trees = _parse(src)
+    classes = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    params = []             # (file, line, name, owner, parameter, position or None)
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        item.owner = node.name
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = getattr(node, "owner", None)
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if owner and not static else 0         # self or cls
+            args = node.args.posonlyargs + node.args.args
+            name = owner if node.name == "__init__" else node.name
+            first = len(args) - len(node.args.defaults)
+            for i, arg in enumerate(args[first:], first):
+                params.append((path.name, node.lineno, name, owner, arg.arg, i - skip))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    params.append((path.name, node.lineno, name, owner, arg.arg, None))
+    named, reach = set(), {}    # (name, class or None, keyword); (name, class or None) -> positions
+    for tree in list(trees.values()) + list(_parse(*callers).values()):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            key = _callee(node.func, classes)
+            if key is not None:
+                named.update((*key, kw.arg) for kw in node.keywords)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                n = float("inf") if starred else len(node.args)
+                reach[key] = max(reach.get(key, 0), n)
+    out = []
+    for file, line, name, owner, param, pos in params:
+        keys = [(name, None)] + ([(name, owner)] if owner else [])
+        if f"{name}.{param}" in exempt or any((*key, param) in named for key in keys):
+            continue
+        if pos is None or pos >= max(reach.get(key, 0) for key in keys):
+            out.append(f"{file}:{line} {name}({param})")
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    assert unpassed_defaults() == []
+
+
+def test_a_default_nothing_passes_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def __init__(self, size=1, depth=2):\n"
+        "        self.size = size\n"
+        "\n"
+        "    def grow(self, by=1, limit=9):\n"
+        "        return by\n"
+        "\n"
+        "def read(path, mode='r', tries=3):\n"
+        "    return path\n"
+        "\n"
+        "Box(4).grow(limit=5)\n"
+        "read('p', 'rb')\n", encoding="utf-8")
+    unpassed = sorted(unpassed_defaults(tmp_path, callers=(), exempt=set()))
+    assert unpassed == ["mod.py:2 Box(depth)", "mod.py:5 grow(by)", "mod.py:8 read(tries)"]

@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qpflab import surgery
 from qpflab.circle import mod1
@@ -10,7 +11,7 @@ from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
 from qpflab.pipeline import prepare_curve
 from qpflab.plgraph import PLGraph
 from qpflab.surgery import (_localize_in_triangle, _orbit_candidates, _orbit_point,
-                            apply_perturbation, ensure_crossing, find_perturbation_box,
+                            apply_perturbation, arcs_disjoint, ensure_crossing, find_perturbation_box,
                             flatten_to_depth, graphs_equal_off, itinerary_of_point,
                             validate_box, verify_x_law)
 from qpflab.systems import MAX_DEPTH, QpfSystem
@@ -236,3 +237,37 @@ def test_ensure_crossing_thin_arcs_within_bound():
 def test_ensure_crossing_timeout():
     with pytest.raises(OrbitSearchTimeout):
         ensure_crossing(R, CONST, (F(1, 10), F(2, 10)), (F(6, 10), F(7, 10)), depth=3, m_max=1)
+
+
+def pairwise_disjoint(arcs) -> bool:
+    """The oracle: no arc starts inside another, tested pair by pair on the circle."""
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            d = mod1(arcs[j][0] - arcs[i][0])
+            if d < arcs[i][1] - arcs[i][0] or 1 - d < arcs[j][1] - arcs[j][0]:
+                return False
+    return True
+
+
+@st.composite
+def circle_arcs(draw):
+    """Closed arcs of positive length on a coarse grid, so that they wrap, touch and coincide."""
+    den = draw(st.sampled_from([4, 6, 12, 60]))
+    arcs = []
+    for _ in range(draw(st.integers(1, 6))):
+        if arcs and draw(st.booleans()):
+            lo = draw(st.sampled_from([mod1(arcs[-1][1]), arcs[-1][0]]))    # touch or coincide
+        else:
+            lo = F(draw(st.integers(0, den - 1)), den)
+        arcs.append((lo, lo + F(draw(st.integers(1, den - 1)), den)))
+    return arcs
+
+
+@settings(max_examples=300, deadline=None)
+@given(arcs=circle_arcs())
+@example(arcs=[(F(0), F(1, 2)), (F(1, 2), F(1))])                # touching, covering the circle
+@example(arcs=[(F(3, 4), F(5, 4)), (F(1, 4), F(3, 4))])          # touching across 0
+@example(arcs=[(F(1, 4), F(1, 2)), (F(1, 4), F(1, 2))])          # coinciding
+@example(arcs=[(F(5, 6), F(7, 6)), (F(1, 12), F(1, 6))])         # inside a wrapping arc
+def test_arcs_disjoint_is_the_pairwise_test(arcs):
+    assert arcs_disjoint(arcs) == pairwise_disjoint(arcs)
