@@ -137,14 +137,14 @@ def curve_svg(graphs) -> str:
     return svg_document(SVG_SIZE, SVG_SIZE, elements)
 
 
-def atlas_svg(atlas, order, grid: int) -> str:
+def atlas_svg(atlas, grid: int) -> str:
     """Raster bands of the atlas allocations across fibers, one column per grid fiber."""
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf"]
     elements = [svg_rect(0, 0, SVG_SIZE, SVG_SIZE, "#ffffff")]
     cell = SVG_SIZE / grid
     for g, fa in enumerate(grid_pass(grid, [(atlas.chambers, 0)], atlas.fiber)):
-        for ni, n in enumerate(order):
+        for ni, n in enumerate(atlas.order):
             color = colors[ni % len(colors)]
             for lo, hi in fa.u[n]:
                 lo_f = float(lo) % 1.0

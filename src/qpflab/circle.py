@@ -40,6 +40,9 @@ def mod1_array(x):
 
 #: orbit_thetas is exact up to its final roundings for |k| below this
 ORBIT_STEPS = 1 << 27
+# orbit_thetas forms its result in place this many steps at a time, so that its
+# temporaries stay small beside the result
+_PIECE = 1 << 13
 
 
 def orbit_thetas(theta0: float, omega: float, lo: int, hi: int) -> np.ndarray:
@@ -50,14 +53,26 @@ def orbit_thetas(theta0: float, omega: float, lo: int, hi: int) -> np.ndarray:
     for |k| < 2**27 and |k * omega_lo| < 1.  theta_k is then
     mod1(mod1(k * omega_hi) + (theta0 + k * omega_lo)), within 2**-51 of the
     exact value on the circle at any k; the naive mod1(theta0 + k * omega)
-    is off by 1.2e-10 at k = 10**6.  For theta0 in [0, 1).
+    is off by 1.2e-10 at k = 10**6.  For theta0 in [0, 1).  Each piece of
+    the result is formed in place from its k with those float operations
+    (`mod1_array`'s x - floor(x) twice), so the call holds the result and
+    temporaries of _PIECE steps.
     """
     if lo <= -ORBIT_STEPS or hi > ORBIT_STEPS:
         raise PreconditionError(f"orbit steps [{lo}, {hi}) reach past |k| < 2**27")
     c = omega * (2.0**27 + 1.0)
     omega_hi = c - (c - omega)
-    ks = np.arange(lo, hi, dtype=float)
-    return mod1_array(mod1_array(ks * omega_hi) + (theta0 + ks * (omega - omega_hi)))
+    omega_lo = omega - omega_hi
+    out = np.arange(lo, hi, dtype=float)
+    for s in range(0, len(out), _PIECE):
+        ks = out[s:s + _PIECE]
+        head = ks * omega_hi
+        head -= np.floor(head)
+        ks *= omega_lo
+        ks += theta0
+        ks += head
+        ks -= np.floor(ks)
+    return out
 
 
 def signed_gap(a: Scalar, b: Scalar) -> Scalar:

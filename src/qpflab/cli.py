@@ -144,9 +144,8 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     if emit_svg:
         fam = [pipeline.family[n] for n in sorted(pipeline.family)[:6]]
         (out / "curves.svg").write_text(artifacts.curve_svg(fam), encoding="ascii")
-        (out / "atlas.svg").write_text(
-            artifacts.atlas_svg(pipeline.atlas, pipeline.atlas.order, grid=128),
-            encoding="ascii")
+        (out / "atlas.svg").write_text(artifacts.atlas_svg(pipeline.atlas, grid=128),
+                                       encoding="ascii")
     ok = report.passed and atlas_audit.passed and nonmin.hit_fraction >= 0.9
     return EXIT_OK if ok else EXIT_INVARIANT
 

@@ -22,20 +22,27 @@ from .systems import QpfSystem, flat_row_step, nearest_rows, pl_values_float, ro
 # segment's guess starts _WARMUP steps early.  On a contracting cocycle two
 # orbits of the table become the same float within a few dozen steps (Harper
 # E=0, lambda=2, 512^2 table: 26 at the median and 46 at most over 1000
-# random pairs), so the guesses are mostly the orbit itself.  A block whose
-# repair took more than 1/_GIVE_UP of its steps ends the speculation; the
-# rest of the run walks in chunks of _CHUNK steps, small enough that the
-# chunk's Python lists (about 130 bytes a step) add little to the peak memory.
-_SEGMENTS = 256
-_SEGMENT = 64
+# random pairs), so the guesses are mostly the orbit itself.  Once the repair
+# pass has walked _MIN_WALK steps of a block and repaired more than
+# 1/_GIVE_UP of them, the speculation ends; the rest of the run walks in
+# chunks of _CHUNK steps, small enough that the chunk's Python lists (about
+# 130 bytes a step) add little to the peak memory.
+_SEGMENTS = 512
+_SEGMENT = 128
 _WARMUP = 64
 _BLOCK = _SEGMENTS * _SEGMENT
 _GIVE_UP = 8
+_MIN_WALK = 1 << 10
 _CHUNK = 1 << 10
 # The projection lift walks its samples in blocks of _LIFT_BLOCK; the
 # diagnostics read the occupancy _ROW_BLOCK fibers at a time.
 _LIFT_BLOCK = 1 << 14
 _ROW_BLOCK = 64
+
+
+def _index_dtype(size: int):
+    """int32 for the flat indices of an array of this many entries if they fit, else intp."""
+    return np.int32 if size <= 2**31 else np.intp
 
 
 def _walk(flat, vres, offsets, x):
@@ -58,10 +65,10 @@ def _walk(flat, vres, offsets, x):
     return out
 
 
-def _speculate(flat, vres, base, segs, x):
+def _speculate(flat, vres, offsets, segs, x):
     """Guesses of the orbit from x over segs segments, stepped all at once.
 
-    base[_WARMUP + k] is the flat offset of the table row of step k.
+    offsets[_WARMUP + k] is the flat offset of the table row of step k.
     Segment s covers steps s*_SEGMENT onward; its guess starts from x at
     step s*_SEGMENT - _WARMUP and every segment steps at once through
     `flat_row_step`.  Segment 0 restarts from x itself, so its guesses are
@@ -70,32 +77,31 @@ def _speculate(flat, vres, base, segs, x):
     """
     guess = np.full(segs, x)
     for t in range(_WARMUP):
-        guess = flat_row_step(flat, vres, base[t::_SEGMENT][:segs], guess)
+        guess = flat_row_step(flat, vres, offsets[t::_SEGMENT][:segs], guess)
     guess[0] = x
     starts = guess.tolist()
     xs = np.empty((segs, _SEGMENT))
     for t in range(_SEGMENT):
-        guess = flat_row_step(flat, vres, base[_WARMUP + t::_SEGMENT][:segs], guess)
+        guess = flat_row_step(flat, vres, offsets[_WARMUP + t::_SEGMENT][:segs], guess)
         xs[:, t] = guess
     return starts, xs.reshape(-1)
 
 
-def _speculative_block(flat, vk, ths, n, x):
-    """The orbit over one block of n steps from x, guessed, then repaired.
+def _speculative_block(flat, vres, offsets, n, x):
+    """The orbit over at most n steps from x, guessed, then repaired.
 
-    flat is the raveled table, vk its row length; ths[_WARMUP + k] is theta
-    before step k.  The scalar pass walks the true orbit segment by segment,
-    each up to the first step whose x equals the guess: a step is a function
-    of x and the row, so from there on the guess is the orbit.  Returns x
-    after each step, the last x, and the number of steps whose guess was
-    wrong.
+    offsets[_WARMUP + k] is the flat offset of the table row of step k.  The
+    scalar pass walks the true orbit segment by segment, each up to the
+    first step whose x equals the guess: a step is a function of x and the
+    row, so from there on the guess is the orbit.  At the end of a segment,
+    once it has walked _MIN_WALK steps and repaired more than 1/_GIVE_UP of
+    them, the pass gives up and drops the guesses after that segment.
+    Returns x after each step walked, the last x, and whether it gave up.
     """
-    vres = vk - 1
     segs = -(-n // _SEGMENT)
-    base = nearest_rows(ths[:_WARMUP + segs * _SEGMENT], len(flat) // vk) * vk
-    starts, xs = _speculate(flat, vres, base, segs, x)
+    starts, xs = _speculate(flat, vres, offsets, segs, x)
     fv = memoryview(flat)
-    bv = memoryview(base)
+    ov = memoryview(offsets)
     xv = memoryview(xs)
     repaired = 0
     for s, start in enumerate(starts):
@@ -103,24 +109,32 @@ def _speculative_block(flat, vk, ths, n, x):
         hi = min(lo + _SEGMENT, n)
         if x != start:
             for k in range(lo, hi):
-                (x,) = _walk(fv, vres, (bv[_WARMUP + k],), x)
+                (x,) = _walk(fv, vres, (ov[_WARMUP + k],), x)
                 if x == xv[k]:
                     break
                 xv[k] = x
                 repaired += 1
         x = xv[hi - 1]
-    return xs[:n], x, repaired
+        if hi >= _MIN_WALK and repaired * _GIVE_UP > hi:
+            return xs[:hi], x, True
+    return xs[:n], x, False
 
 
-def _set_bins(occ, ths, xs):
-    """Mark the bins of the points (ths, xs) in occ; xs is scaled in place."""
+def _set_bins(occ, bi, xs):
+    """Mark the bins of the points (bi, xs) in occ; bi holds theta * bins.
+
+    bi and xs are overwritten: xs is scaled to bins, and bi becomes the flat
+    index of each bin in occ.
+    """
     bins = occ.shape[0]
-    bi = (ths * bins).astype(int)
     bi %= bins
+    bi *= bins
     xs *= bins
-    bj = xs.astype(int)
+    bj = xs.astype(bi.dtype)
     bj %= bins
-    occ[bi, bj] = True
+    bi += bj
+    del bj                  # the scatter may copy bi to intp
+    occ.reshape(-1)[bi] = True
 
 
 def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
@@ -133,15 +147,22 @@ def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
     scalar step or equal to a value the true orbit reached, and
     `flat_row_step` does the scalar step's float operations in the same
     order, so the occupancy is bit-identical to the plain one-step loop over
-    the same thetas.  Once a block needed repair on more than 1/_GIVE_UP of
-    its steps (a map that does not contract, such as a rotation), the rest
-    of the run takes the plain chunked walk.  The visited bins of each block
-    are set in one scatter.
+    the same thetas.  Once the repair pass gives up (a map that does not
+    contract, such as a rotation), the run goes on from the last true x by
+    the plain chunked walk.  The visited bins of each block are set in one
+    scatter.
+
+    Memory: a block's thetas (8 bytes a step) live only until its row
+    offsets and its bin rows are formed, 4 bytes a step each when the table
+    and the grid have at most 2**31 entries; then the guesses take 8 bytes
+    a step.  The transient peak is about 20 bytes a block step.
     """
     g, vk = table.shape
     vres = vk - 1
     flat = np.ascontiguousarray(table).reshape(-1)
     fv = memoryview(flat)
+    row_dtype = _index_dtype(flat.size)
+    bin_dtype = _index_dtype(bins * bins)
     occ = np.zeros((bins, bins), dtype=np.bool_)
     x = x0
     total = burnin + iters
@@ -149,21 +170,31 @@ def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
     speculate = True
     while done < total:
         n = min(_BLOCK if speculate else _CHUNK, total - done)
-        # ths[_WARMUP + k] is theta before step done + k, for k from -_WARMUP
-        # to n and on to the end of the last segment, which is guessed whole
-        ths = orbit_thetas(theta0, omega, done - _WARMUP, done + -(-n // _SEGMENT) * _SEGMENT + 1)
+        # ths[lead + k] is theta before step done + k, for k from -lead to n
+        # and, when speculating, on to the end of the last segment, which is
+        # guessed whole
+        lead = _WARMUP if speculate else 0
+        end = -(-n // _SEGMENT) * _SEGMENT if speculate else n
+        ths = orbit_thetas(theta0, omega, done - lead, done + end + 1)
+        offsets = nearest_rows(ths[:-1], g, row_dtype)
+        offsets *= vk
+        after = ths[lead + 1:lead + n + 1]      # theta after each step
+        after *= bins
+        bi = after.astype(bin_dtype)
+        del ths, after          # not held while the guesses are made
         if speculate:
-            xs, x, repaired = _speculative_block(flat, vk, ths, n, x)
-            speculate = repaired * _GIVE_UP <= n
+            xs, x, gave_up = _speculative_block(flat, vres, offsets, n, x)
+            speculate = not gave_up
+            n = len(xs)
         else:
-            rows = nearest_rows(ths[_WARMUP:_WARMUP + n], g)
-            walked = _walk(fv, vres, (rows * vk).tolist(), x)
+            walked = _walk(fv, vres, offsets.tolist(), x)
             x = walked[-1]
             xs = np.array(walked)
+        del offsets
         skip = max(0, burnin - done)
         if skip < n:
-            _set_bins(occ, ths[_WARMUP + 1 + skip:_WARMUP + n + 1], xs[skip:])
-        del xs                  # not held while the next block is built
+            _set_bins(occ, bi[skip:n], xs[skip:])
+        del xs, bi              # not held while the next block is built
         done += n
     return occ
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .circle import OMEGA_GOLDEN, orbit_thetas
+from .circle import OMEGA_GOLDEN, mod1_array, orbit_thetas
 from .errors import PreconditionError
 from .minimal import FiberSet, approximate_minimal_set
 from .systems import QpfSystem
@@ -74,7 +74,7 @@ def projective_action_array(m: Mat2, xs: np.ndarray) -> np.ndarray:
     """Image directions of the lines at angles pi*xs under the matrix."""
     t = np.pi * np.mod(xs, 1.0)
     cv, sv = np.cos(t), np.sin(t)
-    return np.mod(np.arctan2(m.c * cv + m.d * sv, m.a * cv + m.b * sv) / np.pi, 1.0)
+    return mod1_array(np.arctan2(m.c * cv + m.d * sv, m.a * cv + m.b * sv) / np.pi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,9 +126,13 @@ class Cocycle:
 
 
 def cocycle_qpf(c: Cocycle) -> QpfSystem:
-    """The qpf circle system induced by the projective action."""
+    """The qpf circle system induced by the projective action.
+
+    At a column of thetas the matrix entries are columns, and the action
+    broadcasts to one row of values per theta.
+    """
     return QpfSystem.from_callable(
-        c.omega, lambda theta, xs: projective_action_array(c.matrix(float(theta)), xs))
+        c.omega, lambda theta, xs: projective_action_array(c.matrix(theta), xs))
 
 
 @dataclass

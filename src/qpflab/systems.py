@@ -24,6 +24,9 @@ EXACT_KINDS = ("translation", "skew")
 #: the deepest curve image |n| and window 2 * depth + 1 any system admits
 MAX_DEPTH = 128
 
+# QpfSystem.sample calls a callable system's map on this many rows at a time
+_SAMPLE_ROWS = 32
+
 # classify_rho_boundedness suspects unbounded deviations when the sup over
 # the whole walk exceeds the sup over its first half by more than this factor
 _GROWTH_RATIO = 1.5
@@ -35,7 +38,9 @@ class QpfSystem:
 
     Affine kinds carry a displacement (rho or phi); the one other kind,
     "callable", carries a vectorized map circle_fn(theta, xs) -> f_theta(xs)
-    mod 1, from which the lift and the sampled table are derived.
+    mod 1, from which the lift and the sampled table are derived.  theta is
+    a float or a column of thetas (shape (r, 1)) and xs a 1-D array of
+    points; at a column the map returns one row of values per theta.
     """
 
     omega: Fraction
@@ -86,24 +91,41 @@ class QpfSystem:
 
         Row i holds the lift F at theta = i / fiber_grid at the vertical_grid + 1
         knots of [0, 1], with F(0) = f(0) in [0, 1), rising by exactly 1 over
-        the fiber.  `row_step` steps a point through the table.
+        the fiber.  `row_step` steps a point through the table.  A callable
+        system's map is called once per block of _SAMPLE_ROWS rows, on the
+        column of their thetas.
         """
         knots = np.linspace(0.0, 1.0, vertical_grid + 1)
         rows = np.empty((fiber_grid, vertical_grid + 1))
-        for i in range(fiber_grid):
-            if self.is_affine:
+        if self.is_affine:
+            for i in range(fiber_grid):
                 rows[i] = knots + float(mod1(self.displacement(Fraction(i, fiber_grid))))
-                continue
-            vals = self.circle_values(i / fiber_grid, knots)
-            f0 = vals[0]
-            rows[i] = f0 + np.mod(vals - f0, 1.0)
-            rows[i, -1] = f0 + 1.0
+            return rows
+        for lo in range(0, fiber_grid, _SAMPLE_ROWS):
+            block = rows[lo:lo + _SAMPLE_ROWS]
+            thetas = np.arange(lo, lo + len(block))[:, None] / fiber_grid
+            # a map constant in theta returns one row for the whole column
+            vals = np.broadcast_to(self.circle_fn(thetas, knots), block.shape)
+            f0 = vals[:, :1]
+            np.subtract(vals, f0, out=block)
+            block -= np.floor(block)        # mod1_array in place: np.mod's bits, faster
+            block += f0
+            block[:, -1:] = f0 + 1.0
         return rows
 
 
-def nearest_rows(th: np.ndarray, g: int) -> np.ndarray:
-    """Index of the nearest of g equally spaced fiber rows, per base point."""
-    return np.mod(np.floor(th * g + 0.5).astype(int), g)
+def nearest_rows(th: np.ndarray, g: int, dtype=int) -> np.ndarray:
+    """Index of the nearest of g equally spaced fiber rows, per base point.
+
+    The indices have the given integer dtype; the one float temporary,
+    th * g + 0.5, is floored in place.
+    """
+    rows = th * g
+    rows += 0.5
+    np.floor(rows, out=rows)
+    rows = rows.astype(dtype)
+    rows %= g
+    return rows
 
 
 def row_step(table: np.ndarray, i: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -66,9 +66,15 @@ class TransportedMap:
         return fd.quantile_from(p1, us)
 
     def as_system(self) -> QpfSystem:
-        def circle_fn(theta, xs):
+        """f as a callable system; a column of thetas is read one exact fiber at a time."""
+        def fiber(theta, xs):
             th = theta if isinstance(theta, Fraction) else Fraction(theta).limit_denominator(10**15)
             return self.fiber_values(th, xs)
+
+        def circle_fn(theta, xs):
+            if np.ndim(theta) == 0:
+                return fiber(theta, xs)
+            return np.stack([fiber(th, xs) for th in np.ravel(theta).tolist()])
 
         return QpfSystem.from_callable(self.system.omega, circle_fn)
 

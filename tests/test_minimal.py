@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 
 from qpflab.circle import orbit_thetas
 from qpflab.errors import PreconditionError
-from qpflab.minimal import (_BLOCK, _CHUNK, _LIFT_BLOCK, FiberSet, StackedKnots,
-                            _longest_true_run, _orbit_occupancy, approximate_minimal_set,
-                            fiber_component_count, invariance_defect,
+from qpflab import minimal
+from qpflab.minimal import (_BLOCK, _CHUNK, _LIFT_BLOCK, _MIN_WALK, _SEGMENT, _WARMUP, FiberSet,
+                            StackedKnots, _longest_true_run, _orbit_occupancy,
+                            approximate_minimal_set, fiber_component_count, invariance_defect,
                             minimal_set_via_projection, structure_diagnostics)
 from qpflab.pipeline import run_blowup
 from qpflab.plgraph import PLGraph
@@ -152,6 +153,52 @@ def test_orbit_kernel_matches_scalar_reference(system, burnin, iters, grid, bins
         start = (rng.random(), rng.random())
     ref = reference_orbit(table, omega, float(start[0]), float(start[1]), burnin, iters, bins)
     assert np.array_equal(occ, ref)
+
+
+def test_orbit_block_memory_is_bounded():
+    # a block's thetas, row offsets, bin rows and guesses, not the run, set the peak
+    table = HARPER.sample(512, 512)
+    tracemalloc.start()
+    try:
+        occ = _orbit_occupancy(table, float(HARPER.omega), 0.3, 0.6, 0, 3 * _BLOCK + 77, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - occ.nbytes <= 24 * _BLOCK
+
+
+def count_orbit_steps(monkeypatch, system, iters):
+    """The kernel's array steps (`flat_row_step` calls) and the steps of its plain walk."""
+    counts = {"array": 0, "plain": 0}
+    step, walk = minimal.flat_row_step, minimal._walk
+
+    def array_step(*args):
+        counts["array"] += 1
+        return step(*args)
+
+    def plain_walk(flat, vres, offsets, x):
+        if len(offsets) > 1:            # the repair pass walks one step a call
+            counts["plain"] += len(offsets)
+        return walk(flat, vres, offsets, x)
+
+    monkeypatch.setattr(minimal, "flat_row_step", array_step)
+    monkeypatch.setattr(minimal, "_walk", plain_walk)
+    _orbit_occupancy(system.sample(256, 256), float(system.omega), 0.3, 0.6, 0, iters, 256)
+    return counts
+
+
+def test_repair_pass_gives_up_inside_the_first_block(monkeypatch):
+    # the rotation's guesses never merge: one block is guessed, and the plain
+    # walk takes over from the end of the repair pass's first stretch
+    iters = 3 * _BLOCK
+    counts = count_orbit_steps(monkeypatch, ROTATION, iters)
+    assert counts["array"] == _WARMUP + _SEGMENT
+    assert iters - counts["plain"] <= _MIN_WALK + _SEGMENT < _BLOCK
+
+
+def test_contracting_cocycle_speculates_every_block(monkeypatch):
+    counts = count_orbit_steps(monkeypatch, HARPER, 3 * _BLOCK)
+    assert counts == {"array": 3 * (_WARMUP + _SEGMENT), "plain": 0}
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0 - 2.0**-53])

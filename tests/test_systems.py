@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.circle import OMEGA_GOLDEN, mod1
 from qpflab.plgraph import PLGraph
-from qpflab.sl2 import Cocycle, cocycle_qpf
+from qpflab.sl2 import Cocycle, Mat2, cocycle_qpf
 from qpflab.systems import (Lift, QpfSystem, _orbit, classify_rho_boundedness, deviations,
                             rotation_number)
 
@@ -212,3 +212,30 @@ def test_classifier_rho_is_the_rotation_walk_estimate(lifts, kind):
     est = rotation_number(lift, F(0) if lift.base.is_affine else 0.0, 0.0, n)
     assert rep.rho.hex() == est.value.hex()
     assert classify_rho_boundedness(lift, n, 2, rho=est.value).ratio == rep.ratio
+
+
+def reference_sample(system, fiber_grid, vertical_grid):
+    """The sampled table one fiber row at a time: the oracle for the row blocks."""
+    knots = np.linspace(0.0, 1.0, vertical_grid + 1)
+    rows = np.empty((fiber_grid, vertical_grid + 1))
+    for i in range(fiber_grid):
+        vals = system.circle_values(i / fiber_grid, knots)
+        f0 = vals[0]
+        rows[i] = f0 + np.mod(vals - f0, 1.0)
+        rows[i, -1] = f0 + 1.0
+    return rows
+
+
+@pytest.mark.parametrize("system", [
+    cocycle_qpf(Cocycle.harper(0.0, 2.0)),
+    cocycle_qpf(Cocycle.harper(5.0, 0.7)),
+    cocycle_qpf(Cocycle.rotation(0.3)),
+    cocycle_qpf(Cocycle.diagonal(2.0)),
+    cocycle_qpf(Cocycle.constant(Mat2(2.0, 1.0, 1.0, 1.0))),
+    "small4",
+], ids=["harper", "harper-elliptic", "rotation", "diagonal", "constant", "f"])
+def test_sample_matches_row_by_row_reference(request, system):
+    # 77 fiber rows: two whole row blocks and a ragged one
+    if system == "small4":
+        system = request.getfixturevalue("small4").f_system
+    assert np.array_equal(system.sample(77, 61), reference_sample(system, 77, 61))
