@@ -21,7 +21,6 @@ from .measure import MeasureFamily, Projection, allocation_rank
 
 @dataclass(frozen=True)
 class FiberAtlas:
-    theta: Fraction
     u: dict          # n -> tuple of (lo, hi) open arcs, unrolled source coords
     v: dict          # n -> tuple of (lo, hi) closed arcs (compact shrinkings)
 
@@ -100,16 +99,15 @@ class PartitionAtlas:
     def chambers(self) -> ChamberTable:
         """The projection's chambers, split where the plateau allocation switches."""
         return ChamberTable(self.projection.chambers.cuts, lambda probe: self._allocate(
-            None, self.mu.chambers.template_on(probe),
-            self.projection.chambers.template_on(probe)))
+            self.mu.chambers.template_on(probe), self.projection.chambers.template_on(probe)))
 
     def fiber(self, theta) -> FiberAtlas:
         return self.chambers.fiber(theta, self._fiber_uncached)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberAtlas:
-        return self._allocate(theta, self.mu.fiber(theta), self.projection.fiber(theta))
+        return self._allocate(self.mu.fiber(theta), self.projection.fiber(theta))
 
-    def _allocate(self, theta, fm, fp) -> FiberAtlas:
+    def _allocate(self, fm, fp) -> FiberAtlas:
         u: dict = {}
         for plateau in fp.plateaus:
             arcs = _allocate_plateau(list(plateau.members), fm.masses, fm.t_split,
@@ -117,7 +115,7 @@ class PartitionAtlas:
             u.update(arcs)
         u = {n: tuple(v) for n, v in u.items()}
         v = {n: tuple(_shrink_arcs(list(arcs), self.epsilon)) for n, arcs in u.items()}
-        return FiberAtlas(theta=theta, u=u, v=v)
+        return FiberAtlas(u=u, v=v)
 
     def audit_fiber(self, theta) -> None:
         """Raise AtlasInvariantViolation if any invariant fails at this fiber."""

@@ -2,26 +2,25 @@
 
 Over an affine base the window curves are exact PL graphs, so between finitely
 many cut points of the circle the combinatorics of every stage are fixed and
-each exact quantity is affine in theta.  A stage builds its table by running
-its exact builder once per chamber on ``Affine`` numbers c0 + c1*theta, inside
-the chamber's ``Probe``: arithmetic stays exact, and each comparison is decided
-at the midpoint of the active probe while the root of the compared difference
-is recorded.  ``Probe.sign`` decides a comparison in floats, without forming
-the exact difference, when the difference clears a rounding bound with one sign
-at both closed ends, and exactly otherwise.  A run that records no root
-strictly inside its chamber has the same combinatorics at every point of it;
-otherwise the chamber is split at the roots and run again.  An Affine holds no
-probe, so a stage reads the templates of the stage below as they are; only a
-piece split off the wrapping chamber past 1 rebinds them one turn on.
-``fiber(theta)`` evaluates the template of the chamber holding theta, and a
-theta on a cut point goes to the stage's direct builder.  Float readers skip
-the Fractions: ``floats`` reads a template's numbers from integer rows, rounded
-as float() rounds them.
+each exact quantity is affine in theta.  A table with any cut has one at 0, so
+its chambers tile [0, 1] and every chamber reads plain theta in [0, 1].  A
+stage builds its table by running its exact builder once per chamber on
+``Affine`` numbers c0 + c1*theta, inside the chamber's ``Probe``: arithmetic
+stays exact, and each comparison is decided at the midpoint of the active
+probe while the root of the compared difference is recorded.  ``Probe.sign``
+decides a comparison in floats, without forming the exact difference, when the
+difference clears a rounding bound with one sign at both closed ends, and
+exactly otherwise.  A run that records no root strictly inside its chamber has
+the same combinatorics at every point of it; otherwise the chamber is split at
+the roots and run again.  An Affine holds no probe, so a stage reads the
+templates of the stage below as they are.  ``fiber(theta)`` evaluates the
+template of the chamber holding theta mod 1, and a theta on a cut point goes to
+the stage's direct builder.  Float readers skip the Fractions: ``floats``
+reads a template's numbers from integer rows, rounded as float() rounds them.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_right
 from dataclasses import fields, is_dataclass, replace
@@ -36,7 +35,7 @@ _active: list = []     # the probes of the builds in progress, innermost last; s
 
 
 class Probe:
-    """One chamber (a, b) under construction, in unrolled theta: midpoint and roots met.
+    """One chamber (a, b) of [0, 1] under construction: midpoint and roots met.
 
     Entered as a context manager around a build, it is the probe that every
     Affine compares, hashes and rounds at; a nested build pushes its own, and
@@ -102,7 +101,7 @@ def affine(c0, c1):
 
 @total_ordering
 class Affine:
-    """c0 + c1*theta (c1 != 0) on one chamber, theta unrolled across it.
+    """c0 + c1*theta (c1 != 0) on one chamber, for theta in [0, 1].
 
     Sums and products with constants stay exact.  Comparisons, equality,
     hashing and float() read the value at the midpoint of the active probe,
@@ -197,20 +196,6 @@ def _has_affine(obj) -> bool:
     return False
 
 
-def rebind(template, shift):
-    """The template in another theta, where the template's own theta is it + shift."""
-    return map_leaves(template, lambda x: Affine(x.c0 + x.c1 * shift, x.c1))
-
-
-def restamp(theta, fiber):
-    """A copy of a fiber carrying this theta (frozen dataclasses too)."""
-    if not hasattr(fiber, "theta"):
-        return fiber
-    fiber = copy.copy(fiber)
-    object.__setattr__(fiber, "theta", theta)
-    return fiber
-
-
 class Chamber:
     def __init__(self, a, b, template):
         self.a, self.b, self.template = a, b, template
@@ -219,7 +204,7 @@ class Chamber:
         self.rows = {}              # (leaves, reduce) -> compiled floats, made on first use
 
     def floats(self, t: Fraction, leaves, reduce=False) -> list:
-        """float() of the numbers leaves(template) lists, at unrolled t; of them mod 1 with reduce.
+        """float() of the numbers leaves(template) lists, at t in [0, 1]; of them mod 1 with reduce.
 
         A theta-dependent number c0 + c1*t over the common denominator m of c0
         and c1 is the integer row (c0*m, c1*m, m), and at t = p/q its value is
@@ -255,16 +240,15 @@ def _compile(numbers, reduce: bool) -> tuple:
 class ChamberTable:
     """Sorted cut points in [0, 1) and one template per chamber between them.
 
-    Chamber i runs from cuts[i] to cuts[i + 1], and the last one to
-    cuts[0] + 1, in unrolled theta.  Without cuts the one chamber is the
-    whole circle and its template is constant.
+    Chamber i runs from cuts[i] to cuts[i + 1], and the last one to 1.  A
+    table with any cut has one at 0, so its chambers tile [0, 1].  Without
+    cuts the one chamber is the whole circle and its template is constant.
     """
 
     def __init__(self, cuts, build):
         cuts = set(cuts)
-        whole = not cuts
-        ends = sorted(cuts) or [Fraction(0)]
-        todo = list(zip(ends, ends[1:] + [ends[0] + 1]))
+        ends = sorted(cuts | {Fraction(0)})
+        todo = list(zip(ends, ends[1:] + [Fraction(1)]))
         self.chambers = []
         while todo:
             a, b = todo.pop()
@@ -277,19 +261,18 @@ class ChamberTable:
                     raise
             if probe.roots:
                 roots = sorted(probe.roots)
-                cuts.update(mod1(r) for r in roots)
-                # a piece split off the wrapping chamber past 1 starts over in [0, 1)
-                todo += [(x - (x >= 1), y - (x >= 1)) for x, y in zip([a] + roots, roots + [b])]
+                cuts.update(roots)
+                todo += zip([a] + roots, roots + [b])
             else:
                 self.chambers.append(Chamber(a, b, template))
-        if whole and (cuts or not self.chambers[0].constant):
-            cuts.add(Fraction(0))       # the trial turn from 0 ends at a real cut
+        if cuts or not self.chambers[0].constant:
+            cuts.add(Fraction(0))       # the circle is cut, or its one chamber jumps at 0
         self.cuts = sorted(cuts)
         self.float_cuts = [float(c) for c in self.cuts]
         self.chambers.sort(key=lambda c: c.a)
 
     def locate(self, theta):
-        """(chamber, unrolled t) holding theta, or (None, theta mod 1) on a cut point."""
+        """(chamber holding theta, theta mod 1), or (None, theta mod 1) on a cut point."""
         r = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         x = float(r)
         i = bisect_right(self.float_cuts, x) - 1
@@ -298,8 +281,7 @@ class ChamberTable:
             i -= 1
         if i >= 0 and self.float_cuts[i] == x and self.cuts[i] == r:
             return None, r
-        ch = self.chambers[i]
-        return ch, (r if i >= 0 or r > ch.a else r + 1)
+        return self.chambers[i], r
 
     def constant_at(self, theta):
         """The constant chamber holding theta; None on a cut point or in a non-constant one."""
@@ -309,34 +291,28 @@ class ChamberTable:
         return ch if ch is not None and ch.constant else None
 
     def template_on(self, probe: Probe):
-        """The template of the chamber that holds the probe's, in the probe's theta.
+        """The template of the chamber holding the probe's (whose table has all our cuts)."""
+        return self.locate(probe.ref)[0].template
 
-        The two unrolled thetas differ only on a piece split off the wrapping
-        chamber past 1, which starts over in [0, 1): that template is rebound.
-        """
-        ch, t = self.locate(probe.ref)
-        shift = t - probe.ref
-        return rebind(ch.template, shift) if shift else ch.template
+    def fiber(self, theta, direct, finish=None, leaves=None):
+        """The fiber at theta: direct(theta) on a cut point, else the chamber's template at theta.
 
-    def fiber(self, theta, direct, finish=restamp, leaves=None):
-        """The fiber at theta: direct(theta) on a cut point, else finish(theta, x).
-
-        x is the chamber's template evaluated at theta or, given leaves, the
-        floats of the numbers leaves(template) lists (Chamber.floats).
+        Given finish and leaves, it is finish(theta, floats) of the floats
+        of the numbers leaves(template) lists (Chamber.floats).  A constant
+        chamber makes its fiber once and hands out that one object.
         """
         if not isinstance(theta, Fraction):
             theta = Fraction(theta)
         ch, t = self.locate(theta)
         if ch is None:
             return direct(theta)
-        if ch.constant and ch.fixed is not None:
-            return restamp(theta, ch.fixed)
-        fiber = finish(theta, ch.floats(t, leaves) if leaves
-                       else map_leaves(ch.template, lambda x: x.at(t)))
-        if not ch.constant:
-            return fiber
-        ch.fixed = fiber
-        return restamp(theta, fiber)
+        if ch.fixed is not None:
+            return ch.fixed
+        fiber = (finish(theta, ch.floats(t, leaves)) if leaves
+                 else map_leaves(ch.template, lambda x: x.at(t)))
+        if ch.constant:
+            ch.fixed = fiber
+        return fiber
 
 
 def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
@@ -346,8 +322,8 @@ def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
     for the (table, shift) pairs in reads.  g and g' are in one class when
     every table holds their two thetas in the same constant chamber (chambers
     keyed by identity) and tag(g) == tag(g'): then every fiber the pass reads
-    is the same restamped one, and so is its result.  A g with some theta +
-    shift on a cut point or in a non-constant chamber is its own class.
+    is its chamber's one fiber object, and so is its result.  A g with some
+    theta + shift on a cut point or in a non-constant chamber is its own class.
     """
     first: dict = {}
     out = []

@@ -107,8 +107,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
     atlas_audit = pipeline.atlas_audit()
     density_audit = pipeline.density_audit(grid=min(manifest.fibers, 512))
     report = pipeline.semiconjugacy_report()
-    nonmin = verify_nonminimality(pipeline.tmap, pipeline.atlas,
-                                  witnesses=pipeline.witnesses,
+    nonmin = verify_nonminimality(pipeline.tmap, witnesses=pipeline.witnesses,
                                   grid=min(manifest.fibers, 512),
                                   probe_points=manifest.probe_points)
     # per-fiber nu CDF tables on the uniform vertical grid, written row by row

@@ -85,7 +85,6 @@ class BumpFamily:
 
 @dataclass(eq=False)
 class FiberDensity:
-    theta: Fraction
     s0: float                   # unroll base (anchor plateau start)
     knots: np.ndarray           # sorted in [s0, s0 + 1]
     hvals: np.ndarray
@@ -179,7 +178,7 @@ def _density_fiber(theta, floats: list) -> FiberDensity:
     np.cumsum(0.5 * (hv[1:] + hv[:-1]) * (kn[1:] - kn[:-1]), out=cum[1:])
     if cum[-1] <= 0 or np.any(np.diff(cum) < 0):
         raise EtaNotInvertible(f"nu mass coordinate is not invertible at theta={float(theta)}")
-    return FiberDensity(theta=theta, s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
+    return FiberDensity(s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
 
 
 def build_bumps(atlas: PartitionAtlas, epsilon) -> BumpFamily:

@@ -11,7 +11,7 @@ data is recorded exactly and reused by the partition atlas.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -61,7 +61,6 @@ class FiberAtom:
 
 @dataclass(frozen=True)
 class FiberMeasure:
-    theta: Fraction
     beta: Fraction
     atoms: tuple                # FiberAtom, sorted by position
     masses: dict                # curve index -> mass
@@ -87,9 +86,9 @@ class CurveLines:
     """The exact line of each piece of a PL curve, laid out for the chamber templates.
 
     The piece from breakpoint (t0, v0) to the next one, of slope c1, has the
-    lift value c0 + c1*theta with c0 = v0 - c1*t0, and k turns later
-    c0 + (degree - c1)*k + c1*theta.  The pieces cover the three turns from
-    theta_0 - 1, which hold the unrolled midpoint of every chamber, in (0, 2).
+    lift value c0 + c1*theta with c0 = v0 - c1*t0, and one turn earlier
+    c0 - (degree - c1) + c1*theta.  The pieces cover the two turns from
+    theta_0 - 1, which hold the midpoint of every chamber, in (0, 1).
     """
 
     def __init__(self, curve: PLGraph):
@@ -99,12 +98,12 @@ class CurveLines:
         for (t0, v0), (t1, v1) in zip(ends, ends[1:] + [(ts[0] + 1, vs[0] + degree)]):
             c1 = (v1 - v0) / (t1 - t0)
             pieces.append((t0, v0 - c1 * t0, c1))
-        self.starts = [t0 + k for k in (-1, 0, 1) for t0, _, _ in pieces]
-        self.lines = [(c0 + (degree - c1) * k, c1) for k in (-1, 0, 1) for _, c0, c1 in pieces]
+        self.starts = [t0 + k for k in (-1, 0) for t0, _, _ in pieces]
+        self.lines = [(c0 + (degree - c1) * k, c1) for k in (-1, 0) for _, c0, c1 in pieces]
         self.float_starts = [float(t) for t in self.starts]
 
     def at(self, ref: Fraction) -> tuple:
-        """(c0, c1) of the piece holding ref in (theta_0 - 1, theta_0 + 2), by a float bisect."""
+        """(c0, c1) of the piece holding ref in (theta_0 - 1, theta_0 + 1), by a float bisect."""
         x = float(ref)
         i = bisect_right(self.float_starts, x) - 1
         # float() is monotone, so only a start that rounds to x itself can lie past ref
@@ -149,7 +148,7 @@ class MeasureFamily:
         collinear breakpoint too.
         """
         positions = {n: mod1(affine(*lines.at(probe.ref))) for n, lines in self.lines.items()}
-        return replace(self._measure(probe.theta, positions), theta=None)
+        return self._measure(probe.theta, positions)
 
     def fiber(self, theta) -> FiberMeasure:
         return self.chambers.fiber(theta, self._fiber_uncached)
@@ -174,7 +173,7 @@ class MeasureFamily:
                         continue
                     t_split[(j, i)] = self._t_value(i, j, theta)
         atoms.sort(key=lambda a: a.position)
-        return FiberMeasure(theta=theta, beta=self.beta, atoms=tuple(atoms),
+        return FiberMeasure(beta=self.beta, atoms=tuple(atoms),
                             masses=dict(self.masses), t_split=t_split)
 
     def _t_value(self, i: int, j: int, theta: Fraction) -> Fraction:
@@ -262,7 +261,6 @@ class FiberProjection:
     indices.
     """
 
-    theta: Fraction
     beta: Fraction
     anchor_pos: Fraction
     top_mass: Fraction            # anchor-group mass lifted below the zero section
@@ -325,7 +323,7 @@ def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> Fib
         plateaus.append(Plateau(members=atom.members, start=-top + fm.beta * chat + acc,
                                 length=atom.mass, target=atom.position, chat=chat))
         acc += atom.mass
-    return FiberProjection(theta=fm.theta, beta=fm.beta, anchor_pos=anchor_pos,
+    return FiberProjection(beta=fm.beta, anchor_pos=anchor_pos,
                            top_mass=top, plateaus=tuple(plateaus))
 
 

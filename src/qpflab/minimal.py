@@ -292,7 +292,7 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
     rng = np.random.default_rng(seed)
     theta0, target0 = rng.random(), rng.random()
     omega = float(system.omega)
-    # the members of a grid class of the projection table read one restamped fiber
+    # the members of a grid class of the projection table read their constant chamber's one fiber
     knots = StackedKnots.stack(grid_pass(fiber_grid, [(projection.chambers, 0)],
                                          lambda theta: projection.fiber(theta).inverse_knots))
     occ = np.zeros(bins * bins, dtype=bool)

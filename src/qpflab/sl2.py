@@ -15,7 +15,7 @@ import numpy as np
 
 from .circle import OMEGA_GOLDEN, mod1_array, orbit_thetas
 from .errors import PreconditionError
-from .minimal import FiberSet, approximate_minimal_set
+from .minimal import _ROW_BLOCK, FiberSet, approximate_minimal_set
 from .systems import QpfSystem
 
 # lyapunov takes its thetas in chunks of at most this many steps, the
@@ -256,17 +256,26 @@ def minimal_fiber_cardinality(c: Cocycle, fiber_grid: int = 1024, vertical_grid:
 
 
 def _graph_continuity(fs: FiberSet, tol: int) -> float:
-    """Fraction of adjacent occupied fiber pairs whose sets track within tol bins."""
+    """Fraction of adjacent occupied fiber pairs whose sets track within tol bins.
+
+    Fiber i tracks fiber i + 1 (the last one the first) when each of its bins
+    lies within tol bins, circularly, of one of the next fiber's.  The next
+    fibers are dilated _ROW_BLOCK rows at a time.
+    """
     b = fs.bins
-    dilated = b.copy()
-    for d in range(1, tol + 1):
-        dilated |= np.roll(b, d, axis=1) | np.roll(b, -d, axis=1)
-    nxt = np.roll(dilated, -1, axis=0)
-    rows = b.any(axis=1) & np.roll(b.any(axis=1), -1)
+    n = len(b)
+    occupied = b.any(axis=1)
+    rows = occupied & np.roll(occupied, -1)
     if not rows.any():
         return 0.0
-    ok = np.array([bool(np.all(~b[i] | nxt[i])) for i in np.flatnonzero(rows)])
-    return float(np.mean(ok))
+    ok = np.empty(n, dtype=bool)
+    for lo in range(0, n, _ROW_BLOCK):
+        nxt = b[np.arange(lo + 1, min(lo + _ROW_BLOCK, n) + 1) % n]
+        dilated = nxt.copy()
+        for d in range(1, tol + 1):
+            dilated |= np.roll(nxt, d, axis=1) | np.roll(nxt, -d, axis=1)
+        ok[lo:lo + _ROW_BLOCK] = ~(b[lo:lo + _ROW_BLOCK] & ~dilated).any(axis=1)
+    return float(np.mean(ok[rows]))
 
 
 def _cluster_count(occupied: np.ndarray, bins: int, tol: int) -> int:

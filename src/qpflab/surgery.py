@@ -147,15 +147,14 @@ def _pl_range(graph: PLGraph, a: Fraction, b: Fraction):
     return min(vals), max(vals)
 
 
-def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                 table: OrbitIntersections | None = None) -> tuple[bool, str]:
-    """Constructive check of the three perturbation-box conditions.
+def validate_box(table: OrbitIntersections, box: PerturbationBox) -> tuple[bool, str]:
+    """Constructive check of the three perturbation-box conditions for the table's curve.
 
-    The copy R^-k(Gamma) and its meet with Gamma come from the graph's orbit
-    intersection table, so a caller that validates many boxes of one graph
-    passes one table and computes each of them once.
+    The copy R^-k(Gamma) and its meet with Gamma come from the curve's orbit
+    intersection table, so the boxes validated on one table compute each of
+    them once.
     """
-    n = box.depth
+    system = table.system
     kmin, kmax = box.itinerary.window()
     if box.eta <= 0 or box.delta <= 0 or box.eta >= Fraction(1, 4):
         return False, "degenerate box dimensions"
@@ -164,8 +163,6 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
     starts = [mod1(lo_arc + k * system.omega) for k in range(kmin, kmax + 1)]
     if not arcs_disjoint([(a, a + box.delta) for a in starts]):
         return False, f"iterates I+kw overlap for k in [{kmin}, {kmax}]"
-    if table is None:
-        table = OrbitIntersections(system, graph)
     copies = {k: table.image(-k) for k in range(kmin, kmax + 1)}
     # item 3: containment/disjointness of each copy over I
     for k in range(kmin, kmax + 1):
@@ -192,21 +189,18 @@ def validate_box(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
     return True, "ok"
 
 
-def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
-                          delta_max, eta_max,
-                          table: OrbitIntersections | None = None) -> PerturbationBox:
+def find_perturbation_box(table: OrbitIntersections, z, n: int,
+                          delta_max, eta_max) -> PerturbationBox:
     """Box at z with z as left endpoint; eta fixed from vertical gaps, delta bisected.
 
-    table is the graph's orbit intersection table (a new one if None); every
-    delta tried reads the same copies and meets from it.
+    z lies on the table's curve, and every delta tried reads the same copies
+    and meets from the table.
     """
     theta, x = Fraction(z[0]), Fraction(z[1])
     if Fraction(delta_max) < RESOLUTION_FLOOR:
         raise BoxNotFound("delta_max below the resolution floor")
-    itin = itinerary_of_point(system, graph, z, n, _ITINERARY_HORIZON)
+    itin = itinerary_of_point(table.system, table.graph, z, n, _ITINERARY_HORIZON)
     kmin, kmax = itin.window()
-    if table is None:
-        table = OrbitIntersections(system, graph)
     # eta first (proof order): half the smallest vertical gap to non-itinerary copies
     eta = Fraction(eta_max)
     for k in range(kmin, kmax + 1):
@@ -220,7 +214,7 @@ def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
     delta = Fraction(delta_max)
     while delta >= RESOLUTION_FLOOR:
         box = PerturbationBox(theta=theta, delta=delta, x=x, eta=eta, itinerary=itin, depth=n)
-        ok, _reason = validate_box(system, graph, box, table=table)
+        ok, _reason = validate_box(table, box)
         if ok:
             return box
         delta = delta / 2
@@ -235,7 +229,6 @@ def find_perturbation_box(system: QpfSystem, graph: PLGraph, z, n: int,
 @dataclass
 class SurgeryPlan:
     box: PerturbationBox
-    copies: dict
     shifts: dict          # q -> integer branch shift aligning the copy at the anchor
     right_values: dict    # q -> aligned lift value at theta + delta
     groups: list          # list of (value, [q, ...]) sorted by value
@@ -254,15 +247,11 @@ class SurgeryRecord:
     lam: Fraction
     support: CircIntervalSet
     predicted: dict      # k -> CircIntervalSet of J_{i,k} arcs
-    through_points: tuple
 
 
-def plan_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                      min_tp_abscissa: Fraction | None = None,
-                      table: OrbitIntersections | None = None) -> SurgeryPlan:
+def plan_perturbation(table: OrbitIntersections, box: PerturbationBox,
+                      min_tp_abscissa: Fraction | None = None) -> SurgeryPlan:
     theta, delta, x = box.theta, box.delta, box.x
-    if table is None:
-        table = OrbitIntersections(system, graph)
     copies = {q: table.image(-q) for q in box.itinerary.times}
     shifts, right = {}, {}
     for q, copy in copies.items():
@@ -299,8 +288,7 @@ def plan_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
         j += 1
     if lam is None:
         raise LambdaNotFound("no dyadic split point separates the graph copies")
-    return SurgeryPlan(box=box, copies=copies, shifts=shifts, right_values=right,
-                       groups=groups, lam=lam)
+    return SurgeryPlan(box=box, shifts=shifts, right_values=right, groups=groups, lam=lam)
 
 
 def _polyline_intersection_closure(pa, pb) -> list:
@@ -328,10 +316,10 @@ def _polyline_intersection_closure(pa, pb) -> list:
     return [tuple(p) for p in merged]
 
 
-def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
-                       through_points=None,
-                       table: OrbitIntersections | None = None) -> tuple[PLGraph, SurgeryRecord]:
-    """Two-segment (or through-point) replacement above every itinerary copy."""
+def apply_perturbation(table: OrbitIntersections, box: PerturbationBox,
+                       through_points=None) -> tuple[PLGraph, SurgeryRecord]:
+    """Two-segment (or through-point) replacement above each itinerary copy of the table's curve."""
+    system = table.system
     theta, delta, x = box.theta, box.delta, box.x
     tps = []
     if through_points:
@@ -341,8 +329,7 @@ def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
                 raise PreconditionError("through points must lie inside the box")
         if len({t for t, _ in tps}) != len(tps):
             raise PreconditionError("through points need distinct abscissas")
-    plan = plan_perturbation(system, graph, box,
-                             min_tp_abscissa=tps[0][0] if tps else None, table=table)
+    plan = plan_perturbation(table, box, min_tp_abscissa=tps[0][0] if tps else None)
     lam = plan.lam
     host_value, host_qs = plan.host_group()
 
@@ -369,7 +356,7 @@ def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
             if comps != [(theta, theta + lam)]:
                 raise LambdaNotFound("through points break the two-segment separation")
 
-    new_graph = graph
+    new_graph = table.graph
     support_pieces = []
     for q in box.itinerary.times:
         path = [(t, v - plan.shifts[q]) for t, v in paths[q]]
@@ -392,7 +379,6 @@ def apply_perturbation(system: QpfSystem, graph: PLGraph, box: PerturbationBox,
         box=box, lam=lam,
         support=CircIntervalSet.from_pieces(support_pieces),
         predicted={k: CircIntervalSet.from_pieces(v) for k, v in predicted.items()},
-        through_points=tuple(tps),
     )
     return new_graph.canonical(), record
 
@@ -522,8 +508,15 @@ def flatten_to_depth(system: QpfSystem, graph: PLGraph, depth: int):
                 delta_max = min(delta_max, gap / 4)
             a = degs[0][0]
             z = (a, cur.circle_value(a))
-            box = find_perturbation_box(system, cur, z, n, delta_max, eps_n / 2, table=table)
-            new_graph, record = apply_perturbation(system, cur, box, table=table)
+            # a box too wide for a split point (a steep copy meets another past
+            # theta + delta/2) is searched again at half its delta, down to BoxNotFound
+            while True:
+                box = find_perturbation_box(table, z, n, delta_max, eps_n / 2)
+                try:
+                    new_graph, _ = apply_perturbation(table, box)
+                    break
+                except LambdaNotFound:
+                    delta_max = box.delta / 2
             new_table = OrbitIntersections(system, new_graph)
             after = len(new_table.x(n).degenerate_components())
             counts_ok = True
@@ -603,10 +596,9 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
 
     table = OrbitIntersections(system, graph)
     theta_i = mod1(ilo + span_i / 3)
-    box_i = find_perturbation_box(system, graph, (theta_i, graph.circle_value(theta_i)),
-                                  depth, min(span_i / 4, _CROSSING_EPS), _CROSSING_EPS,
-                                  table=table)
-    plan_i = plan_perturbation(system, graph, box_i, table=table)
+    box_i = find_perturbation_box(table, (theta_i, graph.circle_value(theta_i)),
+                                  depth, min(span_i / 4, _CROSSING_EPS), _CROSSING_EPS)
+    plan_i = plan_perturbation(table, box_i)
     tri_i = _sector_triangle(plan_i)
 
     # deterministic barycentric candidates for the tracked point; a retry kicks
@@ -618,8 +610,7 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
             (wa * tri_i[0][0] + wb * tri_i[1][0] + wc * tri_i[2][0]) / tot,
             (wa * tri_i[0][1] + wb * tri_i[1][1] + wc * tri_i[2][1]) / tot,
         )
-        gamma_bar, _rec_i = apply_perturbation(system, graph, box_i, through_points=[z_d],
-                                               table=table)
+        gamma_bar, _ = apply_perturbation(table, box_i, through_points=[z_d])
         bar_table = OrbitIntersections(system, gamma_bar)
 
         # a disjoint perturbation box over J for the modified curve
@@ -627,10 +618,8 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
         for slot in range(8):
             theta_j = mod1(jlo + span_j * Fraction(2 * slot + 1, 16))
             try:
-                cand = find_perturbation_box(system, gamma_bar,
-                                             (theta_j, gamma_bar.circle_value(theta_j)),
-                                             depth, min(span_j / 4, _CROSSING_EPS),
-                                             _CROSSING_EPS, table=bar_table)
+                cand = find_perturbation_box(bar_table, (theta_j, gamma_bar.circle_value(theta_j)),
+                                             depth, min(span_j / 4, _CROSSING_EPS), _CROSSING_EPS)
             except BoxNotFound:
                 continue
             if _families_disjoint(system, box_i, cand):
@@ -639,7 +628,7 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
         if box_j is None:
             raise PreconditionError("no perturbation box over J disjoint from the I family")
 
-        plan_j = plan_perturbation(system, gamma_bar, box_j, table=bar_table)
+        plan_j = plan_perturbation(bar_table, box_j)
         tri_j = _sector_triangle(plan_j)
 
         for m in _orbit_candidates(system, z_d, tri_j, m_max):
@@ -648,8 +637,8 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
             if local is None:
                 continue
             try:
-                result = _insert_and_verify(system, gamma_bar, box_j, tri_j, local, m,
-                                            (ilo, ihi), (jlo, jhi), box_i, table=bar_table)
+                result = _insert_and_verify(bar_table, box_j, tri_j, local, m,
+                                            (ilo, ihi), (jlo, jhi))
             except (LambdaNotFound, PreconditionError):
                 continue
             if result is not None:
@@ -703,8 +692,8 @@ def _families_disjoint(system: QpfSystem, box_a: PerturbationBox, box_b: Perturb
     return arcs_disjoint(arcs)
 
 
-def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_j, box_i,
-                       table):
+def _insert_and_verify(table, box_j, tri_j, orbit_pt, m, arc_i, arc_j):
+    system, gamma_bar = table.system, table.graph
     curve_m = image_curve(system, gamma_bar, m, check_depth=False)
     u_star = orbit_pt[0]
     apex, va, vb = tri_j
@@ -722,8 +711,7 @@ def _insert_and_verify(system, gamma_bar, box_j, tri_j, orbit_pt, m, arc_i, arc_
         z1 = (lo_w, vmin - tau)
         z2 = (hi_w, vmax + tau)
         if _point_in_triangle(z1, *tri_j) and _point_in_triangle(z2, *tri_j):
-            new_graph, rec = apply_perturbation(system, gamma_bar, box_j,
-                                                through_points=[z1, z2], table=table)
+            new_graph, _ = apply_perturbation(table, box_j, through_points=[z1, z2])
             w_pieces = _arc_overlap(arc_i, m * system.omega, arc_j, mod1(u_star))
             if w_pieces is None:
                 return None

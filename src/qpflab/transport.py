@@ -17,7 +17,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atlas import PartitionAtlas
 from .chamber import class_thetas, grid_pass, map_leaves
 from .circle import mod1, mod1_array
 from .errors import InvariantViolation, PreconditionError
@@ -231,8 +230,7 @@ class NonminimalityReport:
     hit_fraction: float
 
 
-def verify_nonminimality(tmap: TransportedMap, atlas: PartitionAtlas,
-                         witnesses=(), grid: int = 256,
+def verify_nonminimality(tmap: TransportedMap, witnesses=(), grid: int = 256,
                          probe_points: int = 64) -> NonminimalityReport:
     """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes.
 

@@ -14,7 +14,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from qpflab.geometry import image_curve, intersection_projection, is_flat_intersection
+from qpflab.geometry import (OrbitIntersections, image_curve, intersection_projection,
+                             is_flat_intersection)
 from qpflab.measure import kolmogorov_distance
 from qpflab.minimal import minimal_set_via_projection, structure_diagnostics
 from qpflab.plgraph import PLGraph
@@ -81,8 +82,9 @@ def test_criterion_2_perturbation_law():
         gaps = proj.min_component_gap()
         delta_max = min(F(1, 64), gaps / 4 if gaps else F(1, 64))
         try:
-            box = find_perturbation_box(system, curve, z, depth, delta_max, F(1, 32))
-            new_curve, record = apply_perturbation(system, curve, box)
+            table = OrbitIntersections(system, curve)
+            box = find_perturbation_box(table, z, depth, delta_max, F(1, 32))
+            new_curve, record = apply_perturbation(table, box)
         except (BoxNotFound, LambdaNotFound):
             continue
         law = verify_x_law(system, curve, new_curve, record, depth)
@@ -173,10 +175,9 @@ def test_criterion_6_semiconjugacy_residual(plain4, plain8, plain16):
 
 
 def test_criterion_7_nonminimality_probes(plain8, crossed4):
-    rep8 = verify_nonminimality(plain8.tmap, plain8.atlas, grid=1024)
+    rep8 = verify_nonminimality(plain8.tmap, grid=1024)
     annulus_ok = rep8.annulus_height >= float(plain8.weights.a(plain8.n0)) - 1e-9
-    repc = verify_nonminimality(crossed4.tmap, crossed4.atlas,
-                                witnesses=crossed4.witnesses, grid=256)
+    repc = verify_nonminimality(crossed4.tmap, witnesses=crossed4.witnesses, grid=256)
     ok = annulus_ok and repc.hit_fraction >= 0.9 and len(repc.probes) >= 2
     report("7 nonminimality-transitivity", ok,
            f"annulus height {rep8.annulus_height:.6f} >= a_n0 - 1e-9; "

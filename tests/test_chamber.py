@@ -22,10 +22,10 @@ from qpflab import chamber, transport
 from qpflab.atlas import audit_atlas, build_partition_atlas
 from qpflab.chamber import Affine, Chamber, Probe, grid_classes
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
-from qpflab.density import audit_density, build_bumps, build_density_h
+from qpflab.density import audit_density
 from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
                            LiftAmbiguous)
-from qpflab.measure import (MeasureFamily, Projection, build_fiber_projection, build_mu,
+from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu,
                             build_pi, quantile_table)
 from qpflab.pipeline import default_pipeline, run_blowup
 from qpflab.plgraph import PLGraph
@@ -53,8 +53,7 @@ SWITCH = F(1931, 5650)
 def switching_atlas(shift=0):
     """Three curves overlapping at 1/2 whose allocation switches at SWITCH + shift.
 
-    The shift 1/100 - SWITCH puts the switch just past 0, inside the chamber
-    that wraps across 0.
+    The shift 1/100 - SWITCH puts the switch just past the cut at 0.
     """
     g1 = PLGraph.from_points([(F(9, 100), F(7, 10)), (F(7, 50), F(1, 2)),
                               (F(27, 50), F(1, 2)), (F(59, 100), F(3, 10))])
@@ -81,7 +80,7 @@ def thetas(cuts):
 def assert_stack_exact(pipe, theta):
     mu, pi, atlas, density = pipe.mu, pipe.projection, pipe.atlas, pipe.density
     a, b = mu.fiber(theta), mu._fiber_uncached(theta)
-    assert (a.theta, a.atoms, a.t_split) == (b.theta, b.atoms, b.t_split)
+    assert (a.atoms, a.t_split) == (b.atoms, b.t_split)
     a, b = pi.fiber(theta), build_fiber_projection(mu, pi.n0, theta)
     assert a.plateaus == b.plateaus
     assert np.array_equal(a.seg_starts, b.seg_starts) and np.array_equal(a.seg_target, b.seg_target)
@@ -89,7 +88,6 @@ def assert_stack_exact(pipe, theta):
     assert (a.u, a.v) == (b.u, b.v)
     assert pipe.bumps.fiber(theta) == pipe.bumps._fiber_uncached(theta)
     a, b = density.fiber(theta), density._fiber_uncached(theta)
-    assert a.theta == b.theta
     for name in ("s0", "knots", "hvals", "cum"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -184,46 +182,27 @@ def test_sign_decides_clear_differences_in_floats(monkeypatch):
     assert probe.roots == set()
 
 
-def fresh_stack(pipe):
-    """The density field of a stack over copies of its stages, no table built yet."""
-    mu = replace(pipe.mu)
-    atlas = build_partition_atlas(mu, Projection(mu=mu, n0=pipe.n0), pipe.epsilon)
-    return build_density_h(pipe.weights, atlas, build_bumps(atlas, pipe.epsilon))
-
-
-def wrap_pieces(table, parent):
-    """Chambers of table before parent's first cut: split off parent's wrapping chamber."""
-    return sum(bool(parent.cuts) and ch.b <= parent.cuts[0] for ch in table.chambers)
-
-
-def test_tables_rebind_only_shifted_wrap_pieces(stacks, monkeypatch):
-    shifts = []
-    rebind = chamber.rebind
-    monkeypatch.setattr(chamber, "rebind", lambda t, shift: shifts.append(shift) or rebind(t, shift))
+def test_tables_cut_at_zero_and_tile_the_circle(stacks):
     pipe = stacks["crossed"]
-    density = fresh_stack(pipe)
-    tables = [density.atlas.mu, density.atlas.projection, density.atlas, density.bumps, density]
+    tables = [pipe.mu, pipe.projection, pipe.atlas, pipe.bumps, pipe.density]
     chambers = [len(stage.chambers.chambers) for stage in tables]
-    assert chambers == [len(pipe.density.chambers.chambers)] * 5 and chambers[0] > 100
-    assert sum(wrap_pieces(b.chambers, a.chambers) for a, b in zip(tables, tables[1:])) == 0
-    assert shifts == []
-    # the switch just past 0 splits the atlas's wrapping chamber, and the piece before it
-    # reads the mu and pi templates one turn on
+    assert chambers == [chambers[-1]] * 5 and chambers[0] > 100
     for shift in (0, F(1, 100) - SWITCH):
-        shifts.clear()
         atlas = switching_atlas(shift)
-        pieces = wrap_pieces(atlas.chambers, atlas.projection.chambers)
-        assert pieces == (shift != 0)
-        assert shifts == [1, 1] * pieces
+        tables += [atlas.mu, atlas.projection, atlas]
+    for stage in tables:
+        table = stage.chambers
+        assert table.cuts[0] == 0
+        assert [(ch.a, ch.b) for ch in table.chambers] == list(zip(table.cuts, table.cuts[1:] + [1]))
 
 
 def collinear_mu():
-    """A degree-one curve whose first breakpoint, 1/5, is no kink, and a constant curve.
+    """A degree-one curve whose first breakpoint, 1/4, is no kink, and a constant curve.
 
-    The wrapping chamber runs from the kink at 9/10 to the one at 3/2, so its
-    midpoint 6/5 sits on that collinear breakpoint one turn on.
+    The chamber from the cut at 0 to the kink at 1/2 has its midpoint on that
+    collinear breakpoint.
     """
-    turn = PLGraph.from_points([(F(1, 5), F(1, 10)), (F(1, 2), F(7, 40)), (F(9, 10), F(41, 40))],
+    turn = PLGraph.from_points([(F(1, 4), F(11, 160)), (F(1, 2), F(1, 10)), (F(9, 10), F(41, 40))],
                                degree=1)
     return build_mu({0: PLGraph.constant(F(1, 2)), 1: turn}, masses={0: F(1, 4), 1: F(1, 4)},
                     beta=F(1, 2), waive_flatness=True)
@@ -244,10 +223,9 @@ def test_template_lines_are_the_lines_through_the_chamber_ends(stacks, curve, mo
             va, vb = c.value(ch.a), c.value(ch.b)
             slope = (vb - va) / (ch.b - ch.a)
             assert mu.lines[n].at(ref) == (va - slope * ch.a, slope)
-        theta = mod1(ref)
-        assert mu.fiber(theta).atoms == mu._fiber_uncached(theta).atoms
+        assert mu.fiber(ref).atoms == mu._fiber_uncached(ref).atoms
     if curve == "collinear":
-        assert F(6, 5) in refs and F(1, 5) not in mu.curves[1].kinks()
+        assert F(1, 4) in refs and F(1, 4) not in mu.curves[1].kinks()
 
 
 def test_f_walk_reads_no_template_in_fractions(stacks, monkeypatch):
@@ -267,8 +245,7 @@ def fraction_locate(table, theta):
     i = bisect_right(table.cuts, r) - 1
     if i >= 0 and table.cuts[i] == r:
         return None, r
-    ch = table.chambers[i]
-    return ch, (r if r > ch.a else r + 1)
+    return table.chambers[i], r
 
 
 def test_locate_matches_fraction_bisect(stacks):
@@ -314,8 +291,8 @@ def test_density_knots_equal_three_pass_build(stacks, curve):
 
 
 def test_chamber_cuts(stacks):
-    # the constant stack is one chamber with no cut; the others cut at every real
-    # kink, and elsewhere only where a curve crosses an integer or meets another
+    # the constant stack is one chamber with no cut; the others cut at 0, at every
+    # real kink, and elsewhere only where a curve crosses an integer or meets another
     assert stacks["constant"].density.chambers.cuts == []
     assert len(stacks["constant"].density.chambers.chambers) == 1
     for curve in ("tent", "crossed"):
@@ -323,7 +300,7 @@ def test_chamber_cuts(stacks):
         curves = pipe.mu.curves.values()
         kinks = {t for c in curves for t in c.kinks()}
         assert kinks <= set(pipe.mu.chambers.cuts)
-        for t in set(pipe.mu.chambers.cuts) - kinks:
+        for t in set(pipe.mu.chambers.cuts) - kinks - {0}:
             positions = [c.circle_value(t) for c in curves]
             assert 0 in positions or len(set(positions)) < len(positions)
         assert len(pipe.density.chambers.chambers) == len(pipe.density.chambers.cuts)
@@ -394,7 +371,7 @@ def test_midpoint_on_a_crossing():
 
 def test_degree_one_curve_without_kinks():
     # theta -> theta + 1/3 has no kink but crosses an integer at theta = 2/3, so the
-    # trial turn from 0 records that root and 0 becomes a cut point too
+    # trial chamber (0, 1) records that root, and a table with a cut has one at 0
     mu = build_mu({0: PLGraph((F(0),), (F(1, 3),), 1)}, masses={0: F(1, 4)}, beta=F(3, 4))
     assert mu.chambers.cuts == [0, F(2, 3)]
     for theta in (F(0), F(1, 7), F(2, 3), F(2, 3) + F(1, 10**12), F(9, 10), OMEGA_GOLDEN):
@@ -479,13 +456,15 @@ def test_grid_classes_give_the_per_fiber_results(stacks, curve):
 
 
 def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
-    # itself, or through a checked fiber with the same constant chambers in every table read
+    # itself, or through a checked fiber with the same constant chambers in every table read;
+    # the check alone reads mu_shifted once _tv_defect is stubbed out
     pipe, grid = stacks["crossed"], 200
     omega = pipe.system.omega
     ran = []
-    quantile = transport.quantile_table
-    monkeypatch.setattr(transport, "quantile_table", lambda fm, *args: ran.append(
-        (fm.theta - omega) * grid) or quantile(fm, *args))
+    fiber = pipe.mu_shifted.fiber
+    monkeypatch.setattr(transport, "_tv_defect", lambda *args, **kwargs: 0.0)
+    monkeypatch.setattr(pipe.mu_shifted, "fiber", lambda theta: ran.append(
+        (theta - omega) * grid) or fiber(theta))
     verify_semiconjugacy(pipe.tmap, pipe.mu_shifted, grid, pipe.vertical_grid)
     reads = [(pipe.projection.chambers, 0), (pipe.projection.chambers, omega),
              (pipe.density.chambers, omega), (pipe.mu_shifted.chambers, omega),
@@ -541,7 +520,7 @@ def test_annulus_certificate_reads_both_chamber_ends(zero_end):
                   masses={0: F(1, 10), 1: F(1, 10)}, beta=F(4, 5))
     pi = build_pi(mu, 0)
     tmap = TransportedMap(system=QpfSystem.translation(), nu=None, projection=pi)
-    verify_nonminimality(tmap, None, grid=1)
+    verify_nonminimality(tmap, grid=1)
     # the one grid fiber, theta = 0, lies outside the chamber whose anchor plateau moves
     ch = next(c for c in pi.chambers.chambers if c.a > 0)
     pivot = getattr(ch, zero_end)
@@ -552,4 +531,4 @@ def test_annulus_certificate_reads_both_chamber_ends(zero_end):
                          for p in ch.template.plateaus)
         ch.template = replace(ch.template, plateaus=plateaus)
     with pytest.raises(InvariantViolation, match="annulus normalization fails"):
-        verify_nonminimality(tmap, None, grid=1)
+        verify_nonminimality(tmap, grid=1)

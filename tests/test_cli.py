@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
-from qpflab import cli
+from qpflab import cli, surgery
 from qpflab.cli import main
-from qpflab.errors import ManifestError, QpfLabError
+from qpflab.errors import LambdaNotFound, ManifestError, QpfLabError
 from qpflab.manifest import _SCHEMA, Manifest, load_manifest
 from qpflab.plgraph import PLGraph
 
@@ -199,7 +199,7 @@ def test_cocycle_outside_sl2_exits_3(tmp_path, capsys, family):
 def readme_exit_table() -> dict:
     """Error class -> (exit code, stderr prefix), from the README's table."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    rows = re.findall(r"^\| `(\w+)` \| (\d) \| `([^`]+)` \|$", text, re.M)
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \| `([^`]+)` \| [^|]+ \|$", text, re.M)
     return {name: (int(code), prefix) for name, code, prefix in rows}
 
 
@@ -266,3 +266,41 @@ def test_analyze_reads_f_once_per_classifier_step(tmp_path, monkeypatch):
     p = write_manifest(tmp_path, SMALL)
     assert main(["analyze", "--manifest", str(p), "--out", str(tmp_path / "an")]) == 0
     assert len(calls) == 2048 and set(calls) == {3}
+
+
+STEEP_TENT = """
+[curve]
+kind = tent
+amplitude = 9/10
+peak = 1/2
+[weights]
+k = 6
+n = 2
+epsilon = 1/3
+[grids]
+fibers = 64
+vertical = 64
+bins = 64
+[run]
+crossings = 0
+"""
+
+
+def test_steep_tent_flattens_through_a_narrower_box(tmp_path, monkeypatch):
+    # some box of this tent is too wide for a split point: past theta + delta/2 a copy
+    # still meets one of another group; the box search runs again at half its delta
+    failed = []
+    plan = surgery.plan_perturbation
+
+    def spy(table, box, **kwargs):
+        try:
+            return plan(table, box, **kwargs)
+        except LambdaNotFound:
+            failed.append(box.delta)
+            raise
+
+    monkeypatch.setattr(surgery, "plan_perturbation", spy)
+    p = write_manifest(tmp_path, STEEP_TENT)
+    assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "c")]) == 0
+    assert failed
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "b")]) == 0

@@ -192,7 +192,7 @@ def atom_layouts(draw):
     atoms = tuple(sorted((FiberAtom(position=x, members=(i,), mass=wt * scale)
                           for i, (x, wt) in enumerate(zip(positions, weights))),
                          key=lambda a: a.position))
-    fm = FiberMeasure(theta=F(0), beta=beta, atoms=atoms,
+    fm = FiberMeasure(beta=beta, atoms=atoms,
                       masses={a.members[0]: a.mass for a in atoms}, t_split={})
     anchor = draw(st.sampled_from(atoms))
     top = draw(st.one_of(st.just(F(0)), st.fractions(0, 1, max_denominator=97)

@@ -186,3 +186,65 @@ def test_a_default_nothing_passes_is_flagged(tmp_path):
         "read('p', 'rb')\n", encoding="utf-8")
     unpassed = sorted(unpassed_defaults(tmp_path, callers=(), exempt=set()))
     assert unpassed == ["mod.py:2 Box(depth)", "mod.py:5 grow(by)", "mod.py:8 read(tries)"]
+
+
+# the shared signature of the CLI's command handlers, whatever each one reads of it
+HANDLER_PARAMETERS = ("manifest", "out", "emit_svg")
+
+
+def unread_parameters(src: Path = SRC) -> list:
+    """'file:line name(parameter)' of each parameter of a src function that its body never reads.
+
+    A parameter is read when its name is loaded anywhere in the body, nested
+    functions included.  The first parameter of a method (self or cls) is
+    exempt, and so are dunder methods and the handler parameters of cmd_*.
+    """
+    out = []
+    for path, tree in _parse(src).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        item.method = not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                              for d in item.decorator_list)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            if getattr(node, "method", False):
+                params = params[1:]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out += [f"{path.name}:{node.lineno} {node.name}({p.arg})" for p in params
+                    if p.arg not in read
+                    and not (node.name.startswith("cmd_") and p.arg in HANDLER_PARAMETERS)]
+    return out
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []
+
+
+def test_an_unread_parameter_is_flagged(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        "class Box:\n"
+        "    def grow(self, by, limit):\n"
+        "        return by\n"
+        "\n"
+        "    @staticmethod\n"
+        "    def make(size):\n"
+        "        return Box()\n"
+        "\n"
+        "def read(path, mode, *rest):\n"
+        "    mode = 'r'\n"
+        "    def inner():\n"
+        "        return path\n"
+        "    return inner, mode\n"
+        "\n"
+        "def cmd_run(manifest, out, emit_svg, grid):\n"
+        "    return manifest\n", encoding="utf-8")
+    unread = sorted(unread_parameters(tmp_path))
+    assert unread == ["mod.py:15 cmd_run(grid)", "mod.py:2 grow(limit)", "mod.py:6 make(size)",
+                      "mod.py:9 read(rest)"]

@@ -5,8 +5,8 @@ import pytest
 
 from qpflab.circle import orbit_thetas
 from qpflab.errors import PreconditionError
-from qpflab.minimal import approximate_minimal_set
-from qpflab.sl2 import (_THETA_CHUNK, Cocycle, Mat2, cocycle_qpf, lyapunov,
+from qpflab.minimal import FiberSet, approximate_minimal_set
+from qpflab.sl2 import (_THETA_CHUNK, Cocycle, Mat2, _graph_continuity, cocycle_qpf, lyapunov,
                         minimal_fiber_cardinality, projective_action_array)
 
 IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
@@ -200,3 +200,37 @@ def test_cardinality_verdicts():
 def test_cluster_tolerance_precondition():
     with pytest.raises(Exception):
         minimal_fiber_cardinality(Cocycle.diagonal(2.0), cluster_tol=1)
+
+
+def full_array_continuity(b, tol):
+    """_graph_continuity by whole-array rolls and a loop over the fibers: the reference."""
+    dilated = b.copy()
+    for d in range(1, tol + 1):
+        dilated |= np.roll(b, d, axis=1) | np.roll(b, -d, axis=1)
+    nxt = np.roll(dilated, -1, axis=0)
+    rows = b.any(axis=1) & np.roll(b.any(axis=1), -1)
+    if not rows.any():
+        return 0.0
+    return float(np.mean([bool(np.all(~b[i] | nxt[i])) for i in np.flatnonzero(rows)]))
+
+
+def continuity(b, tol):
+    return _graph_continuity(FiberSet(bins=b, resolution=len(b), burnin=0, iters=0, seed=0), tol)
+
+
+@pytest.mark.parametrize("shape", [(1, 16), (5, 3), (64, 64), (130, 50), (200, 300)])
+def test_graph_continuity_matches_full_array_formula(shape):
+    # 130 and 200 rows end in a partial block; 3 bins are fewer than the tolerance
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.0, 0.003, 0.02, 0.3, 0.9):
+        for tol in (1, 2, 8):
+            b = rng.random(shape) < density
+            assert continuity(b, tol) == full_array_continuity(b, tol)
+
+
+def test_graph_continuity_wraps_rows_and_bins():
+    # the last fiber tracks the first across the 0/1 seam: bins 49 and 1 are 2 apart
+    b = np.zeros((130, 50), dtype=bool)
+    b[129, 49] = b[0, 1] = True
+    assert continuity(b, 2) == full_array_continuity(b, 2) == 1.0
+    assert continuity(b, 1) == full_array_continuity(b, 1) == 0.0

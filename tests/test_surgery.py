@@ -18,6 +18,7 @@ from qpflab.systems import MAX_DEPTH, QpfSystem
 
 R = QpfSystem.translation()
 CONST = PLGraph.constant(F(1, 5))
+CONST_TABLE = OrbitIntersections(R, CONST)
 FROZEN = QpfSystem.translation(rho=F(0))
 
 
@@ -65,21 +66,21 @@ def test_return_horizon_is_exact(itinerary, timeout):
 
 
 def test_find_box_validates():
-    box = find_perturbation_box(R, CONST, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
-    ok, reason = validate_box(R, CONST, box)
+    box = find_perturbation_box(CONST_TABLE, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
+    ok, reason = validate_box(CONST_TABLE, box)
     assert ok, reason
     assert box.itinerary.times == (0,)
 
 
 def test_find_box_resolution_floor():
     with pytest.raises(BoxNotFound):
-        find_perturbation_box(R, CONST, (F(1, 7), F(1, 5)), 3, F(1, 10**10), F(1, 50))
+        find_perturbation_box(CONST_TABLE, (F(1, 7), F(1, 5)), 3, F(1, 10**10), F(1, 50))
 
 
 def test_perturbation_through_point_and_support():
-    box = find_perturbation_box(R, CONST, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
+    box = find_perturbation_box(CONST_TABLE, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
     w = (box.theta + box.delta * F(2, 3), mod1(box.x + box.eta / 3))
-    g2, rec = apply_perturbation(R, CONST, box, through_points=[w])
+    g2, rec = apply_perturbation(CONST_TABLE, box, through_points=[w])
     assert g2.contains_point(w[0], w[1])
     assert graphs_equal_off(CONST, g2, rec.support)
     law = verify_x_law(R, CONST, g2, rec, 3)
@@ -87,8 +88,8 @@ def test_perturbation_through_point_and_support():
 
 
 def test_perturbation_trivial_itinerary_leaves_x_sets():
-    box = find_perturbation_box(R, CONST, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
-    g2, rec = apply_perturbation(R, CONST, box)
+    box = find_perturbation_box(CONST_TABLE, (F(1, 7), F(1, 5)), 3, F(1, 50), F(1, 50))
+    g2, rec = apply_perturbation(CONST_TABLE, box)
     for k in range(1, 4):
         x_new = intersection_projection(g2, image_curve(R, g2, k))
         assert x_new.is_empty  # X_k was empty and stays empty

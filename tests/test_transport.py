@@ -89,7 +89,7 @@ def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
 
 
 def test_nonminimality_annulus(small4):
-    rep = verify_nonminimality(small4.tmap, small4.atlas, grid=64)
+    rep = verify_nonminimality(small4.tmap, grid=64)
     assert rep.annulus_height == float(small4.weights.a(0))
     assert rep.annulus_verified_fibers == 64
     assert rep.probes == [] and rep.hit_fraction == 1.0  # no witnesses supplied
@@ -103,7 +103,7 @@ def test_identity_transport_when_mu_is_lebesgue():
         def fiber(self, theta):
             from qpflab.density import FiberDensity
             kn = np.array([0.0, 1.0])
-            return FiberDensity(theta=theta, s0=0.0, knots=kn, hvals=np.array([1.0, 1.0]),
+            return FiberDensity(s0=0.0, knots=kn, hvals=np.array([1.0, 1.0]),
                                 cum=np.array([0.0, 1.0]), min_h=1.0)
 
     mu = build_mu({0: PLGraph.constant(F(0)), 1: PLGraph.constant(F(1, 2))},
