@@ -99,10 +99,11 @@ class PartitionAtlas:
     def chambers(self) -> ChamberTable:
         """The projection's chambers, split where the plateau allocation switches."""
         return ChamberTable(self.projection.chambers.cuts, lambda probe: self._allocate(
-            self.mu.chambers.template_on(probe), self.projection.chambers.template_on(probe)))
+            self.mu.chambers.template_on(probe), self.projection.chambers.template_on(probe)),
+            self._fiber_uncached)
 
     def fiber(self, theta) -> FiberAtlas:
-        return self.chambers.fiber(theta, self._fiber_uncached)
+        return self.chambers.fiber(theta)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberAtlas:
         return self._allocate(self.mu.fiber(theta), self.projection.fiber(theta))
@@ -187,7 +188,7 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
     """Every-theta certificate, then the grid audit as a cross-check.
 
     The certificate covers each chamber through its closed ends and each cut
-    point through its direct build.  The grid audit reads the atlas and
+    point through its one-point chamber.  The grid audit reads the atlas and
     projection fibers, so it reads one theta per grid class of those two
     tables (chamber.class_thetas): the other members of a class have the
     same fibers.  Raises AtlasInvariantViolation on the first failure.

@@ -14,9 +14,10 @@ exactly otherwise.  A run that records no root strictly inside its chamber has
 the same combinatorics at every point of it; otherwise the chamber is split at
 the roots and run again.  An Affine holds no probe, so a stage reads the
 templates of the stage below as they are.  ``fiber(theta)`` evaluates the
-template of the chamber holding theta mod 1, and a theta on a cut point goes to
-the stage's direct builder.  Float readers skip the Fractions: ``floats``
-reads a template's numbers from integer rows, rounded as float() rounds them.
+template of the chamber holding theta mod 1.  A cut point is a chamber of one
+point: its first read runs the stage's direct builder there, once, and keeps
+that fiber.  Float readers skip the Fractions: ``floats`` reads a template's
+numbers from integer rows, rounded as float() rounds them.
 """
 
 from __future__ import annotations
@@ -106,8 +107,7 @@ class Affine:
     Sums and products with constants stay exact.  Comparisons, equality,
     hashing and float() read the value at the midpoint of the active probe,
     the innermost build in progress, and comparisons record the root there;
-    float() serves error messages and the float tables a template carries
-    unused.
+    float() serves error messages.
     """
 
     __slots__ = ("c0", "c1")
@@ -243,9 +243,11 @@ class ChamberTable:
     Chamber i runs from cuts[i] to cuts[i + 1], and the last one to 1.  A
     table with any cut has one at 0, so its chambers tile [0, 1].  Without
     cuts the one chamber is the whole circle and its template is constant.
+    Each cut point is a chamber [cut, cut] of its own: its first read keeps
+    exact(cut), the stage's direct build, as its template and its one fiber.
     """
 
-    def __init__(self, cuts, build):
+    def __init__(self, cuts, build, exact):
         cuts = set(cuts)
         ends = sorted(cuts | {Fraction(0)})
         todo = list(zip(ends, ends[1:] + [Fraction(1)]))
@@ -270,9 +272,11 @@ class ChamberTable:
         self.cuts = sorted(cuts)
         self.float_cuts = [float(c) for c in self.cuts]
         self.chambers.sort(key=lambda c: c.a)
+        self.exact = exact
+        self.points = {}                # cut -> its one-point chamber, made on first read
 
     def locate(self, theta):
-        """(chamber holding theta, theta mod 1), or (None, theta mod 1) on a cut point."""
+        """(chamber holding theta, theta mod 1); on a cut point, the cut's own chamber."""
         r = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         x = float(r)
         i = bisect_right(self.float_cuts, x) - 1
@@ -280,32 +284,34 @@ class ChamberTable:
         while i >= 0 and self.float_cuts[i] == x and self.cuts[i] > r:
             i -= 1
         if i >= 0 and self.float_cuts[i] == x and self.cuts[i] == r:
-            return None, r
+            if r not in self.points:
+                ch = self.points[r] = Chamber(r, r, self.exact(r))
+                ch.fixed = ch.template
+            return self.points[r], r
         return self.chambers[i], r
 
     def constant_at(self, theta):
-        """The constant chamber holding theta; None on a cut point or in a non-constant one."""
+        """The constant chamber holding theta (a cut point's own one included), else None."""
         if not self.cuts:               # one constant chamber, the whole circle
             return self.chambers[0]
         ch, _ = self.locate(theta)
-        return ch if ch is not None and ch.constant else None
+        return ch if ch.constant else None
 
     def template_on(self, probe: Probe):
         """The template of the chamber holding the probe's (whose table has all our cuts)."""
         return self.locate(probe.ref)[0].template
 
-    def fiber(self, theta, direct, finish=None, leaves=None):
-        """The fiber at theta: direct(theta) on a cut point, else the chamber's template at theta.
+    def fiber(self, theta, finish=None, leaves=None):
+        """The fiber at theta: the template of the chamber holding it, at theta.
 
         Given finish and leaves, it is finish(theta, floats) of the floats
         of the numbers leaves(template) lists (Chamber.floats).  A constant
-        chamber makes its fiber once and hands out that one object.
+        chamber, a cut point's included, makes its fiber once and hands out
+        that one object.
         """
         if not isinstance(theta, Fraction):
             theta = Fraction(theta)
         ch, t = self.locate(theta)
-        if ch is None:
-            return direct(theta)
         if ch.fixed is not None:
             return ch.fixed
         fiber = (finish(theta, ch.floats(t, leaves)) if leaves
@@ -323,7 +329,8 @@ def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
     every table holds their two thetas in the same constant chamber (chambers
     keyed by identity) and tag(g) == tag(g'): then every fiber the pass reads
     is its chamber's one fiber object, and so is its result.  A g with some
-    theta + shift on a cut point or in a non-constant chamber is its own class.
+    theta + shift on a cut point (a chamber of that point alone) or in a
+    non-constant chamber is its own class.
     """
     first: dict = {}
     out = []

@@ -71,10 +71,9 @@ def _echo_manifest(manifest: Manifest, out: Path) -> None:
 def _run_blowup(manifest: Manifest, system):
     """The blowup pipeline on the manifest's weights, curve and grids."""
     weights = make_weights(manifest.weights_k, manifest.weights_n, manifest.epsilon)
-    return run_blowup(system, manifest.initial_curve(), weights, manifest.epsilon,
-                      n0=manifest.anchor, crossings=manifest.crossings,
-                      seed=manifest.seed, fiber_grid=manifest.fibers,
-                      vertical_grid=manifest.vertical,
+    return run_blowup(system, manifest.initial_curve(), weights, n0=manifest.anchor,
+                      crossings=manifest.crossings, seed=manifest.seed,
+                      fiber_grid=manifest.fibers, vertical_grid=manifest.vertical,
                       flatten=manifest.curve_kind != "file",
                       waive_flatness=manifest.waive_flatness)
 
@@ -134,7 +133,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
         "min_h_floor": density_audit["floor"],
         "atlas_max_components": {str(k): v for k, v in atlas_audit.max_components.items()},
         "min_v_fraction": atlas_audit.min_v_fraction,
-        "v_fraction_floor": float(1 - pipeline.epsilon),
+        "v_fraction_floor": float(1 - pipeline.weights.epsilon),
         "annulus_height": nonmin.annulus_height,
         "probe_hit_fraction": nonmin.hit_fraction,
         "beta": float(pipeline.weights.beta),

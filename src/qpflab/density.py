@@ -38,7 +38,6 @@ class FiberBump:
 @dataclass(eq=False)
 class BumpFamily:
     atlas: PartitionAtlas
-    epsilon: Fraction
 
     def indices(self):
         w = self.atlas.mu.weights
@@ -46,20 +45,11 @@ class BumpFamily:
             return list(w.bump_indices())
         return sorted(self.atlas.mu.curves.keys())
 
-    @cached_property
-    def chambers(self) -> ChamberTable:
-        """The atlas chambers; the bumps are affine wherever the atlas is."""
-        return ChamberTable(self.atlas.chambers.cuts,
-                            lambda probe: self._bumps(None, self.atlas.chambers.template_on(probe)))
-
-    def fiber(self, theta) -> dict:
-        return self.chambers.fiber(theta, self._fiber_uncached)
-
     def _fiber_uncached(self, theta: Fraction) -> dict:
         return self._bumps(theta, self.atlas.fiber(theta))
 
     def _bumps(self, theta, fa) -> dict:
-        masses = self.atlas.mu.masses
+        masses, epsilon = self.atlas.mu.masses, self.atlas.epsilon
         out = {}
         for m in self.indices():
             knots = []
@@ -68,12 +58,12 @@ class BumpFamily:
                 knots.append(((lo, Fraction(0)), (vlo, Fraction(1)),
                               (vhi, Fraction(1)), (hi, Fraction(0))))
                 total += (hi - lo) - ((vlo - lo) + (hi - vhi)) / 2
-            lo_ok = total >= (1 - self.epsilon) * masses[m]
+            lo_ok = total >= (1 - epsilon) * masses[m]
             hi_ok = total <= masses[m]
             if not (lo_ok and hi_ok):
                 raise BumpBoundViolation(
                     f"b_{m}({theta}) = {float(total)} outside "
-                    f"[(1-eps)a, a] = [{float((1-self.epsilon)*masses[m])}, {float(masses[m])}]")
+                    f"[(1-eps)a, a] = [{float((1-epsilon)*masses[m])}, {float(masses[m])}]")
             out[m] = FiberBump(index=m, knots=tuple(knots), integral=total)
         return out
 
@@ -126,16 +116,17 @@ class DensityField:
 
     @cached_property
     def chambers(self) -> ChamberTable:
-        """The bump chambers, split where two density knots cross."""
-        return ChamberTable(self.bumps.chambers.cuts, lambda probe: self._knots(
+        """The atlas chambers, split where two density knots cross; the bumps are built inside."""
+        return ChamberTable(self.atlas.chambers.cuts, lambda probe: self._knots(
             self.atlas.projection.chambers.template_on(probe),
-            self.bumps.chambers.template_on(probe)))
+            self.bumps._bumps(None, self.atlas.chambers.template_on(probe))),
+            self._fiber_uncached)
 
     def fiber(self, theta) -> FiberDensity:
-        return self.chambers.fiber(theta, self._fiber_uncached, _density_fiber, _density_leaves)
+        return self.chambers.fiber(theta, _density_fiber, _density_leaves)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
-        exact = self._knots(self.atlas.projection.fiber(theta), self.bumps.fiber(theta))
+        exact = self._knots(self.atlas.projection.fiber(theta), self.bumps._fiber_uncached(theta))
         return _density_fiber(theta, [float(x) for x in _density_leaves(exact)])
 
     def _knots(self, fp, fb) -> tuple:
@@ -179,14 +170,6 @@ def _density_fiber(theta, floats: list) -> FiberDensity:
     if cum[-1] <= 0 or np.any(np.diff(cum) < 0):
         raise EtaNotInvertible(f"nu mass coordinate is not invertible at theta={float(theta)}")
     return FiberDensity(s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
-
-
-def build_bumps(atlas: PartitionAtlas, epsilon) -> BumpFamily:
-    return BumpFamily(atlas=atlas, epsilon=Fraction(epsilon))
-
-
-def build_density_h(weights: WeightScheme, atlas: PartitionAtlas, bumps: BumpFamily) -> DensityField:
-    return DensityField(weights=weights, atlas=atlas, bumps=bumps)
 
 
 def audit_density(field: DensityField, grid: int, vertical: int = 4096) -> dict:

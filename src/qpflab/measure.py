@@ -11,7 +11,7 @@ data is recorded exactly and reused by the partition atlas.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -134,7 +134,7 @@ class MeasureFamily:
     def chambers(self) -> ChamberTable:
         """Cut at the real kinks of the window curves, refined by the runs."""
         kinks = {t for c in self.curves.values() for t in c.kinks()}
-        return ChamberTable(kinks, self._template)
+        return ChamberTable(kinks, self._template, self._fiber_uncached)
 
     @cached_property
     def lines(self) -> dict:
@@ -151,7 +151,7 @@ class MeasureFamily:
         return self._measure(probe.theta, positions)
 
     def fiber(self, theta) -> FiberMeasure:
-        return self.chambers.fiber(theta, self._fiber_uncached)
+        return self.chambers.fiber(theta)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberMeasure:
         return self._measure(theta, {n: c.circle_value(theta) for n, c in self.curves.items()})
@@ -265,14 +265,15 @@ class FiberProjection:
     anchor_pos: Fraction
     top_mass: Fraction            # anchor-group mass lifted below the zero section
     plateaus: tuple               # Plateau, by increasing start
-    seg_starts: np.ndarray = field(init=False)  # piece boundaries, plateau and gap alternating
-    seg_target: np.ndarray = field(init=False)  # plateau: atom position; gap: lifted value at its start
 
-    def __post_init__(self):
-        self.seg_starts = np.array([float(x) for p in self.plateaus
-                                    for x in (p.start, p.start + p.length)])
-        self.seg_target = np.array([x for p in self.plateaus
-                                    for x in (float(p.target), float(self.anchor_pos) + float(p.chat))])
+    @cached_property
+    def seg_starts(self) -> np.ndarray:     # piece boundaries, plateau and gap alternating
+        return np.array([float(x) for p in self.plateaus for x in (p.start, p.start + p.length)])
+
+    @cached_property
+    def seg_target(self) -> np.ndarray:     # plateau: atom position; gap: lifted value at its start
+        return np.array([x for p in self.plateaus
+                         for x in (float(p.target), float(self.anchor_pos) + float(p.chat))])
 
     @property
     def start(self) -> Fraction:
@@ -311,7 +312,7 @@ def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> Fib
     """Anchored quantile of fm: the atom at anchor_pos starts at source -top.
 
     The projection pi lifts the anchor group's top mass below the zero
-    section; the shifted-window check uses top = 0.
+    section; the R_* mu check uses top = 0.
     """
     ordered = sorted(fm.atoms, key=lambda a: mod1(a.position - anchor_pos))
     if not ordered or ordered[0].position != anchor_pos:
@@ -351,11 +352,11 @@ class Projection:
     @cached_property
     def chambers(self) -> ChamberTable:
         return ChamberTable(self.mu.chambers.cuts, lambda probe: anchored_projection(
-            self.mu.chambers.template_on(probe), self.n0))
+            self.mu.chambers.template_on(probe), self.n0),
+            lambda th: build_fiber_projection(self.mu, self.n0, th))
 
     def fiber(self, theta) -> FiberProjection:
-        return self.chambers.fiber(
-            theta, lambda th: build_fiber_projection(self.mu, self.n0, th))
+        return self.chambers.fiber(theta)
 
     def annulus_height(self) -> Fraction:
         return self.mu.masses[self.n0]

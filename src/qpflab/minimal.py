@@ -204,10 +204,10 @@ class FiberSet:
     """Binned orbit closure: occupancy matrix over (fiber bin, vertical bin)."""
 
     bins: np.ndarray             # bool, shape (resolution, resolution)
-    resolution: int
-    burnin: int
-    iters: int
-    seed: int
+
+    @property
+    def resolution(self) -> int:
+        return self.bins.shape[0]
 
     def occupied_count(self) -> int:
         return int(self.bins.sum())
@@ -244,7 +244,7 @@ class FiberSet:
 
     @staticmethod
     def from_rle_lines(lines, resolution: int) -> "FiberSet":
-        """The fiber set of to_rle_lines' rows; the rows hold no run parameters, so they read 0."""
+        """The fiber set of to_rle_lines' rows."""
         bins = np.zeros((resolution, resolution), dtype=bool)
         for line in lines:
             head, _, body = line.partition(":")
@@ -252,7 +252,7 @@ class FiberSet:
             for token in body.split():
                 start, _, length = token.partition("+")
                 bins[i, int(start):int(start) + int(length)] = True
-        return FiberSet(bins=bins, resolution=resolution, burnin=0, iters=0, seed=0)
+        return FiberSet(bins=bins)
 
 
 def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int = 10**7,
@@ -268,7 +268,7 @@ def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int =
         start = (rng.random(), rng.random())
     occ = _orbit_occupancy(table, float(system.omega), float(start[0]),
                            float(start[1]), burnin, iters, bins)
-    return FiberSet(bins=occ, resolution=bins, burnin=burnin, iters=iters, seed=seed)
+    return FiberSet(bins=occ)
 
 
 def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 10**6,
@@ -313,8 +313,7 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
         first = knots.xp.take(rows * knots.width)
         xs = mod1_array(knots.interp(rows, mod1_array(targets - first) + first))
         occ[(thetas * bins).astype(int) % bins * bins + (xs * bins).astype(int) % bins] = True
-    return FiberSet(bins=occ.reshape(bins, bins), resolution=bins, burnin=burnin,
-                    iters=iters, seed=seed)
+    return FiberSet(bins=occ.reshape(bins, bins))
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,9 +1,10 @@
 """End-to-end blowup pipeline: curve prep, measure, atlas, density, transport.
 
 A pipeline run owns every stage as an immutable snapshot, so audits and
-reports can be generated repeatedly without recomputation.  Crossing
-insertions, when requested, happen before the final flattening pass and are
-re-verified on the finished curve; each witness records in `verified`
+reports can be generated repeatedly without recomputation.  It builds one
+measure family, mu; the semiconjugacy audit pushes mu forward by R itself.
+Crossing insertions, when requested, happen before the final flattening pass
+and are re-verified on the finished curve; each witness records in `verified`
 whether its crossing survived.  Every reader of the blown-up map, the
 non-minimality probes included, reads the exact transported map `tmap`.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .atlas import PartitionAtlas, audit_atlas, build_partition_atlas
-from .density import BumpFamily, DensityField, audit_density, build_bumps, build_density_h
+from .density import BumpFamily, DensityField, audit_density
 from .errors import PreconditionError
 from .geometry import OrbitIntersections, crosses_over, image_curve
 from .measure import MeasureFamily, Projection, build_mu, build_pi
@@ -32,9 +33,8 @@ class BlowupPipeline:
     system: QpfSystem
     curve: PLGraph
     weights: WeightScheme
-    epsilon: Fraction
     n0: int
-    family: dict                      # n -> PLGraph for n in [-N, N+1]
+    family: dict                      # n -> PLGraph for n in [-N, N+1]; N+1 only for curves.svg
     certificate: FlattenCertificate | None
     witnesses: list
     mu: MeasureFamily
@@ -43,7 +43,6 @@ class BlowupPipeline:
     bumps: BumpFamily
     density: DensityField
     tmap: TransportedMap
-    mu_shifted: MeasureFamily
     fiber_grid: int = 4096
     vertical_grid: int = 4096
 
@@ -52,8 +51,8 @@ class BlowupPipeline:
         return self.tmap.as_system()
 
     def semiconjugacy_report(self, grid: int | None = None, vertical: int | None = None):
-        return verify_semiconjugacy(self.tmap, self.mu_shifted,
-                                    grid or self.fiber_grid, vertical or self.vertical_grid)
+        return verify_semiconjugacy(self.tmap, grid or self.fiber_grid,
+                                    vertical or self.vertical_grid)
 
     def atlas_audit(self, grid: int | None = None):
         return audit_atlas(self.atlas, grid or self.fiber_grid)
@@ -87,10 +86,10 @@ def prepare_curve(system: QpfSystem, curve: PLGraph, depth: int,
 
 
 def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
-               epsilon, n0: int = 0, crossings: int = 0, seed: int = 0,
+               n0: int = 0, crossings: int = 0, seed: int = 0,
                fiber_grid: int = 4096, vertical_grid: int = 4096,
                flatten: bool = True, waive_flatness: bool = False) -> BlowupPipeline:
-    epsilon = Fraction(epsilon)
+    """The blowup stack of the curve, with the shrinking epsilon of the weight scheme."""
     n = weights.half_width
     depth = 2 * n + 1
     if 2 * depth + 1 > MAX_DEPTH:
@@ -100,25 +99,20 @@ def run_blowup(system: QpfSystem, curve: PLGraph, weights: WeightScheme,
     cur = curve
     if flatten:
         cur, cert, witnesses = prepare_curve(system, curve, depth, crossings=crossings, seed=seed)
-    # one table serves the pairs of both windows, each X_k computed once: the
-    # flattening's, which already holds X_1..X_depth of this curve
+    # the flattening's table already holds X_1..X_depth of this curve
     table = cert.table if cert and cert.table else OrbitIntersections(system, cur)
     family = {m: table.image(m) for m in range(-n, n + 2)}
     window = {m: family[m] for m in range(-n, n + 1)}
     mu = build_mu(window, weights=weights, waive_flatness=waive_flatness, table=table)
     projection = build_pi(mu, n0)
-    atlas = build_partition_atlas(mu, projection, epsilon)
-    bumps = build_bumps(atlas, epsilon)
-    density = build_density_h(weights, atlas, bumps)
-    shifted_masses = {m: weights.a(m - 1) for m in range(-n + 1, n + 2)}
-    shifted_curves = {m: family[m] for m in range(-n + 1, n + 2)}
-    mu_shifted = build_mu(shifted_curves, masses=shifted_masses, beta=weights.beta,
-                          waive_flatness=waive_flatness, table=table)
+    atlas = build_partition_atlas(mu, projection, weights.epsilon)
+    bumps = BumpFamily(atlas)
+    density = DensityField(weights, atlas, bumps)
     tmap = build_f(system, density, projection, curve0=n0, curve1=n0 + 1)
-    return BlowupPipeline(system=system, curve=cur, weights=weights, epsilon=epsilon,
+    return BlowupPipeline(system=system, curve=cur, weights=weights,
                           n0=n0, family=family, certificate=cert, witnesses=witnesses,
                           mu=mu, projection=projection, atlas=atlas, bumps=bumps,
-                          density=density, tmap=tmap, mu_shifted=mu_shifted,
+                          density=density, tmap=tmap,
                           fiber_grid=fiber_grid, vertical_grid=vertical_grid)
 
 
@@ -130,5 +124,5 @@ def default_pipeline(half_width: int = 8, k: int = 4, epsilon=Fraction(1, 2),
     system = QpfSystem.translation()
     weights = make_weights(k=k, half_width=half_width, epsilon=epsilon)
     curve = PLGraph.constant(curve_value)
-    return run_blowup(system, curve, weights, epsilon, crossings=crossings, seed=seed,
+    return run_blowup(system, curve, weights, crossings=crossings, seed=seed,
                       fiber_grid=fiber_grid, vertical_grid=vertical_grid)

@@ -5,13 +5,15 @@ while mapping the bottom edge of the blown anchor curve to the bottom edge of
 its image.  At finite truncation pi_* nu differs from R_* mu by the relocated
 edge atoms (total variation a_N + a_{-N}); the beta density floor converts
 that mass defect into the sup-residual bound a_N / beta for pi o f vs R o pi.
-The projection built from R_* mu (shifted window) satisfies the commuting
-identity to grid precision by construction.
+R's fiber map at theta is the rotation by d(theta), so R_* mu at theta + w is
+mu at theta with every atom moved by d(theta) (``pushed``); the projection
+built from R_* mu satisfies the commuting identity to grid precision by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -20,7 +22,7 @@ import numpy as np
 from .chamber import class_thetas, grid_pass, map_leaves
 from .circle import mod1, mod1_array
 from .errors import InvariantViolation, PreconditionError
-from .measure import MeasureFamily, Projection, quantile_table
+from .measure import FiberMeasure, Projection, quantile_table
 from .systems import QpfSystem
 
 # a witness's hitting-time probe walks f at most this many steps past its m
@@ -44,11 +46,9 @@ class TransportedMap:
     def phi_minus(self, theta, curve: int) -> float:
         """Bottom edge of the blown curve: inf pi^{-1}(Gamma_curve) at this fiber.
 
-        Off the cut points it is read from the projection chamber's integer rows.
+        It is read from the projection chamber's integer rows.
         """
         ch, t = self.projection.chambers.locate(theta)
-        if ch is None:
-            return float(mod1(self.projection.fiber(theta).plateau_of(curve).start))
         return ch.floats(t, _plateau_start(curve), reduce=True)[0]
 
     def fiber_values(self, theta, xs) -> np.ndarray:
@@ -123,15 +123,21 @@ class SemiconjugacyReport:
         return self.residual <= self.bound
 
 
-def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
-                         grid: int, vertical: int) -> SemiconjugacyReport:
+def pushed(fm: FiberMeasure, d) -> FiberMeasure:
+    """The push-forward of a fiber measure by the rotation x -> x + d: atoms moved, masses kept."""
+    atoms = sorted((replace(a, position=mod1(a.position + d)) for a in fm.atoms),
+                   key=lambda a: a.position)
+    return replace(fm, atoms=tuple(atoms))
+
+
+def verify_semiconjugacy(tmap: TransportedMap, grid: int, vertical: int) -> SemiconjugacyReport:
     """Sup of d(pi o f, R o pi) over the grid, plus the two-sided checks.
 
     Over a translation base R_theta is the same rotation at every theta, so
-    the residual at theta reads only fibers: pi at theta and theta + w, and
-    nu, mu_shifted and mu (for gamma_1) at theta + w.  It is then computed
+    the residual at theta reads only fibers: pi and mu (for R_* mu) at theta,
+    and pi, nu and mu (for gamma_1) at theta + w.  It is then computed
     once per grid class of those tables (chamber.grid_pass), split by
-    whether the fiber is in the shifted-window subsample.  Over other bases
+    whether the fiber is in the subsample of the R_* mu check.  Over other bases
     every fiber is its own class.
     """
     system = tmap.system
@@ -142,7 +148,7 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
     stride = max(1, grid // 64)
 
     def residuals(theta):
-        """The residual at theta, and the shifted one (0 off the subsample)."""
+        """The residual at theta, and the one against R_* mu (0 off the subsample)."""
         theta_next = theta + omega
         fvals = tmap.fiber_values(theta, xs)
         lhs = pi.fiber(theta_next).map_array(fvals)
@@ -151,9 +157,10 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
         res = float(np.max(circ_dist_array(lhs, rhs)))
         if (theta * grid) % stride:
             return res, 0.0
-        # shifted-window identity pi' o f = R o pi at a subsample of fibers
+        # identity pi' o f = R o pi at a subsample of fibers, pi' the quantile of R_* mu
         gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
-        quant = quantile_table(mu_shifted.fiber(theta_next), gamma1, Fraction(0))
+        quant = quantile_table(pushed(pi.mu.fiber(theta), system.displacement(theta)),
+                               gamma1, Fraction(0))
         fd = tmap.nu.fiber(theta_next)
         p1 = tmap.phi_minus(theta_next, tmap.curve1)
         masses = fd.mass_from(p1, fvals) / fd.total
@@ -161,7 +168,7 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
         return res, float(np.max(circ_dist_array(lhs_shift, rhs)))
 
     reads = [(pi.chambers, 0), (pi.chambers, omega), (tmap.nu.chambers, omega),
-             (mu_shifted.chambers, omega), (pi.mu.chambers, omega)]
+             (pi.mu.chambers, 0), (pi.mu.chambers, omega)]
     tag = lambda g: g % stride == 0
     if system.kind != "translation":
         reads, tag = [], lambda g: g        # R_theta varies with theta: no reuse
@@ -171,7 +178,7 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
         res[g] = r
         shifted_sup = max(shifted_sup, shifted)
     # truncation defect: positionwise atom masses of pi_* nu vs R_* mu
-    tv = _tv_defect(tmap, mu_shifted, fibers=8)
+    tv = _tv_defect(tmap, fibers=8)
     bound = float(w.a(w.half_width) / w.beta) + 4.0 / vertical if w is not None else float("nan")
     return SemiconjugacyReport(
         grid=grid, vertical=vertical,
@@ -181,7 +188,7 @@ def verify_semiconjugacy(tmap: TransportedMap, mu_shifted: MeasureFamily,
     )
 
 
-def _tv_defect(tmap: TransportedMap, mu_shifted: MeasureFamily, fibers: int) -> float:
+def _tv_defect(tmap: TransportedMap, fibers: int) -> float:
     """Total variation between pi_* nu and R_* mu, atom part, averaged over fibers."""
     pi = tmap.projection
     worst = 0.0
@@ -189,7 +196,8 @@ def _tv_defect(tmap: TransportedMap, mu_shifted: MeasureFamily, fibers: int) -> 
         theta = Fraction(2 * s + 1, 2 * fibers)
         fd = tmap.nu.fiber(theta)
         fp = pi.fiber(theta)
-        fm_shift = mu_shifted.fiber(theta)
+        before = theta - tmap.system.omega
+        fm_shift = pushed(pi.mu.fiber(before), tmap.system.displacement(before))
         nu_mass = {}
         for p in fp.plateaus:
             lo = float(mod1(p.start))
@@ -237,7 +245,7 @@ def verify_nonminimality(tmap: TransportedMap, witnesses=(), grid: int = 256,
     The annulus normalization (the anchor plateau starts at or below 0 and
     reaches the annulus height) is certified for every theta: the start and
     length are affine on a projection chamber, so both closed ends of each
-    chamber and each cut point (direct build) cover it.  The grid check
+    chamber and each cut point (its one-point chamber) cover it.  The grid check
     follows as a cross-check, on one theta per grid class of the projection
     table (chamber.class_thetas).
     """

@@ -30,7 +30,7 @@ from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu,
 from qpflab.pipeline import default_pipeline, run_blowup
 from qpflab.plgraph import PLGraph
 from qpflab.systems import Lift, QpfSystem, rotation_number
-from qpflab.transport import (TransportedMap, circ_dist_array, verify_nonminimality,
+from qpflab.transport import (TransportedMap, circ_dist_array, pushed, verify_nonminimality,
                               verify_semiconjugacy)
 from qpflab.weights import make_weights
 
@@ -38,13 +38,33 @@ from qpflab.weights import make_weights
 @pytest.fixture(scope="module")
 def stacks():
     tent_weights = make_weights(k=4, half_width=1, epsilon=F(1, 2))
+    skew_weights = make_weights(k=4, half_width=2, epsilon=F(1, 2))
     return {
         "constant": default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64),
         "tent": run_blowup(QpfSystem.translation(), PLGraph.tent(F(1, 5), F(7, 10)),
-                           tent_weights, F(1, 2), fiber_grid=64, vertical_grid=64),
+                           tent_weights, fiber_grid=64, vertical_grid=64),
         "crossed": default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64,
                                     crossings=2, seed=3),
+        "skew": run_blowup(QpfSystem.skew(PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(2, 5))])),
+                           PLGraph.constant(F(1, 5)), skew_weights, fiber_grid=64, vertical_grid=64),
     }
+
+
+def shifted_window(pipe):
+    """R_* mu as the measure of the image curves: Gamma_m, m in [-N+1, N+1], carries a_(m-1).
+
+    R maps Gamma_(m-1) onto Gamma_m, so this is the push-forward of mu by R,
+    built from the curves alone: the reference for transport.pushed.
+    """
+    w, n = pipe.weights, pipe.weights.half_width
+    window = range(-n + 1, n + 2)
+    return build_mu({m: pipe.family[m] for m in window},
+                    masses={m: w.a(m - 1) for m in window}, beta=w.beta)
+
+
+@pytest.fixture(scope="module")
+def shifted(stacks):
+    return {name: shifted_window(pipe) for name, pipe in stacks.items()}
 
 
 SWITCH = F(1931, 5650)
@@ -86,7 +106,6 @@ def assert_stack_exact(pipe, theta):
     assert np.array_equal(a.seg_starts, b.seg_starts) and np.array_equal(a.seg_target, b.seg_target)
     a, b = atlas.fiber(theta), atlas._fiber_uncached(theta)
     assert (a.u, a.v) == (b.u, b.v)
-    assert pipe.bumps.fiber(theta) == pipe.bumps._fiber_uncached(theta)
     a, b = density.fiber(theta), density._fiber_uncached(theta)
     for name in ("s0", "knots", "hvals", "cum"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
@@ -184,9 +203,9 @@ def test_sign_decides_clear_differences_in_floats(monkeypatch):
 
 def test_tables_cut_at_zero_and_tile_the_circle(stacks):
     pipe = stacks["crossed"]
-    tables = [pipe.mu, pipe.projection, pipe.atlas, pipe.bumps, pipe.density]
+    tables = [pipe.mu, pipe.projection, pipe.atlas, pipe.density]
     chambers = [len(stage.chambers.chambers) for stage in tables]
-    assert chambers == [chambers[-1]] * 5 and chambers[0] > 100
+    assert chambers == [chambers[-1]] * 4 and chambers[0] > 100
     for shift in (0, F(1, 100) - SWITCH):
         atlas = switching_atlas(shift)
         tables += [atlas.mu, atlas.projection, atlas]
@@ -240,12 +259,13 @@ def test_f_walk_reads_no_template_in_fractions(stacks, monkeypatch):
 
 
 def fraction_locate(table, theta):
-    """ChamberTable.locate by a bisect over the Fraction cuts alone."""
+    """ChamberTable.locate by a bisect over the Fraction cuts alone: chamber ends, theta mod 1."""
     r = mod1(F(theta))
     i = bisect_right(table.cuts, r) - 1
-    if i >= 0 and table.cuts[i] == r:
-        return None, r
-    return table.chambers[i], r
+    if table.cuts[i] == r:
+        return (r, r), r
+    ch = table.chambers[i]
+    return (ch.a, ch.b), r
 
 
 def test_locate_matches_fraction_bisect(stacks):
@@ -257,7 +277,11 @@ def test_locate_matches_fraction_bisect(stacks):
         for cut in table.cuts:
             for d in (0, F(1, 10**6), F(1, 10**17), F(1, 10**30)):
                 for theta in (cut - d, cut + d, cut + d + 1):
-                    assert table.locate(theta) == fraction_locate(table, theta)
+                    ch, r = table.locate(theta)
+                    assert ((ch.a, ch.b), r) == fraction_locate(table, theta)
+            # a cut locates its one-point chamber, built once from the direct build
+            ch, _ = table.locate(cut)
+            assert ch is table.locate(cut + 1)[0] and ch.fixed is ch.template and ch.constant
     assert degree_one.cuts[0] == 0
 
 
@@ -279,14 +303,15 @@ def three_pass_knots(density, fp, fb):
 @pytest.mark.parametrize("curve", ["constant", "tent", "crossed"])
 def test_density_knots_equal_three_pass_build(stacks, curve):
     density = stacks[curve].density
-    pi, bumps = density.atlas.projection, density.bumps
+    atlas, pi, bumps = density.atlas, density.atlas.projection, density.bumps
     for ch in density.chambers.chambers:
         with Probe(ch.a, ch.b) as probe:
-            fp, fb = pi.chambers.template_on(probe), bumps.chambers.template_on(probe)
+            fp = pi.chambers.template_on(probe)
+            fb = bumps._bumps(None, atlas.chambers.template_on(probe))
             assert density._knots(fp, fb) == three_pass_knots(density, fp, fb) == ch.template
             assert probe.roots == set()
     for theta in density.chambers.cuts or [F(1, 3)]:     # the direct builds, on the cuts
-        fp, fb = pi.fiber(theta), bumps.fiber(theta)
+        fp, fb = pi.fiber(theta), bumps._fiber_uncached(theta)
         assert density._knots(fp, fb) == three_pass_knots(density, fp, fb)
 
 
@@ -400,16 +425,32 @@ def test_direct_mu_builds_do_not_grow_with_the_grid(monkeypatch):
         plain8 = default_pipeline(half_width=8, fiber_grid=grid, vertical_grid=64)
         audit_atlas(plain8.atlas, grid)
         audit_density(plain8.density, grid, vertical=64)
-        verify_semiconjugacy(plain8.tmap, plain8.mu_shifted, grid, 64)
-        chambers = (len(plain8.mu.chambers.chambers)
-                    + len(plain8.mu_shifted.chambers.chambers))
-        assert len(calls) <= 2 * chambers
+        verify_semiconjugacy(plain8.tmap, grid, 64)
+        assert len(calls) <= len(plain8.mu.chambers.cuts)
         per_grid[grid] = len(calls)
     assert per_grid[64] == per_grid[512]
 
 
-def per_fiber_audits(pipe, grid):
-    """The grid loops of the atlas, density and semiconjugacy audits, fiber by fiber."""
+def test_audits_build_mu_once_per_cut(monkeypatch):
+    # a table binds its direct builder when it is built, so the patch comes first
+    calls = []
+    direct = MeasureFamily._fiber_uncached
+    monkeypatch.setattr(MeasureFamily, "_fiber_uncached",
+                        lambda self, theta: calls.append(theta) or direct(self, theta))
+    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64, crossings=2, seed=3)
+    audit_atlas(pipe.atlas, 64)
+    verify_nonminimality(pipe.tmap, grid=64)
+    verify_semiconjugacy(pipe.tmap, 64, 64)
+    cuts = pipe.mu.chambers.cuts
+    assert len(cuts) > 100
+    assert len(calls) == len(set(calls)) <= len(cuts) and set(calls) <= set(cuts)
+
+
+def per_fiber_audits(pipe, image_mu, grid):
+    """The grid loops of the atlas, density and semiconjugacy audits, fiber by fiber.
+
+    R_* mu is read from image_mu, the measure of the image curves.
+    """
     atlas, density, pi, tmap = pipe.atlas, pipe.density, pipe.projection, pipe.tmap
     max_components = {n: 0 for n in atlas.order}
     min_v, min_h, worst = 1.0, 1.0, 0.0
@@ -432,7 +473,7 @@ def per_fiber_audits(pipe, grid):
         rhs = pipe.system.circle_values(theta, pi.fiber(theta).map_array(xs))
         res[g] = float(np.max(circ_dist_array(pi.fiber(nxt).map_array(fvals), rhs)))
         if g % max(1, grid // 64) == 0:
-            quant = quantile_table(pipe.mu_shifted.fiber(nxt),
+            quant = quantile_table(image_mu.fiber(nxt),
                                    pipe.mu.curves[tmap.curve1].circle_value(nxt), F(0))
             fd = density.fiber(nxt)
             masses = fd.mass_from(tmap.phi_minus(nxt, tmap.curve1), fvals) / fd.total
@@ -441,33 +482,50 @@ def per_fiber_audits(pipe, grid):
 
 
 @pytest.mark.parametrize("curve", ["constant", "crossed"])
-def test_grid_classes_give_the_per_fiber_results(stacks, curve):
-    # 200 is no power of two and its shifted-window stride is 3, so neither the
+def test_grid_classes_give_the_per_fiber_results(stacks, shifted, curve):
+    # 200 is no power of two and the stride of the R_* mu check is 3, so neither the
     # subsample nor the chamber ends line up with the grid
     pipe, grid = stacks[curve], 200
-    max_components, min_v, min_h, worst, res, shifted = per_fiber_audits(pipe, grid)
+    max_components, min_v, min_h, worst, res, shifted_res = per_fiber_audits(
+        pipe, shifted[curve], grid)
     atlas = audit_atlas(pipe.atlas, grid)
     density = audit_density(pipe.density, grid, vertical=pipe.vertical_grid)
-    report = verify_semiconjugacy(pipe.tmap, pipe.mu_shifted, grid, pipe.vertical_grid)
+    report = verify_semiconjugacy(pipe.tmap, grid, pipe.vertical_grid)
     assert (atlas.max_components, atlas.min_v_fraction) == (max_components, min_v)
     assert (density["min_h"], density["worst_layer_defect"]) == (min_h, worst)
     assert np.array_equal(report.residual_per_fiber, res)
-    assert report.shifted_residual == shifted
+    assert report.shifted_residual == shifted_res
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pushed_mu_is_the_measure_of_the_image_curves(stacks, shifted, curve, data):
+    # at cuts, at grid points and at random theta: same positions, same masses
+    pipe = stacks[curve]
+    cuts = pipe.mu.chambers.cuts or [F(0)]
+    theta = data.draw(st.one_of(thetas(cuts), st.integers(0, 63).map(lambda g: F(g, 64))))
+    got = pushed(pipe.mu.fiber(theta), pipe.system.displacement(theta))
+    want = shifted[curve].fiber(theta + pipe.system.omega)
+    assert [(a.position, a.mass) for a in got.atoms] == [(a.position, a.mass) for a in want.atoms]
+    assert got.beta == want.beta
 
 
 def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
     # itself, or through a checked fiber with the same constant chambers in every table read;
-    # the check alone reads mu_shifted once _tv_defect is stubbed out
+    # the check alone pushes mu forward once _tv_defect is stubbed out
     pipe, grid = stacks["crossed"], 200
     omega = pipe.system.omega
-    ran = []
-    fiber = pipe.mu_shifted.fiber
+    read, ran = [], []
+    fiber = pipe.mu.fiber
     monkeypatch.setattr(transport, "_tv_defect", lambda *args, **kwargs: 0.0)
-    monkeypatch.setattr(pipe.mu_shifted, "fiber", lambda theta: ran.append(
-        (theta - omega) * grid) or fiber(theta))
-    verify_semiconjugacy(pipe.tmap, pipe.mu_shifted, grid, pipe.vertical_grid)
+    monkeypatch.setattr(pipe.mu, "fiber", lambda theta: read.append(theta) or fiber(theta))
+    # the check reads mu at theta just before it pushes that fiber forward
+    monkeypatch.setattr(transport, "pushed",
+                        lambda fm, d: ran.append(read[-1] * grid) or pushed(fm, d))
+    verify_semiconjugacy(pipe.tmap, grid, pipe.vertical_grid)
     reads = [(pipe.projection.chambers, 0), (pipe.projection.chambers, omega),
-             (pipe.density.chambers, omega), (pipe.mu_shifted.chambers, omega),
+             (pipe.density.chambers, omega), (pipe.mu.chambers, 0),
              (pipe.mu.chambers, omega)]
 
     def chambers(g):

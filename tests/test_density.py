@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qpflab.atlas import build_partition_atlas
-from qpflab.density import _density_fiber, audit_density, build_bumps, build_density_h
+from qpflab.density import BumpFamily, DensityField, _density_fiber, audit_density
 from qpflab.errors import DensityNonpositive, EtaNotInvertible, PreconditionError
 from qpflab.geometry import image_curve
 from qpflab.measure import build_mu, build_pi
@@ -30,10 +30,10 @@ def stack4():
 
 def test_urysohn_bumps_g1_g2(stack4):
     w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2))
+    bumps = BumpFamily(atlas)
     for g in range(16):
         theta = F(g, 16)
-        fb = bumps.fiber(theta)
+        fb = bumps._fiber_uncached(theta)
         fa = atlas.fiber(theta)
         for m in bumps.indices():
             assert (1 - F(1, 2)) * w.a(m) <= fb[m].integral <= w.a(m)
@@ -46,8 +46,8 @@ def test_urysohn_bumps_g1_g2(stack4):
 
 def test_density_floor_and_layers(stack4):
     w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2))
-    field = build_density_h(w, atlas, bumps)
+    bumps = BumpFamily(atlas)
+    field = DensityField(w, atlas, bumps)
     audit = audit_density(field, grid=64, vertical=512)
     assert audit["min_h"] >= float(w.min_density_bound()) - 1e-12
     # with the urysohn profile b_m = (1 - eps/2) a_m, so the realized floor is higher
@@ -57,7 +57,7 @@ def test_density_floor_and_layers(stack4):
 
 def test_density_total_telescopes(stack4):
     w, mu, pi, atlas = stack4
-    field = build_density_h(w, atlas, build_bumps(atlas, F(1, 2)))
+    field = DensityField(w, atlas, BumpFamily(atlas))
     for g in range(8):
         fd = field.fiber(F(g, 8))
         assert abs(fd.total - 1.0) < 1e-14  # symmetric weights: a_N - a_{-N} = 0
@@ -65,7 +65,7 @@ def test_density_total_telescopes(stack4):
 
 def test_density_positive_everywhere(stack4):
     w, mu, pi, atlas = stack4
-    field = build_density_h(w, atlas, build_bumps(atlas, F(1, 2)))
+    field = DensityField(w, atlas, BumpFamily(atlas))
     fd = field.fiber(F(0))
     # h is linear between its knots, so positive knot values make it positive
     assert fd.min_h > 0
@@ -78,24 +78,24 @@ def test_cum_at_one_point_is_the_array_interp(stack4, x0, g):
     # mass_from and quantile_from read the prefix integral at x0 on floats;
     # it must be the value the array path gives, for points on either side of s0
     w, mu, pi, atlas = stack4
-    fd = build_density_h(w, atlas, build_bumps(atlas, F(1, 2))).fiber(F(g, 8))
+    fd = DensityField(w, atlas, BumpFamily(atlas)).fiber(F(g, 8))
     want = float(np.interp(fd._unroll(np.array([x0]))[0], fd.knots, fd.cum))
     assert fd._cum_at(x0).hex() == want.hex()
 
 
 def test_density_rejects_nonsymmetric_or_bad_ratio(stack4):
     w, mu, pi, atlas = stack4
-    bumps = build_bumps(atlas, F(1, 2))
+    bumps = BumpFamily(atlas)
     # a deficit ratio of 1 admits h = 0 somewhere
     with pytest.raises(DensityNonpositive, match="nonpositive density"):
-        build_density_h(replace(w, boundary_ratio=F(1)), atlas, bumps)
+        DensityField(replace(w, boundary_ratio=F(1)), atlas, bumps)
     # moving mass from a_4 to a_-4 keeps the total at 1 - beta but breaks the
     # symmetry the density total needs
     moved = {**w.weights, 4: w.a(4) / 2, -4: w.a(-4) + w.a(4) / 2}
     skewed = replace(w, weights=moved)
     assert sum(skewed.weights.values()) == 1 - w.beta and not skewed.is_symmetric()
     skewed_pi = build_pi(build_mu(mu.curves, weights=skewed), 0)
-    field = build_density_h(w, atlas, bumps)
+    field = DensityField(w, atlas, bumps)
     with pytest.raises(PreconditionError, match="symmetric"):
         build_f(R, field, skewed_pi)
 

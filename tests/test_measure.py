@@ -130,7 +130,7 @@ def test_run_blowup_refuses_unflat_certificate(monkeypatch):
     monkeypatch.setattr(pipeline, "prepare_curve", lambda *a, **k: (tent, cert, []))
     w = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     with pytest.raises(PreconditionError, match="non-flat"):
-        pipeline.run_blowup(R, tent, w, F(1, 2), fiber_grid=16, vertical_grid=16)
+        pipeline.run_blowup(R, tent, w, fiber_grid=16, vertical_grid=16)
 
 
 def test_build_mu_table_path_matches_pairwise():
@@ -156,8 +156,8 @@ def test_run_blowup_computes_each_orbit_intersection_once(monkeypatch):
         monkeypatch.setattr(module, "intersection_projection", counted)
     n = 4
     w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
-    pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, F(1, 2), fiber_grid=16, vertical_grid=16)
-    # X_1..X_(2N+1) for the flattening certificate, X_1..X_(2N) for the two windows
+    pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, fiber_grid=16, vertical_grid=16)
+    # X_1..X_(2N+1) for the flattening certificate, X_1..X_(2N) for the window
     assert len(calls) <= 2 * (2 * n + 1)
 
 
@@ -173,9 +173,8 @@ def test_run_blowup_reads_the_windows_off_the_flattening_table(monkeypatch):
         monkeypatch.setattr(module, "intersection_projection", counted)
     n = 8
     w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
-    pipe = pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, F(1, 2),
-                               fiber_grid=16, vertical_grid=16)
-    # X_1..X_(2N+1) of the flattened curve, and the windows need no other
+    pipe = pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, fiber_grid=16, vertical_grid=16)
+    # X_1..X_(2N+1) of the flattened curve, and the window needs no other
     assert len(calls) == 2 * n + 1
     assert all(pipe.family[m] == image_curve(R, pipe.curve, m) for m in pipe.family)
 

@@ -215,7 +215,7 @@ def skew2():
     """A small blowup over a PL skew base."""
     phi = PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(4, 10))])
     return run_blowup(QpfSystem.skew(phi), PLGraph.constant(F(1, 5)),
-                      make_weights(k=4, half_width=2, epsilon=F(1, 2)), F(1, 2),
+                      make_weights(k=4, half_width=2, epsilon=F(1, 2)),
                       fiber_grid=64, vertical_grid=64)
 
 
@@ -335,7 +335,7 @@ def test_two_constant_graphs_component_count():
     bins = np.zeros((64, 64), dtype=bool)
     bins[:, 10] = True
     bins[:, 42] = True
-    fs = FiberSet(bins=bins, resolution=64, burnin=0, iters=0, seed=0)
+    fs = FiberSet(bins=bins)
     comp = fiber_component_count(fs)
     assert comp.c_min == 2 and comp.attaining_fraction == 1.0
 
@@ -347,7 +347,7 @@ def test_fiber_measure_bound_counts_components():
     bins[:, 20:22] = True
     bins[:, 40] = True
     bins[7, 50] = True       # one fiber with a fourth component
-    fs = FiberSet(bins=bins, resolution=64, burnin=0, iters=0, seed=0)
+    fs = FiberSet(bins=bins)
     diag = structure_diagnostics(fs, beta=0.05)
     assert diag.max_fiber_measure == 8 / 64
     assert diag.fiber_measure_bound == 0.05 + 2 * 4 / 64
@@ -357,7 +357,7 @@ def test_fiber_measure_bound_counts_components():
 def test_rle_roundtrip():
     rng = np.random.default_rng(3)
     bins = rng.random((32, 32)) < 0.2
-    fs = FiberSet(bins=bins, resolution=32, burnin=0, iters=0, seed=0)
+    fs = FiberSet(bins=bins)
     back = FiberSet.from_rle_lines(fs.to_rle_lines(), 32)
     assert np.array_equal(bins, back.bins)
 
@@ -379,14 +379,14 @@ def occupancies(draw):
 @given(occupancies())
 def test_rle_matches_scan_and_roundtrips(bins):
     n = len(bins)
-    lines = list(FiberSet(bins=bins, resolution=n, burnin=0, iters=0, seed=0).to_rle_lines())
+    lines = list(FiberSet(bins=bins).to_rle_lines())
     assert lines == reference_rle_lines(bins)
     assert np.array_equal(FiberSet.from_rle_lines(lines, n).bins, bins)
 
 
 @given(occupancies())
 def test_diagnostics_match_full_matrix_formulas(bins):
-    fs = FiberSet(bins=bins, resolution=len(bins), burnin=0, iters=0, seed=0)
+    fs = FiberSet(bins=bins)
     starts = (bins & ~np.roll(bins, 1, axis=1)).sum(axis=1)
     assert np.array_equal(fs.component_counts, np.where(bins.all(axis=1), 1, starts))
     joined = (bins & np.roll(bins, -1, axis=0)).any(axis=1)

@@ -215,7 +215,7 @@ def full_array_continuity(b, tol):
 
 
 def continuity(b, tol):
-    return _graph_continuity(FiberSet(bins=b, resolution=len(b), burnin=0, iters=0, seed=0), tol)
+    return _graph_continuity(FiberSet(bins=b), tol)
 
 
 @pytest.mark.parametrize("shape", [(1, 16), (5, 3), (64, 64), (130, 50), (200, 300)])

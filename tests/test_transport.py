@@ -69,7 +69,7 @@ def test_theta_continuity_of_f(small4):
 
 
 def test_semiconjugacy_report(small4):
-    rep = verify_semiconjugacy(small4.tmap, small4.mu_shifted, grid=128, vertical=512)
+    rep = verify_semiconjugacy(small4.tmap, grid=128, vertical=512)
     assert rep.passed
     assert rep.shifted_residual <= 2 / 512
     assert abs(rep.tv_defect - rep.tv_expected) < 1e-9
@@ -78,12 +78,12 @@ def test_semiconjugacy_report(small4):
 
 
 def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
-    # one grid class in the shifted-window subsample and one outside it
+    # one grid class in the subsample of the R_* mu check and one outside it
     calls = []
     fiber_values = TransportedMap.fiber_values
     monkeypatch.setattr(TransportedMap, "fiber_values",
                         lambda self, theta, xs: calls.append(theta) or fiber_values(self, theta, xs))
-    rep = verify_semiconjugacy(plain8.tmap, plain8.mu_shifted, grid=4096, vertical=4096)
+    rep = verify_semiconjugacy(plain8.tmap, grid=4096, vertical=4096)
     assert rep.passed and len(rep.residual_per_fiber) == 4096
     assert len(calls) <= 2
 
