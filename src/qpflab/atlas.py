@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .chamber import Affine, ChamberTable, Probe, class_thetas
-from .errors import AtlasInvariantViolation, CoverFailure, PreconditionError
+from .errors import AtlasInvariantViolation, CoverFailure
 from .measure import MeasureFamily, Projection, allocation_rank
 
 
@@ -83,17 +83,19 @@ def _shrink_arcs(arcs, epsilon: Fraction):
 class PartitionAtlas:
     projection: Projection
     epsilon: Fraction
-    order: tuple
 
     def __post_init__(self):
-        if self.order[0] != self.projection.n0:
-            raise PreconditionError("allocation order must start at the anchor curve")
         if not (0 < self.epsilon < 1):
             raise CoverFailure("epsilon must lie in (0,1) for a compact shrinking")
 
     @property
     def mu(self) -> MeasureFamily:
         return self.projection.mu
+
+    @cached_property
+    def order(self) -> tuple:
+        """The window in allocation order, from curve 0."""
+        return tuple(sorted(self.mu.curves, key=allocation_rank))
 
     @cached_property
     def chambers(self) -> ChamberTable:
@@ -170,18 +172,9 @@ class PartitionAtlas:
 
 @dataclass
 class AtlasAudit:
-    fibers: int
     chambers: int            # chambers certified exactly, besides their cut points
     max_components: dict
     min_v_fraction: float
-    passed: bool
-
-
-def build_partition_atlas(mu: MeasureFamily, projection: Projection, epsilon) -> PartitionAtlas:
-    if projection.mu is not mu:
-        raise PreconditionError("projection must be built from the same measure family")
-    return PartitionAtlas(projection=projection, epsilon=Fraction(epsilon),
-                          order=tuple(sorted(mu.curves.keys(), key=allocation_rank)))
 
 
 def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
@@ -207,6 +200,6 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
             max_components[n] = max(max_components[n], fa.components(n))
             frac = float(fa.v_width(n) / atlas.mu.masses[n])
             min_v_frac = min(min_v_frac, frac)
-    return AtlasAudit(fibers=grid, chambers=len(table.chambers),
-                      max_components=max_components, min_v_fraction=min_v_frac, passed=True)
+    return AtlasAudit(chambers=len(table.chambers), max_components=max_components,
+                      min_v_fraction=min_v_frac)
 

@@ -108,11 +108,15 @@ class FiberDensity:
 class DensityField:
     weights: WeightScheme
     atlas: PartitionAtlas
-    bumps: BumpFamily
 
     def __post_init__(self):
         if self.weights.boundary_ratio >= 1:
             raise DensityNonpositive("weight scheme admits a nonpositive density")
+
+    @cached_property
+    def bumps(self) -> BumpFamily:
+        """The Urysohn bumps of this field's own atlas."""
+        return BumpFamily(self.atlas)
 
     @cached_property
     def chambers(self) -> ChamberTable:

@@ -171,6 +171,8 @@ def _validate(m: Manifest) -> None:
         raise ManifestError(f"curve kind {m.curve_kind!r} not supported")
     if m.weights_mode != "quadratic":
         raise ManifestError(f"weights mode {m.weights_mode!r} not supported")
+    if m.anchor != 0:
+        raise ManifestError(f"anchor {m.anchor} not supported: pi is anchored at curve 0")
     for name, val in (("fibers", m.fibers), ("vertical", m.vertical), ("bins", m.bins)):
         if val < 16 or val > 2**20:
             raise ManifestError(f"grid {name}={val} out of range")

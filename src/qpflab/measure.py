@@ -2,8 +2,8 @@
 
 mu = beta * Leb + sum_n a_n * delta_{Gamma_n} over a finite curve window with
 pairwise flat intersections.  The projection pi is the fiberwise quantile of
-the lifted measure, anchored so that the preimage of the anchor curve contains
-the annulus T^1 x [0, a_{n0}].  Where curves overlap flatly, the two Dirac
+the lifted measure, anchored at curve 0 so that the preimage of Gamma_0
+contains the annulus T^1 x [0, a_0].  Where curves overlap flatly, the two Dirac
 masses are interpolated linearly across the overlap arc; the interpolation
 data is recorded exactly and reused by the partition atlas.
 """
@@ -328,47 +328,43 @@ def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> Fib
                            top_mass=top, plateaus=tuple(plateaus))
 
 
-def anchored_projection(fm: FiberMeasure, n0: int) -> FiberProjection:
-    """pi on one fiber: the anchor group's mass lifted below curve n0 sits under zero."""
-    anchor_atom = fm.atom_of(n0)
-    top = sum((fm.masses[j] * fm.t_split[(j, n0)] for j in anchor_atom.members if j != n0),
+def anchored_projection(fm: FiberMeasure) -> FiberProjection:
+    """pi on one fiber: the mass of curve 0's group lifted below curve 0 sits under zero."""
+    anchor_atom = fm.atom_of(0)
+    top = sum((fm.masses[j] * fm.t_split[(j, 0)] for j in anchor_atom.members if j != 0),
               Fraction(0))
     return quantile_table(fm, anchor_atom.position, top)
 
 
-def build_fiber_projection(mu: MeasureFamily, n0: int, theta) -> FiberProjection:
-    return anchored_projection(mu.fiber(Fraction(theta)), n0)
+def build_fiber_projection(mu: MeasureFamily, theta) -> FiberProjection:
+    return anchored_projection(mu.fiber(Fraction(theta)))
 
 
 @dataclass(eq=False)
 class Projection:
     mu: MeasureFamily
-    n0: int
 
     def __post_init__(self):
-        if self.n0 not in self.mu.curves:
-            raise PreconditionError(f"anchor {self.n0} not in the curve window")
+        if 0 not in self.mu.curves:
+            raise PreconditionError("curve 0 is not in the curve window")
 
     @cached_property
     def chambers(self) -> ChamberTable:
         return ChamberTable(self.mu.chambers.cuts, lambda probe: anchored_projection(
-            self.mu.chambers.template_on(probe), self.n0),
-            lambda th: build_fiber_projection(self.mu, self.n0, th))
+            self.mu.chambers.template_on(probe)),
+            lambda th: build_fiber_projection(self.mu, th))
 
     def fiber(self, theta) -> FiberProjection:
         return self.chambers.fiber(theta)
 
-    def annulus_height(self) -> Fraction:
-        return self.mu.masses[self.n0]
 
-
-def build_pi(mu: MeasureFamily, n0: int = 0) -> Projection:
-    """Fiberwise quantile of the lifted measure, anchored at curve n0."""
-    proj = Projection(mu=mu, n0=n0)
-    # annulus normalization check on a token fiber: [0, a_{n0}] inside the preimage
+def build_pi(mu: MeasureFamily) -> Projection:
+    """Fiberwise quantile of the lifted measure, anchored at curve 0."""
+    proj = Projection(mu=mu)
+    # annulus normalization check on a token fiber: [0, a_0] inside the preimage
     fp = proj.fiber(Fraction(1, 7))
-    p = fp.plateau_of(n0)
-    if not (mod1(p.start) + p.length >= mu.masses[n0] or p.length >= mu.masses[n0]):
+    p = fp.plateau_of(0)
+    if not (mod1(p.start) + p.length >= mu.masses[0] or p.length >= mu.masses[0]):
         raise PreconditionError("anchor plateau too short (annulus normalization)")
     return proj
 

@@ -604,6 +604,7 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
     # deterministic barycentric candidates for the tracked point; a retry kicks
     # in when the orbit lattice systematically misses the target triangle
     barycenters = ((2, 2, 2), (3, 2, 1), (1, 2, 3), (1, 4, 1), (4, 1, 1), (1, 1, 4))
+    tries = []          # per barycenter: the J triangle's size and the orbit times it kept
     for wa, wb, wc in barycenters:
         tot = wa + wb + wc
         z_d = (
@@ -631,11 +632,14 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
         plan_j = plan_perturbation(bar_table, box_j)
         tri_j = _sector_triangle(plan_j)
 
-        for m in _orbit_candidates(system, z_d, tri_j, m_max):
+        screened = _orbit_candidates(system, z_d, tri_j, m_max)
+        inside = 0
+        for m in screened:
             pt = _orbit_point(system, z_d[0], z_d[1], m)
             local = _localize_in_triangle(pt, tri_j)
             if local is None:
                 continue
+            inside += 1
             try:
                 result = _insert_and_verify(bar_table, box_j, tri_j, local, m,
                                             (ilo, ihi), (jlo, jhi))
@@ -643,10 +647,19 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
                 continue
             if result is not None:
                 return result
+        tries.append(f"{_extent(tri_j, 0):.1e} x {_extent(tri_j, 1):.1e}, "
+                     f"{len(screened)}/{inside}")
     raise OrbitSearchTimeout(
         f"no orbit segment hit the J box within m_max={m_max} iterations: "
         f"I=[{float(ilo):.6f}, {float(ihi):.6f}], J=[{float(jlo):.6f}, {float(jhi):.6f}], "
-        f"barycenters tried {', '.join(f'({a},{b},{c})' for a, b, c in barycenters)}")
+        f"barycenters tried {', '.join(f'({a},{b},{c})' for a, b, c in barycenters)}; "
+        f"per try, the J triangle's theta-width x x-height and the orbit times that passed "
+        f"the float screen / the exact triangle test: {'; '.join(tries)}")
+
+
+def _extent(tri, axis: int) -> float:
+    """The width of a triangle's bounding box along axis (0: theta, 1: x)."""
+    return float(max(p[axis] for p in tri) - min(p[axis] for p in tri))
 
 
 def _orbit_candidates(system: QpfSystem, z, tri, m_max: int) -> list:
@@ -665,9 +678,8 @@ def _orbit_candidates(system: QpfSystem, z, tri, m_max: int) -> list:
     keep = np.ones(m_max, dtype=bool)
     for axis, step in ((0, system.omega), (1, system.rho)):
         lo = min(p[axis] for p in tri)
-        width = float(max(p[axis] for p in tri) - lo)
         pts = mod1_array(float(mod1(z[axis])) + ms * float(step))
-        keep &= mod1_array(pts - (float(mod1(lo)) - margin)) <= width + 2 * margin
+        keep &= mod1_array(pts - (float(mod1(lo)) - margin)) <= _extent(tri, axis) + 2 * margin
     return (np.flatnonzero(keep) + 1).tolist()
 
 

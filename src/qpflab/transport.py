@@ -1,8 +1,9 @@
 """The transported homeomorphism f and its semi-conjugacy contract.
 
 f_theta is the monotone transport sending Lebesgue measure onto nu_{theta+w}
-while mapping the bottom edge of the blown anchor curve to the bottom edge of
-its image.  At finite truncation pi_* nu differs from R_* mu by the relocated
+while mapping the bottom edge of the blown-up Gamma_0 to the bottom edge of
+the blown-up Gamma_1, its image: pi is anchored at curve 0 and f carries
+curve 0 onto curve 1.  At finite truncation pi_* nu differs from R_* mu by the relocated
 edge atoms (total variation a_N + a_{-N}); the beta density floor converts
 that mass defect into the sup-residual bound a_N / beta for pi o f vs R o pi.
 R's fiber map at theta is the rotation by d(theta), so R_* mu at theta + w is
@@ -36,12 +37,10 @@ class TransportedMap:
     system: QpfSystem            # the base R (supplies omega)
     nu: object                   # per-fiber CDF tables (a DensityField)
     projection: Projection
-    curve0: int = 0
-    curve1: int = 1
 
     def __post_init__(self):
-        if self.curve1 not in self.projection.mu.curves:
-            raise PreconditionError(f"image curve {self.curve1} missing from the family")
+        if 1 not in self.projection.mu.curves:
+            raise PreconditionError("image curve 1 missing from the family")
 
     def phi_minus(self, theta, curve: int) -> float:
         """Bottom edge of the blown curve: inf pi^{-1}(Gamma_curve) at this fiber.
@@ -59,8 +58,8 @@ class TransportedMap:
         theta = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         theta_next = mod1(theta + self.system.omega)
         fd = self.nu.fiber(theta_next)
-        p0 = self.phi_minus(theta, self.curve0)
-        p1 = self.phi_minus(theta_next, self.curve1)
+        p0 = self.phi_minus(theta, 0)
+        p1 = self.phi_minus(theta_next, 1)
         us = mod1_array(np.asarray(xs, dtype=float) - p0) * fd.total
         return fd.quantile_from(p1, us)
 
@@ -87,14 +86,12 @@ def _plateau_start(curve: int):
     return lambda fp: [fp.plateau_of(curve).start]
 
 
-def build_f(system: QpfSystem, nu, projection: Projection,
-            curve0: int = 0, curve1: int = 1) -> TransportedMap:
+def build_f(system: QpfSystem, nu, projection: Projection) -> TransportedMap:
     """Monotone transport with f(phi0^-) = phi1^- and Leb -> nu fiberwise."""
     w = projection.mu.weights
     if w is not None and not w.is_symmetric():
         raise PreconditionError("the transported pipeline expects symmetric weights")
-    return TransportedMap(system=system, nu=nu, projection=projection,
-                          curve0=curve0, curve1=curve1)
+    return TransportedMap(system=system, nu=nu, projection=projection)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +155,11 @@ def verify_semiconjugacy(tmap: TransportedMap, grid: int, vertical: int) -> Semi
         if (theta * grid) % stride:
             return res, 0.0
         # identity pi' o f = R o pi at a subsample of fibers, pi' the quantile of R_* mu
-        gamma1 = pi.mu.curves[tmap.curve1].circle_value(theta_next)
+        gamma1 = pi.mu.curves[1].circle_value(theta_next)
         quant = quantile_table(pushed(pi.mu.fiber(theta), system.displacement(theta)),
                                gamma1, Fraction(0))
         fd = tmap.nu.fiber(theta_next)
-        p1 = tmap.phi_minus(theta_next, tmap.curve1)
+        p1 = tmap.phi_minus(theta_next, 1)
         masses = fd.mass_from(p1, fvals) / fd.total
         lhs_shift = quant.map_array(masses)
         return res, float(np.max(circ_dist_array(lhs_shift, rhs)))
@@ -223,18 +220,9 @@ def _tv_defect(tmap: TransportedMap, fibers: int) -> float:
 
 
 @dataclass
-class ProbeResult:
-    witness_m: int
-    hit_time: int | None
-    tested_points: int
-
-
-@dataclass
 class NonminimalityReport:
-    annulus_curve: int
     annulus_height: float
-    annulus_verified_fibers: int
-    probes: list
+    hit_times: list              # per witness, the first hit of its probe or None
     hit_fraction: float
 
 
@@ -242,16 +230,15 @@ def verify_nonminimality(tmap: TransportedMap, witnesses=(), grid: int = 256,
                          probe_points: int = 64) -> NonminimalityReport:
     """(a) the open annulus inside pi^{-1}(Xi); (b) hitting-time probes.
 
-    The annulus normalization (the anchor plateau starts at or below 0 and
-    reaches the annulus height) is certified for every theta: the start and
+    The annulus normalization (curve 0's plateau starts at or below 0 and
+    reaches the annulus height a_0) is certified for every theta: the start and
     length are affine on a projection chamber, so both closed ends of each
     chamber and each cut point (its one-point chamber) cover it.  The grid check
     follows as a cross-check, on one theta per grid class of the projection
     table (chamber.class_thetas).
     """
     pi = tmap.projection
-    n0 = pi.n0
-    height = pi.annulus_height()
+    height = pi.mu.masses[0]
 
     def check(plateau, where):
         if not (plateau.start <= 0 and plateau.start + plateau.length >= height):
@@ -259,24 +246,18 @@ def verify_nonminimality(tmap: TransportedMap, witnesses=(), grid: int = 256,
 
     table = pi.chambers
     for ch in table.chambers:
-        plateau = ch.template.plateau_of(n0)
+        plateau = ch.template.plateau_of(0)
         for t in (ch.a, ch.b):
             check(map_leaves(plateau, lambda x: x.at(t)),
                   f"theta in ({float(ch.a)}, {float(ch.b)}), end {float(t)}")
     for cut in table.cuts:
-        check(pi.fiber(cut).plateau_of(n0), f"cut point theta={float(cut)}")
+        check(pi.fiber(cut).plateau_of(0), f"cut point theta={float(cut)}")
     for theta in class_thetas(grid, [(table, 0)]):
-        check(pi.fiber(theta).plateau_of(n0), f"fiber {theta * grid}/{grid}")
-    probes = []
-    hits = 0
-    for wit in witnesses:
-        hit = _probe_hit_time(tmap, wit, float(height), probe_points, wit.m + _PROBE_SLACK)
-        probes.append(ProbeResult(witness_m=wit.m, hit_time=hit, tested_points=probe_points))
-        if hit is not None:
-            hits += 1
-    frac = hits / len(probes) if probes else 1.0
-    return NonminimalityReport(annulus_curve=n0, annulus_height=float(height),
-                               annulus_verified_fibers=grid, probes=probes,
+        check(pi.fiber(theta).plateau_of(0), f"fiber {theta * grid}/{grid}")
+    hit_times = [_probe_hit_time(tmap, wit, float(height), probe_points, wit.m + _PROBE_SLACK)
+                 for wit in witnesses]
+    frac = sum(hit is not None for hit in hit_times) / len(hit_times) if hit_times else 1.0
+    return NonminimalityReport(annulus_height=float(height), hit_times=hit_times,
                                hit_fraction=frac)
 
 

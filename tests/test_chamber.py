@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qpflab import chamber, transport
-from qpflab.atlas import audit_atlas, build_partition_atlas
+from qpflab.atlas import PartitionAtlas, audit_atlas
 from qpflab.chamber import Affine, Chamber, Probe, grid_classes
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
 from qpflab.density import audit_density
@@ -40,13 +40,12 @@ def stacks():
     tent_weights = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     skew_weights = make_weights(k=4, half_width=2, epsilon=F(1, 2))
     return {
-        "constant": default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64),
+        "constant": default_pipeline(half_width=4),
         "tent": run_blowup(QpfSystem.translation(), PLGraph.tent(F(1, 5), F(7, 10)),
-                           tent_weights, fiber_grid=64, vertical_grid=64),
-        "crossed": default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64,
-                                    crossings=2, seed=3),
+                           tent_weights),
+        "crossed": default_pipeline(half_width=4, crossings=2, seed=3),
         "skew": run_blowup(QpfSystem.skew(PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(2, 5))])),
-                           PLGraph.constant(F(1, 5)), skew_weights, fiber_grid=64, vertical_grid=64),
+                           PLGraph.constant(F(1, 5)), skew_weights),
     }
 
 
@@ -82,7 +81,7 @@ def switching_atlas(shift=0):
     masses = {0: F(9, 50), 1: F(1, 20), -1: F(1, 10)}
     curves = {0: PLGraph.constant(F(1, 2)), 1: g1.shift_theta(shift), -1: gm.shift_theta(shift)}
     mu = build_mu(curves, masses=masses, beta=1 - sum(masses.values()), waive_flatness=True)
-    return build_partition_atlas(mu, build_pi(mu, 0), F(1, 2))
+    return PartitionAtlas(build_pi(mu), F(1, 2))
 
 
 def thetas(cuts):
@@ -101,7 +100,7 @@ def assert_stack_exact(pipe, theta):
     mu, pi, atlas, density = pipe.mu, pipe.projection, pipe.atlas, pipe.density
     a, b = mu.fiber(theta), mu._fiber_uncached(theta)
     assert (a.atoms, a.t_split) == (b.atoms, b.t_split)
-    a, b = pi.fiber(theta), build_fiber_projection(mu, pi.n0, theta)
+    a, b = pi.fiber(theta), build_fiber_projection(mu, theta)
     assert a.plateaus == b.plateaus
     assert np.array_equal(a.seg_starts, b.seg_starts) and np.array_equal(a.seg_target, b.seg_target)
     a, b = atlas.fiber(theta), atlas._fiber_uncached(theta)
@@ -113,11 +112,10 @@ def assert_stack_exact(pipe, theta):
 
 def exact_fiber_values(pipe, theta, xs):
     """TransportedMap.fiber_values from the direct builds of pi and the density."""
-    tmap, nxt = pipe.tmap, theta + pipe.system.omega
+    nxt = theta + pipe.system.omega
     fd = pipe.density._fiber_uncached(nxt)
-    p0, p1 = (float(mod1(build_fiber_projection(pipe.mu, pipe.projection.n0, th)
-                         .plateau_of(c).start))
-              for th, c in ((theta, tmap.curve0), (nxt, tmap.curve1)))
+    p0, p1 = (float(mod1(build_fiber_projection(pipe.mu, th).plateau_of(c).start))
+              for th, c in ((theta, 0), (nxt, 1)))
     return fd.quantile_from(p1, mod1_array(xs - p0) * fd.total)
 
 
@@ -249,7 +247,7 @@ def test_template_lines_are_the_lines_through_the_chamber_ends(stacks, curve, mo
 
 def test_f_walk_reads_no_template_in_fractions(stacks, monkeypatch):
     pipe = stacks["crossed"]
-    f_lift = Lift(pipe.f_system)
+    f_lift = Lift(pipe.tmap.as_system())
     rotation_number(f_lift, 0.0, 0.0, 8)           # builds the chamber tables
     calls = []
     at = Affine.at
@@ -407,7 +405,7 @@ def test_audit_certifies_every_chamber(stacks):
     pipe = stacks["crossed"]
     audit = audit_atlas(pipe.atlas, 64)
     assert audit.chambers == len(pipe.atlas.chambers.chambers) > 100
-    assert audit.passed and audit.min_v_fraction == 0.5
+    assert audit.min_v_fraction == 0.5
 
 
 def test_direct_mu_builds_do_not_grow_with_the_grid(monkeypatch):
@@ -422,7 +420,7 @@ def test_direct_mu_builds_do_not_grow_with_the_grid(monkeypatch):
     per_grid = {}
     for grid in (64, 512):
         calls.clear()
-        plain8 = default_pipeline(half_width=8, fiber_grid=grid, vertical_grid=64)
+        plain8 = default_pipeline(half_width=8)
         audit_atlas(plain8.atlas, grid)
         audit_density(plain8.density, grid, vertical=64)
         verify_semiconjugacy(plain8.tmap, grid, 64)
@@ -437,7 +435,7 @@ def test_audits_build_mu_once_per_cut(monkeypatch):
     direct = MeasureFamily._fiber_uncached
     monkeypatch.setattr(MeasureFamily, "_fiber_uncached",
                         lambda self, theta: calls.append(theta) or direct(self, theta))
-    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64, crossings=2, seed=3)
+    pipe = default_pipeline(half_width=4, crossings=2, seed=3)
     audit_atlas(pipe.atlas, 64)
     verify_nonminimality(pipe.tmap, grid=64)
     verify_semiconjugacy(pipe.tmap, 64, 64)
@@ -446,7 +444,7 @@ def test_audits_build_mu_once_per_cut(monkeypatch):
     assert len(calls) == len(set(calls)) <= len(cuts) and set(calls) <= set(cuts)
 
 
-def per_fiber_audits(pipe, image_mu, grid):
+def per_fiber_audits(pipe, image_mu, grid, vertical):
     """The grid loops of the atlas, density and semiconjugacy audits, fiber by fiber.
 
     R_* mu is read from image_mu, the measure of the image curves.
@@ -454,7 +452,7 @@ def per_fiber_audits(pipe, image_mu, grid):
     atlas, density, pi, tmap = pipe.atlas, pipe.density, pipe.projection, pipe.tmap
     max_components = {n: 0 for n in atlas.order}
     min_v, min_h, worst = 1.0, 1.0, 0.0
-    xs = np.arange(pipe.vertical_grid) / pipe.vertical_grid
+    xs = np.arange(vertical) / vertical
     res, shifted = np.empty(grid), 0.0
     for g in range(grid):
         theta = F(g, grid)
@@ -464,7 +462,7 @@ def per_fiber_audits(pipe, image_mu, grid):
             max_components[n] = max(max_components[n], fa.components(n))
             min_v = min(min_v, float(fa.v_width(n) / pipe.mu.masses[n]))
         min_h = min(min_h, fd.min_h)
-        for m in pipe.bumps.indices():
+        for m in density.bumps.indices():
             arcs = np.array([[float(lo), float(hi)] for lo, hi in fa.u[m]])
             clo, chi = (np.interp(fd._unroll(arcs[:, i]), fd.knots, fd.cum) for i in (0, 1))
             layer = float(np.sum(np.mod(chi - clo, fd.total)))
@@ -473,10 +471,9 @@ def per_fiber_audits(pipe, image_mu, grid):
         rhs = pipe.system.circle_values(theta, pi.fiber(theta).map_array(xs))
         res[g] = float(np.max(circ_dist_array(pi.fiber(nxt).map_array(fvals), rhs)))
         if g % max(1, grid // 64) == 0:
-            quant = quantile_table(image_mu.fiber(nxt),
-                                   pipe.mu.curves[tmap.curve1].circle_value(nxt), F(0))
+            quant = quantile_table(image_mu.fiber(nxt), pipe.mu.curves[1].circle_value(nxt), F(0))
             fd = density.fiber(nxt)
-            masses = fd.mass_from(tmap.phi_minus(nxt, tmap.curve1), fvals) / fd.total
+            masses = fd.mass_from(tmap.phi_minus(nxt, 1), fvals) / fd.total
             shifted = max(shifted, float(np.max(circ_dist_array(quant.map_array(masses), rhs))))
     return max_components, min_v, min_h, worst, res, shifted
 
@@ -485,12 +482,12 @@ def per_fiber_audits(pipe, image_mu, grid):
 def test_grid_classes_give_the_per_fiber_results(stacks, shifted, curve):
     # 200 is no power of two and the stride of the R_* mu check is 3, so neither the
     # subsample nor the chamber ends line up with the grid
-    pipe, grid = stacks[curve], 200
+    pipe, grid, vertical = stacks[curve], 200, 64
     max_components, min_v, min_h, worst, res, shifted_res = per_fiber_audits(
-        pipe, shifted[curve], grid)
+        pipe, shifted[curve], grid, vertical)
     atlas = audit_atlas(pipe.atlas, grid)
-    density = audit_density(pipe.density, grid, vertical=pipe.vertical_grid)
-    report = verify_semiconjugacy(pipe.tmap, grid, pipe.vertical_grid)
+    density = audit_density(pipe.density, grid, vertical=vertical)
+    report = verify_semiconjugacy(pipe.tmap, grid, vertical)
     assert (atlas.max_components, atlas.min_v_fraction) == (max_components, min_v)
     assert (density["min_h"], density["worst_layer_defect"]) == (min_h, worst)
     assert np.array_equal(report.residual_per_fiber, res)
@@ -523,7 +520,7 @@ def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
     # the check reads mu at theta just before it pushes that fiber forward
     monkeypatch.setattr(transport, "pushed",
                         lambda fm, d: ran.append(read[-1] * grid) or pushed(fm, d))
-    verify_semiconjugacy(pipe.tmap, grid, pipe.vertical_grid)
+    verify_semiconjugacy(pipe.tmap, grid, 64)
     reads = [(pipe.projection.chambers, 0), (pipe.projection.chambers, omega),
              (pipe.density.chambers, omega), (pipe.mu.chambers, 0),
              (pipe.mu.chambers, omega)]
@@ -550,7 +547,7 @@ def test_grid_class_members_share_constant_chambers(stacks):
 
 
 def test_reuse_cannot_hide_an_atlas_failure():
-    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64)
+    pipe = default_pipeline(half_width=4)
     fa = pipe.atlas.fiber(F(1, 3))
     n = pipe.atlas.order[-1]
     (ulo, uhi), *_ = fa.u[n]
@@ -562,7 +559,7 @@ def test_reuse_cannot_hide_an_atlas_failure():
 
 
 def test_reuse_cannot_hide_a_density_failure():
-    pipe = default_pipeline(half_width=4, fiber_grid=64, vertical_grid=64)
+    pipe = default_pipeline(half_width=4)
     fd = pipe.density.fiber(F(1, 3))
     floor = float(pipe.weights.min_density_bound())
     hvals = fd.hvals.copy()
@@ -576,7 +573,7 @@ def test_reuse_cannot_hide_a_density_failure():
 def test_annulus_certificate_reads_both_chamber_ends(zero_end):
     mu = build_mu({0: PLGraph.constant(F(1, 2)), 1: PLGraph.tent(F(1, 10), F(1, 5), F(2, 5))},
                   masses={0: F(1, 10), 1: F(1, 10)}, beta=F(4, 5))
-    pi = build_pi(mu, 0)
+    pi = build_pi(mu)
     tmap = TransportedMap(system=QpfSystem.translation(), nu=None, projection=pi)
     verify_nonminimality(tmap, grid=1)
     # the one grid fiber, theta = 0, lies outside the chamber whose anchor plateau moves
@@ -585,7 +582,7 @@ def test_annulus_certificate_reads_both_chamber_ends(zero_end):
     with Probe(ch.a, ch.b):
         lift = Affine(-pivot, F(1)) * (F(1) / (ch.b - ch.a))
         lift = lift if zero_end == "a" else -lift       # 0 at one end, 1 at the other
-        plateaus = tuple(replace(p, start=p.start + lift) if pi.n0 in p.members else p
+        plateaus = tuple(replace(p, start=p.start + lift) if 0 in p.members else p
                          for p in ch.template.plateaus)
         ch.template = replace(ch.template, plateaus=plateaus)
     with pytest.raises(InvariantViolation, match="annulus normalization fails"):

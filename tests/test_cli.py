@@ -1,10 +1,14 @@
+import contextlib
 import filecmp
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
 from qpflab import cli, surgery
@@ -93,6 +97,33 @@ def test_readme_accepted_keys_match_schema():
         section, keys = part.split("]`", 1)
         listed[section] = [k.strip() for k in keys.strip(" ;").split(",")]
     assert listed == _SCHEMA
+
+
+def test_readme_one_value_keys_are_enforced(tmp_path):
+    # the paragraph's "`[section] key` must be `value`" phrases are the validator's
+    paragraph = " ".join(_readme().split("Accepted keys: ", 1)[1].split("\n\n", 1)[0].split())
+    pinned = {(section, key): value for section, key, value
+              in re.findall(r"`\[(\w+)\] (\w+)` must be `([^`]+)`", paragraph)}
+    assert pinned == {("weights", "mode"): "quadratic", ("run", "anchor"): "0"}
+    for (section, key), value in pinned.items():
+        load_manifest(write_manifest(tmp_path, f"[{section}]\n{key} = {value}\n"))
+        with pytest.raises(ManifestError, match=f"{key} .*not supported"):
+            load_manifest(write_manifest(tmp_path, f"[{section}]\n{key} = {value}1\n"))
+
+
+@pytest.mark.parametrize("anchor", [1, -1])
+@pytest.mark.parametrize("command", ["blowup", "analyze"])
+def test_nonzero_anchor_exits_2_before_any_work(tmp_path, capsys, command, anchor):
+    p = write_manifest(tmp_path, SMALL + f"anchor = {anchor}\n")
+    out = tmp_path / "o"
+    assert main([command, "--manifest", str(p), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: anchor {anchor} not supported")
+    assert not out.exists()
+
+
+def test_anchor_zero_echoes_as_no_key(tmp_path):
+    explicit = load_manifest(write_manifest(tmp_path, SMALL + "anchor = 0\n", name="a.ini"))
+    assert explicit.normalized_text() == load_manifest(write_manifest(tmp_path, SMALL)).normalized_text()
 
 
 def test_unparsed_key_rejected(tmp_path):
@@ -304,3 +335,59 @@ def test_steep_tent_flattens_through_a_narrower_box(tmp_path, monkeypatch):
     assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "c")]) == 0
     assert failed
     assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "b")]) == 0
+
+
+def test_crossing_timeout_names_the_j_triangle_and_the_kept_orbit_times(tmp_path, capsys):
+    # a steep tent: each try's J triangle is so small that m_max = 10^4 orbit times
+    # are expected to put fewer than 3 points in its bounding box, and none lands inside
+    body = STEEP_TENT.replace("amplitude = 9/10", "amplitude = 7/10").replace(
+        "crossings = 0", "crossings = 2").replace("= 64", "= 32")
+    p = write_manifest(tmp_path, body)
+    assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "c")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("timeout: no orbit segment hit the J box within m_max=10000 ")
+    tries = re.findall(r"(\d\.\de-\d\d) x (\d\.\de-\d\d), (\d+)/(\d+)", err)
+    assert len(tries) == 6
+    for width, height, screened, inside in tries:
+        assert float(width) * float(height) * 10**4 < 3
+        assert int(screened) >= int(inside) == 0
+
+
+MANIFEST_FIELDS = st.fixed_dictionaries({
+    "base": st.sampled_from(["translation", "skew"]),
+    "curve": st.sampled_from(["constant", "tent"]),
+    "n": st.integers(1, 2),
+    "k": st.integers(1, 6),
+    "epsilon": st.sampled_from(["1/10", "1/4", "1/3", "1/2", "3/4"]),
+    "amplitude": st.integers(1, 9),
+    "anchor": st.sampled_from([-1, 0, 1]),
+})
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(fields=MANIFEST_FIELDS)
+def test_every_manifest_passes_or_exits_as_documented(fields):
+    # exit 0; exit 4 with no message, a failed audit verdict; or a qpflab.errors
+    # class's code and prefix.  A nonzero anchor is refused before any work.
+    body = (f"[base]\nkind = {fields['base']}\n[curve]\nkind = {fields['curve']}\n"
+            f"amplitude = {fields['amplitude']}/10\n[weights]\nk = {fields['k']}\n"
+            f"n = {fields['n']}\nepsilon = {fields['epsilon']}\n"
+            f"[grids]\nfibers = 32\nvertical = 32\nbins = 32\n"
+            f"[run]\ncrossings = 0\nanchor = {fields['anchor']}\n")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        with contextlib.redirect_stderr(err):
+            code = main(["blowup", "--manifest", str(write_manifest(Path(tmp), body)),
+                         "--out", str(out)])
+        made_out = out.exists()
+    message = err.getvalue()
+    if fields["anchor"] != 0:
+        assert (code, made_out) == (2, False)
+        assert message.startswith(f"config error: anchor {fields['anchor']} not supported")
+    elif code == 4 and not message:
+        pass                                    # the run finished and failed its own audit
+    elif code:
+        documented = set(readme_exit_table().values())
+        assert any(code == c and message.startswith(prefix + " ") for c, prefix in documented), \
+            (code, message)

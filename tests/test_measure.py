@@ -52,7 +52,7 @@ def test_zero_curves_is_lebesgue():
 
 def test_quantile_closed_form_half_atom():
     mu = build_mu({0: PLGraph.constant(F(0))}, masses={0: F(1, 2)}, beta=F(1, 2))
-    pi = build_pi(mu, 0)
+    pi = build_pi(mu)
     fp = pi.fiber(F(1, 3))
     xs = np.array([0.1, 0.3, 0.5, 0.6, 0.75, 0.9])
     expected = np.array([0.0, 0.0, 0.0, 0.2, 0.5, 0.8])  # 0 on [0,1/2], 2x-1 after
@@ -61,7 +61,7 @@ def test_quantile_closed_form_half_atom():
 
 def test_preimage_intervals():
     w, mu = default_family()
-    pi = build_pi(mu, 0)
+    pi = build_pi(mu)
     theta = F(1, 3)
     # the preimage of curve 5's position is its plateau, as wide as its mass exactly
     plateau = pi.fiber(theta).plateau_of(5)
@@ -91,7 +91,7 @@ def test_quantile_cdf_inversion_property():
 
 def test_pushforward_kolmogorov():
     _, mu = default_family()
-    pi = build_pi(mu, 0)
+    pi = build_pi(mu)
     rng = np.random.default_rng(7)
     fp, fm = pi.fiber(F(1, 5)), mu.fiber(F(1, 5))
     ks = kolmogorov_distance(fm, fp.map_array(rng.random(50000)))
@@ -99,10 +99,13 @@ def test_pushforward_kolmogorov():
 
 
 def test_conjugating_rotation_identity_and_anchor():
-    # a change of anchor rotates the source by one offset, the same at every plateau
+    # a change of anchor rotates the source by one offset, the same at every plateau;
+    # curve 1's atom carries no other curve, so its table lifts no mass below zero
     _, mu = default_family(half_width=4)
     theta = F(1, 8)
-    fp0, fp1 = build_pi(mu, 0).fiber(theta), build_pi(mu, 1).fiber(theta)
+    fm = mu.fiber(theta)
+    fp0, fp1 = build_pi(mu).fiber(theta), quantile_table(fm, fm.atom_of(1).position, F(0))
+    assert fm.atom_of(1).members == (1,)
     offsets = {mod1(fp1.plateau_of(n).start - fp0.plateau_of(n).start) for n in mu.curves}
     assert len(offsets) == 1
     # shifting the source by that offset aligns the fiber maps
@@ -130,7 +133,7 @@ def test_run_blowup_refuses_unflat_certificate(monkeypatch):
     monkeypatch.setattr(pipeline, "prepare_curve", lambda *a, **k: (tent, cert, []))
     w = make_weights(k=4, half_width=1, epsilon=F(1, 2))
     with pytest.raises(PreconditionError, match="non-flat"):
-        pipeline.run_blowup(R, tent, w, fiber_grid=16, vertical_grid=16)
+        pipeline.run_blowup(R, tent, w)
 
 
 def test_build_mu_table_path_matches_pairwise():
@@ -156,7 +159,7 @@ def test_run_blowup_computes_each_orbit_intersection_once(monkeypatch):
         monkeypatch.setattr(module, "intersection_projection", counted)
     n = 4
     w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
-    pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, fiber_grid=16, vertical_grid=16)
+    pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w)
     # X_1..X_(2N+1) for the flattening certificate, X_1..X_(2N) for the window
     assert len(calls) <= 2 * (2 * n + 1)
 
@@ -173,7 +176,7 @@ def test_run_blowup_reads_the_windows_off_the_flattening_table(monkeypatch):
         monkeypatch.setattr(module, "intersection_projection", counted)
     n = 8
     w = make_weights(k=4, half_width=n, epsilon=F(1, 2))
-    pipe = pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w, fiber_grid=16, vertical_grid=16)
+    pipe = pipeline.run_blowup(R, PLGraph.constant(F(1, 5)), w)
     # X_1..X_(2N+1) of the flattened curve, and the window needs no other
     assert len(calls) == 2 * n + 1
     assert all(pipe.family[m] == image_curve(R, pipe.curve, m) for m in pipe.family)

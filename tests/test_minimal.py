@@ -215,8 +215,7 @@ def skew2():
     """A small blowup over a PL skew base."""
     phi = PLGraph.from_points([(0, F(3, 10)), (F(1, 2), F(4, 10))])
     return run_blowup(QpfSystem.skew(phi), PLGraph.constant(F(1, 5)),
-                      make_weights(k=4, half_width=2, epsilon=F(1, 2)),
-                      fiber_grid=64, vertical_grid=64)
+                      make_weights(k=4, half_width=2, epsilon=F(1, 2)))
 
 
 @pytest.mark.parametrize("stack, iters, burnin, grid, bins", [
@@ -424,7 +423,7 @@ def test_projection_lift_determinism(small4):
 def test_invariance_proxy(small4):
     fs = minimal_set_via_projection(small4.projection, small4.system, iters=300000,
                                     fiber_grid=256, bins=256, seed=0)
-    assert invariance_defect(fs, small4.f_system.sample(256, 512), small4.system.omega) < 0.05
+    assert invariance_defect(fs, small4.tmap.as_system().sample(256, 512), small4.system.omega) < 0.05
 
 
 def test_refinement_monotonicity(small4):

@@ -166,7 +166,7 @@ def lifts(crossed4):
     return {"translation": Lift(QpfSystem.translation()),
             "skew": Lift(QpfSystem.skew(TENT_PHI)),
             "cocycle": Lift(cocycle_qpf(Cocycle.harper(0.0, 2.0))),
-            "crossed-f": Lift(crossed4.f_system)}
+            "crossed-f": Lift(crossed4.tmap.as_system())}
 
 
 def one_point_step(lift, theta, x):
@@ -237,5 +237,5 @@ def reference_sample(system, fiber_grid, vertical_grid):
 def test_sample_matches_row_by_row_reference(request, system):
     # 77 fiber rows: two whole row blocks and a ragged one
     if system == "small4":
-        system = request.getfixturevalue("small4").f_system
+        system = request.getfixturevalue("small4").tmap.as_system()
     assert np.array_equal(system.sample(77, 61), reference_sample(system, 77, 61))

@@ -36,7 +36,7 @@ def test_f_maps_bottom_edges(small4):
 
 
 def test_fiber_maps_monotone_degree_one(small4):
-    sys_f = small4.f_system
+    sys_f = small4.tmap.as_system()
     lift = Lift(sys_f)
     theta = 0.37
     xs = np.linspace(0, 1, 257)
@@ -60,7 +60,7 @@ def test_empirical_pushforward_matches_nu(small4):
 
 
 def test_theta_continuity_of_f(small4):
-    sys_f = small4.f_system
+    sys_f = small4.tmap.as_system()
     xs = np.linspace(0, 1, 129, endpoint=False)
     a = small4.tmap.fiber_values(F(1, 3), xs)
     b = small4.tmap.fiber_values(F(1, 3) + F(1, 256), xs)
@@ -91,12 +91,11 @@ def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
 def test_nonminimality_annulus(small4):
     rep = verify_nonminimality(small4.tmap, grid=64)
     assert rep.annulus_height == float(small4.weights.a(0))
-    assert rep.annulus_verified_fibers == 64
-    assert rep.probes == [] and rep.hit_fraction == 1.0  # no witnesses supplied
+    assert rep.hit_times == [] and rep.hit_fraction == 1.0  # no witnesses supplied
 
 
 def test_identity_transport_when_mu_is_lebesgue():
-    # nu = Leb and phi0- = phi1- = 0 gives the identity-fiber skew map
+    # nu = Leb, phi0- = 0 and phi1- = 1/2 give the skew map rotating every fiber by 1/2
     system = QpfSystem.translation()
 
     class LebesgueFibers:
@@ -108,9 +107,11 @@ def test_identity_transport_when_mu_is_lebesgue():
 
     mu = build_mu({0: PLGraph.constant(F(0)), 1: PLGraph.constant(F(1, 2))},
                   masses={0: F(1, 100), 1: F(1, 100)}, beta=F(49, 50))
-    pi = build_pi(mu, 0)
-    tmap = build_f(system, LebesgueFibers(), pi, curve0=0, curve1=0)
+    pi = build_pi(mu)
+    tmap = build_f(system, LebesgueFibers(), pi)
+    # curve 1's plateau starts at beta * 1/2 + a_0 = 1/2
+    assert tmap.phi_minus(F(1, 7) + system.omega, 1) == 0.5
     xs = np.linspace(0, 1, 65, endpoint=False)
     vals = tmap.fiber_values(F(1, 7), xs)
-    d = np.abs(vals - xs)
+    d = np.abs(vals - (xs + 0.5))
     assert float(np.minimum(d, 1 - d).max()) < 1e-12
