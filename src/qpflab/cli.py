@@ -48,11 +48,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.time()
     try:
-        manifest = load_manifest(args.manifest)
-        if args.seed is not None:
-            manifest.seed = args.seed
-        if args.grid is not None:
-            manifest.fibers = manifest.vertical = manifest.bins = args.grid
+        manifest = load_manifest(args.manifest, seed=args.seed, grid=args.grid)
         args.out.mkdir(parents=True, exist_ok=True)
         handler = {"curve": cmd_curve, "blowup": cmd_blowup,
                    "analyze": cmd_analyze, "cocycle": cmd_cocycle}[args.command]

@@ -143,7 +143,9 @@ class Manifest:
         return "\n".join(lines) + "\n"
 
 
-def load_manifest(path) -> Manifest:
+def load_manifest(path, seed: int | None = None, grid: int | None = None) -> Manifest:
+    """The manifest at path, with the command line's seed and grid (all three grids)
+    put over its own, validated once they are in place."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -160,6 +162,10 @@ def load_manifest(path) -> Manifest:
                 setattr(m, attr, parse(text))
     except (ValueError, ArithmeticError) as exc:
         raise ManifestError(f"malformed manifest value: {exc}") from exc
+    if seed is not None:
+        m.seed = seed
+    if grid is not None:
+        m.fibers = m.vertical = m.bins = grid
     _validate(m)
     return m
 
@@ -176,6 +182,8 @@ def _validate(m: Manifest) -> None:
     for name, val in (("fibers", m.fibers), ("vertical", m.vertical), ("bins", m.bins)):
         if val < 16 or val > 2**20:
             raise ManifestError(f"grid {name}={val} out of range")
+    if m.seed < 0:
+        raise ManifestError(f"seed {m.seed} out of range: it must be >= 0")
     if not (0 < m.epsilon < 1):
         raise ManifestError("epsilon must lie in (0,1)")
     if m.cocycle_family not in ("constant", "rotation", "diagonal", "harper"):

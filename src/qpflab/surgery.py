@@ -27,8 +27,11 @@ _ITINERARY_HORIZON = 10**4
 # depth up after _MAX_SURGERIES surgeries
 _EPS0 = Fraction(1, 10)
 _MAX_SURGERIES = 400
-# ensure_crossing: the bound on the width and height of both crossing boxes
+# ensure_crossing: the bound on the width and height of both crossing boxes, the
+# orbit times m it tries, and how many of them one float screen takes at once
 _CROSSING_EPS = Fraction(1, 20)
+_CROSSING_M_MAX = 10**7
+_SCREEN_BLOCK = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +586,7 @@ def _sector_triangle(plan: SurgeryPlan):
     raise PreconditionError("no non-degenerate sector next to the host fan segment")
 
 
-def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
-                    m_max: int = 10**4):
+def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int):
     """Insert a certified crossing of Gamma with some R^m(Gamma) over (I+mw) /\\ J."""
     if system.kind != "translation":
         raise PreconditionError("crossing insertion needs a (minimal) translation base")
@@ -598,63 +600,46 @@ def ensure_crossing(system: QpfSystem, graph: PLGraph, arc_i, arc_j, depth: int,
     theta_i = mod1(ilo + span_i / 3)
     box_i = find_perturbation_box(table, (theta_i, graph.circle_value(theta_i)),
                                   depth, min(span_i / 4, _CROSSING_EPS), _CROSSING_EPS)
-    plan_i = plan_perturbation(table, box_i)
-    tri_i = _sector_triangle(plan_i)
+    tri_i = _sector_triangle(plan_perturbation(table, box_i))
+    # the tracked point: the centroid of the I sector triangle
+    z_d = (sum(p[0] for p in tri_i) / 3, sum(p[1] for p in tri_i) / 3)
+    gamma_bar, _ = apply_perturbation(table, box_i, through_points=[z_d])
+    bar_table = OrbitIntersections(system, gamma_bar)
 
-    # deterministic barycentric candidates for the tracked point; a retry kicks
-    # in when the orbit lattice systematically misses the target triangle
-    barycenters = ((2, 2, 2), (3, 2, 1), (1, 2, 3), (1, 4, 1), (4, 1, 1), (1, 1, 4))
-    tries = []          # per barycenter: the J triangle's size and the orbit times it kept
-    for wa, wb, wc in barycenters:
-        tot = wa + wb + wc
-        z_d = (
-            (wa * tri_i[0][0] + wb * tri_i[1][0] + wc * tri_i[2][0]) / tot,
-            (wa * tri_i[0][1] + wb * tri_i[1][1] + wc * tri_i[2][1]) / tot,
-        )
-        gamma_bar, _ = apply_perturbation(table, box_i, through_points=[z_d])
-        bar_table = OrbitIntersections(system, gamma_bar)
+    # a disjoint perturbation box over J for the modified curve
+    box_j = None
+    for slot in range(8):
+        theta_j = mod1(jlo + span_j * Fraction(2 * slot + 1, 16))
+        try:
+            cand = find_perturbation_box(bar_table, (theta_j, gamma_bar.circle_value(theta_j)),
+                                         depth, min(span_j / 4, _CROSSING_EPS), _CROSSING_EPS)
+        except BoxNotFound:
+            continue
+        if _families_disjoint(system, box_i, cand):
+            box_j = cand
+            break
+    if box_j is None:
+        raise PreconditionError("no perturbation box over J disjoint from the I family")
+    tri_j = _sector_triangle(plan_perturbation(bar_table, box_j))
 
-        # a disjoint perturbation box over J for the modified curve
-        box_j = None
-        for slot in range(8):
-            theta_j = mod1(jlo + span_j * Fraction(2 * slot + 1, 16))
-            try:
-                cand = find_perturbation_box(bar_table, (theta_j, gamma_bar.circle_value(theta_j)),
-                                             depth, min(span_j / 4, _CROSSING_EPS), _CROSSING_EPS)
-            except BoxNotFound:
-                continue
-            if _families_disjoint(system, box_i, cand):
-                box_j = cand
-                break
-        if box_j is None:
-            raise PreconditionError("no perturbation box over J disjoint from the I family")
-
-        plan_j = plan_perturbation(bar_table, box_j)
-        tri_j = _sector_triangle(plan_j)
-
-        screened = _orbit_candidates(system, z_d, tri_j, m_max)
-        inside = 0
-        for m in screened:
-            pt = _orbit_point(system, z_d[0], z_d[1], m)
-            local = _localize_in_triangle(pt, tri_j)
-            if local is None:
-                continue
-            inside += 1
-            try:
-                result = _insert_and_verify(bar_table, box_j, tri_j, local, m,
-                                            (ilo, ihi), (jlo, jhi))
-            except (LambdaNotFound, PreconditionError):
-                continue
-            if result is not None:
-                return result
-        tries.append(f"{_extent(tri_j, 0):.1e} x {_extent(tri_j, 1):.1e}, "
-                     f"{len(screened)}/{inside}")
+    screened = inside = 0
+    for m in _orbit_candidates(system, z_d, tri_j, _CROSSING_M_MAX):
+        screened += 1
+        local = _localize_in_triangle(_orbit_point(system, z_d[0], z_d[1], m), tri_j)
+        if local is None:
+            continue
+        inside += 1
+        try:
+            result = _insert_and_verify(bar_table, box_j, tri_j, local, m, (ilo, ihi), (jlo, jhi))
+        except (LambdaNotFound, PreconditionError):
+            continue
+        if result is not None:
+            return result
     raise OrbitSearchTimeout(
-        f"no orbit segment hit the J box within m_max={m_max} iterations: "
+        f"no orbit segment hit the J box within m_max={_CROSSING_M_MAX} iterations: "
         f"I=[{float(ilo):.6f}, {float(ihi):.6f}], J=[{float(jlo):.6f}, {float(jhi):.6f}], "
-        f"barycenters tried {', '.join(f'({a},{b},{c})' for a, b, c in barycenters)}; "
-        f"per try, the J triangle's theta-width x x-height and the orbit times that passed "
-        f"the float screen / the exact triangle test: {'; '.join(tries)}")
+        f"J triangle {_extent(tri_j, 0):.1e} x {_extent(tri_j, 1):.1e} (theta-width x x-height), "
+        f"orbit times that passed the float screen / the exact triangle test: {screened}/{inside}")
 
 
 def _extent(tri, axis: int) -> float:
@@ -662,25 +647,28 @@ def _extent(tri, axis: int) -> float:
     return float(max(p[axis] for p in tri) - min(p[axis] for p in tri))
 
 
-def _orbit_candidates(system: QpfSystem, z, tri, m_max: int) -> list:
+def _orbit_candidates(system: QpfSystem, z, tri, m_max: int):
     """The m in [1, m_max], increasing, whose orbit point R^m(z) may lie in tri.
 
-    A float screen: R^m(z) = (theta0 + m*omega, x0 + m*rho) mod 1 is formed for
-    every m at once and kept when it lies in tri's bounding box on the torus,
-    widened on each side by margin = (m_max + 4) * 2^-48.  The float point and
-    the box test are off the exact ones by less than (3m + 10) * 2^-53 (one
-    rounding of omega, of m*omega and of the sum, each under m * 2^-53), below
-    a tenth of the margin, so every m whose exact point is inside tri is kept;
-    the caller decides the survivors exactly.
+    A float screen, run over blocks of _SCREEN_BLOCK orbit times: R^m(z) =
+    (theta0 + m*omega, x0 + m*rho) mod 1 is formed for every m of a block at once
+    and kept when it lies in tri's bounding box on the torus, widened on each
+    side by margin = (m_max + 4) * 2^-48.  The float point and the box test are
+    off the exact ones by less than (3m + 10) * 2^-53 (one rounding of omega, of
+    m*omega and of the sum, each under m * 2^-53), below a tenth of the margin,
+    so every m whose exact point is inside tri is kept; the caller decides the
+    survivors exactly, and stops the search at its first certified one.
     """
-    ms = np.arange(1, m_max + 1, dtype=float)
     margin = (m_max + 4) * 2.0**-48
-    keep = np.ones(m_max, dtype=bool)
-    for axis, step in ((0, system.omega), (1, system.rho)):
-        lo = min(p[axis] for p in tri)
-        pts = mod1_array(float(mod1(z[axis])) + ms * float(step))
-        keep &= mod1_array(pts - (float(mod1(lo)) - margin)) <= _extent(tri, axis) + 2 * margin
-    return (np.flatnonzero(keep) + 1).tolist()
+    boxes = [(float(mod1(z[axis])), float(step), float(mod1(min(p[axis] for p in tri))) - margin,
+              _extent(tri, axis) + 2 * margin)
+             for axis, step in ((0, system.omega), (1, system.rho))]
+    for start in range(1, m_max + 1, _SCREEN_BLOCK):
+        ms = np.arange(start, min(start + _SCREEN_BLOCK, m_max + 1), dtype=float)
+        keep = np.ones(len(ms), dtype=bool)
+        for z0, step, lo, width in boxes:
+            keep &= mod1_array(mod1_array(z0 + ms * step) - lo) <= width
+        yield from (np.flatnonzero(keep) + start).tolist()
 
 
 def _localize_in_triangle(p, tri):

@@ -154,11 +154,29 @@ def test_curve_command_artifacts(tmp_path):
     assert (out / "curves.svg").read_text().startswith("<svg")
 
 
-def test_curve_search_timeout_exit_5(tmp_path):
-    # N = 4 at depth 2N+1 = 9 with two crossings: seed 2's crossing search times out
+def test_curve_search_timeout_exit_5(tmp_path, monkeypatch, capsys):
+    # N = 4 at depth 2N+1 = 9 with two crossings: seed 2's second crossing needs
+    # m = 24835, past a budget of 10^4 orbit times
+    monkeypatch.setattr(surgery, "_CROSSING_M_MAX", 10**4)
     body = SMALL.replace("seed = 3", "seed = 2").replace("crossings = 0", "crossings = 2")
     p = write_manifest(tmp_path, body)
     assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 5
+    assert capsys.readouterr().err.startswith(
+        "timeout: no orbit segment hit the J box within m_max=10000 ")
+
+
+@pytest.mark.parametrize("flags, body", [
+    (["--grid", "0"], SMALL), (["--grid", "5"], SMALL), (["--grid", str(3 * 10**6)], SMALL),
+    (["--seed", "-1"], SMALL), ([], SMALL.replace("seed = 3", "seed = -1")),
+])
+def test_cli_overrides_are_validated_before_any_work(tmp_path, capsys, flags, body):
+    # curve reads no grid, so an unchecked grid would just pass here; a seed < 0
+    # reaches the crossing draws
+    p = write_manifest(tmp_path, body.replace("crossings = 0", "crossings = 2"))
+    out = tmp_path / "o"
+    assert main(["curve", "--manifest", str(p), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
 
 
 def test_blowup_artifacts_and_determinism(tmp_path):
@@ -337,20 +355,36 @@ def test_steep_tent_flattens_through_a_narrower_box(tmp_path, monkeypatch):
     assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "b")]) == 0
 
 
-def test_crossing_timeout_names_the_j_triangle_and_the_kept_orbit_times(tmp_path, capsys):
-    # a steep tent: each try's J triangle is so small that m_max = 10^4 orbit times
-    # are expected to put fewer than 3 points in its bounding box, and none lands inside
-    body = STEEP_TENT.replace("amplitude = 9/10", "amplitude = 7/10").replace(
-        "crossings = 0", "crossings = 2").replace("= 64", "= 32")
-    p = write_manifest(tmp_path, body)
+STEEP_CROSSED = STEEP_TENT.replace("amplitude = 9/10", "amplitude = 7/10").replace(
+    "crossings = 0", "crossings = 2").replace("= 64", "= 32")
+
+
+def test_steep_tent_crosses(tmp_path):
+    # the tent's J triangle is 1.4e-3 by 1.9e-2: its first crossing needs m = 1175506
+    p = write_manifest(tmp_path, STEEP_CROSSED)
+    assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "c")]) == 0
+    records = [json.loads(line) for line in (tmp_path / "c" / "certificate.jsonl").open()]
+    crossings = [r for r in records if r["type"] == "crossing"]
+    assert [r["m"] for r in crossings] == [1175506, 63382]
+    assert all(r["verified"] for r in crossings)
+
+
+def test_crossing_timeout_names_the_j_triangle_and_the_kept_orbit_times(tmp_path, capsys,
+                                                                        monkeypatch):
+    # the steep tent's J triangle is so small that 10^4 orbit times are expected
+    # to put fewer than 3 points in its bounding box, and none lands inside
+    monkeypatch.setattr(surgery, "_CROSSING_M_MAX", 10**4)
+    p = write_manifest(tmp_path, STEEP_CROSSED)
     assert main(["curve", "--manifest", str(p), "--out", str(tmp_path / "c")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("timeout: no orbit segment hit the J box within m_max=10000 ")
-    tries = re.findall(r"(\d\.\de-\d\d) x (\d\.\de-\d\d), (\d+)/(\d+)", err)
-    assert len(tries) == 6
-    for width, height, screened, inside in tries:
-        assert float(width) * float(height) * 10**4 < 3
-        assert int(screened) >= int(inside) == 0
+    assert "I=[" in err and "J=[" in err
+    width, height, screened, inside = re.search(
+        r"J triangle (\d\.\de-\d\d) x (\d\.\de-\d\d) \(theta-width x x-height\), "
+        r"orbit times that passed the float screen / the exact triangle test: (\d+)/(\d+)\n$",
+        err).groups()
+    assert float(width) * float(height) * 10**4 < 3
+    assert int(screened) >= int(inside) == 0
 
 
 MANIFEST_FIELDS = st.fixed_dictionaries({

@@ -1,11 +1,14 @@
+import re
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qpflab import surgery
 from qpflab.circle import mod1
-from qpflab.errors import BoxNotFound, EscapeTimeout, OrbitSearchTimeout, PreconditionError
+from qpflab.errors import (BoxNotFound, EscapeTimeout, OrbitSearchTimeout, PreconditionError,
+                           QpfLabError)
 from qpflab.geometry import (OrbitIntersections, crosses_over, image_curve,
                              intersection_projection, is_flat_intersection)
 from qpflab.pipeline import prepare_curve
@@ -186,34 +189,95 @@ def test_screened_prepare_curve_matches_exhaustive(seed, reference_search):
     assert got[2] == ref[2]
 
 
-@pytest.mark.parametrize("lift", [(0, 0), (1, -2)])
-def test_orbit_screen_keeps_points_within_its_margin(lift):
-    z, m, m_max = (F(1, 7), F(1, 5)), 777, 1000
+def _check_orbit_screen(lift, m, m_max, beyond):
+    z = (F(1, 7), F(1, 5))
     theta, x = _orbit_point(R, z[0], z[1], m)
     # apex 1e-14 left of R^m(z): the point is inside, far closer to the box
     # edge than the float error of theta0 + m*omega could be trusted with
     apex = (theta - F(1, 10**14) + lift[0], x + lift[1])
     tri = (apex, (apex[0] + F(1, 10), apex[1] - F(1, 20)), (apex[0] + F(1, 10), apex[1] + F(1, 20)))
-    exact = [k for k in range(1, m_max + 1)
+    # the exact test on every k whose float point is within 1e-6 of the triangle's
+    # bounding box, far above the float error: no k with its point inside is left out
+    ks = np.arange(1, m_max + 1)
+    near = np.ones(m_max, dtype=bool)
+    for axis, step in ((0, R.omega), (1, R.rho)):
+        lo = min(float(p[axis]) for p in tri)
+        width = max(float(p[axis]) for p in tri) - lo
+        near &= np.mod(float(z[axis]) + ks * float(step) - lo + 1e-6, 1.0) <= width + 2e-6
+    exact = [k for k in ks[near].tolist()
              if _localize_in_triangle(_orbit_point(R, z[0], z[1], k), tri) is not None]
-    kept = _orbit_candidates(R, z, tri, m_max)
+    kept = list(_orbit_candidates(R, z, tri, m_max))
     assert m in exact
     assert set(exact) <= set(kept)
     assert kept == sorted(kept) and len(kept) < m_max // 10
-    # 1e-12 outside the bounding box, within the margin (3.6e-12 at m_max = 1000)
-    # but above the float error: kept as well
-    outside = ((theta + F(1, 10**12) + lift[0], x + lift[1]),) + tri[1:]
+    # beyond the bounding box, within the margin (m_max + 4) * 2^-48 but above
+    # the float error (3m + 10) * 2^-53: kept as well
+    outside = ((theta + beyond + lift[0], x + lift[1]),) + tri[1:]
     assert _localize_in_triangle((theta, x), outside) is None
     assert m in _orbit_candidates(R, z, outside, m_max)
 
 
-def test_crossing_search_timeout_names_arcs_and_budget():
-    # N = 4 (depth 9), two crossings, seed 2: no orbit segment reaches the J box
+@pytest.mark.parametrize("lift", [(0, 0), (1, -2)])
+def test_orbit_screen_keeps_points_within_its_margin(lift):
+    # margin 3.6e-12 at m_max = 1000
+    _check_orbit_screen(lift, 777, 1000, F(1, 10**12))
+
+
+def test_orbit_screen_keeps_a_point_past_its_first_block():
+    # m in the second block of 2^14 orbit times; margin 1.2e-10 at m_max = 2^15,
+    # float error under 5.8e-12 at m = 2^14 + 777
+    block = surgery._SCREEN_BLOCK
+    _check_orbit_screen((1, -2), block + 777, 2 * block, F(5, 10**11))
+
+
+# (N, crossing seed) -> the m of both crossings prepare_curve certifies at depth 2N+1
+CROSSINGS = {
+    (4, 0): [2687, 2209], (4, 1): [746, 61321], (4, 2): [8259, 24835],
+    (4, 3): [886, 1055], (4, 4): [2448, 2110], (4, 5): [309, 64037],
+    (4, 6): [43859, 1253], (4, 7): [717, 35740],
+    (5, 3): [58255, 31631], (6, 3): [59619, 36655], (7, 3): [59619, 36655],
+    (8, 3): [2716, 12467], (16, 3): [95219, 15661],
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(CROSSINGS))
+def test_crossing_seeds_cross_at_every_depth(n, seed):
+    cur, cert, witnesses = prepare_curve(R, CONST, 2 * n + 1, crossings=2, seed=seed)
+    assert cert.flat
+    assert [w.m for w in witnesses] == CROSSINGS[n, seed]
+    for w in witnesses:
+        assert w.verified
+        assert crosses_over(cur, image_curve(R, cur, w.m, check_depth=False), w.arc_exact)
+
+
+def _crossing_arc(draw):
+    """An arc as prepare_curve draws one: width 0.15-0.3, endpoints on the 10^-6 grid."""
+    lo = draw(st.integers(0, 10**6 - 1))
+    return F(lo, 10**6), F(lo + draw(st.integers(150000, 300000)), 10**6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(data=st.data(), depth=st.sampled_from([3, 5, 9]))
+def test_random_crossing_arcs_cross_or_raise(data, depth):
+    arc_i, arc_j = _crossing_arc(data.draw), _crossing_arc(data.draw)
+    try:
+        graph, wit = ensure_crossing(R, CONST, arc_i, arc_j, depth)
+    except QpfLabError:
+        return
+    assert 0 < wit.m <= surgery._CROSSING_M_MAX and wit.verified
+    assert crosses_over(graph, image_curve(R, graph, wit.m, check_depth=False), wit.arc_exact)
+
+
+def test_crossing_search_timeout_names_arcs_and_budget(monkeypatch):
+    # N = 4 (depth 9), two crossings, seed 2: the second crossing needs m = 24835
+    monkeypatch.setattr(surgery, "_CROSSING_M_MAX", 10**4)
     with pytest.raises(OrbitSearchTimeout) as err:
         prepare_curve(R, CONST, 9, crossings=2, seed=2)
     msg = str(err.value)
     assert "m_max=10000" in msg and "I=[" in msg and "J=[" in msg
-    assert "barycenters tried (2,2,2), (3,2,1), (1,2,3), (1,4,1), (4,1,1), (1,1,4)" in msg
+    width, height, screened, inside = re.search(
+        r"J triangle (\S+) x (\S+) \(theta-width x x-height\).*: (\d+)/(\d+)$", msg).groups()
+    assert 0 < float(width) * float(height) and int(screened) >= int(inside)
 
 
 def test_flatten_rejects_excessive_depth():
@@ -235,9 +299,10 @@ def test_ensure_crossing_thin_arcs_within_bound():
     assert wit.verified and wit.m <= 10**4
 
 
-def test_ensure_crossing_timeout():
-    with pytest.raises(OrbitSearchTimeout):
-        ensure_crossing(R, CONST, (F(1, 10), F(2, 10)), (F(6, 10), F(7, 10)), depth=3, m_max=1)
+def test_ensure_crossing_timeout(monkeypatch):
+    monkeypatch.setattr(surgery, "_CROSSING_M_MAX", 1)
+    with pytest.raises(OrbitSearchTimeout, match="m_max=1 "):
+        ensure_crossing(R, CONST, (F(1, 10), F(2, 10)), (F(6, 10), F(7, 10)), depth=3)
 
 
 def pairwise_disjoint(arcs) -> bool:
