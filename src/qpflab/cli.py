@@ -2,14 +2,19 @@
 
 Commands: curve, blowup, analyze, cocycle.  Identical manifests and seeds
 produce byte-identical data artifacts; wall-clock timing lives only in the
-sidecar run.log.  Exit codes: 0 ok, 4 when a run fails its own audit, and
-else the one the error class carries (qpflab.errors): 2 config,
-3 precondition, 4 invariant violation, 5 timeout.
+sidecar run.log, which also holds the seconds each handler reports (for
+analyze, those of its two branches, which run side by side in two
+processes).  Exit codes: 0 ok, 4 when a run fails its own audit, and else
+the one the error class carries (qpflab.errors): 2 config, 3 precondition,
+4 invariant violation, 5 timeout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
 import time
 from fractions import Fraction
@@ -22,7 +27,7 @@ from . import artifacts
 from .atlas import audit_atlas
 from .chamber import grid_pass
 from .density import audit_density
-from .errors import QpfLabError
+from .errors import BranchLost, QpfLabError
 from .manifest import Manifest, load_manifest
 from .minimal import fiber_component_count, minimal_set_via_projection, structure_diagnostics
 from .pipeline import prepare_curve, run_blowup
@@ -52,13 +57,14 @@ def main(argv=None) -> int:
         args.out.mkdir(parents=True, exist_ok=True)
         handler = {"curve": cmd_curve, "blowup": cmd_blowup,
                    "analyze": cmd_analyze, "cocycle": cmd_cocycle}[args.command]
-        code = handler(manifest, args.out, emit_svg=args.emit_svg)
+        code, seconds = handler(manifest, args.out, emit_svg=args.emit_svg)
     except QpfLabError as exc:
         print(f"{exc.prefix} {exc}", file=sys.stderr)
         return exc.exit_code
     (args.out / "run.log").write_text(
         f"command={args.command}\nelapsed_s={time.time() - t0:.3f}\n"
-        f"finished_at={time.strftime('%Y-%m-%dT%H:%M:%S')}\n", encoding="ascii")
+        + "".join(f"{name}={value:.3f}\n" for name, value in seconds.items())
+        + f"finished_at={time.strftime('%Y-%m-%dT%H:%M:%S')}\n", encoding="ascii")
     return code
 
 
@@ -75,7 +81,7 @@ def _run_blowup(manifest: Manifest, system):
                       waive_flatness=manifest.waive_flatness)
 
 
-def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool) -> int:
+def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
     system = manifest.base_system()
     curve = manifest.initial_curve()
     depth = 2 * manifest.weights_n + 1          # the flattening depth of run_blowup
@@ -94,10 +100,10 @@ def cmd_curve(manifest: Manifest, out: Path, emit_svg: bool) -> int:
         from .geometry import image_curve
         fam = [image_curve(system, final, k) for k in range(0, min(4, depth + 1))]
         (out / "curves.svg").write_text(artifacts.curve_svg(fam), encoding="ascii")
-    return EXIT_OK if cert.flat and all(w.verified for w in witnesses) else EXIT_INVARIANT
+    return (EXIT_OK if cert.flat and all(w.verified for w in witnesses) else EXIT_INVARIANT), {}
 
 
-def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
+def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
     pipeline = _run_blowup(manifest, manifest.base_system())
     _echo_manifest(manifest, out)
     atlas_audit = audit_atlas(pipeline.atlas, manifest.fibers)
@@ -142,7 +148,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> int:
         (out / "atlas.svg").write_text(artifacts.atlas_svg(pipeline.atlas, grid=128),
                                        encoding="ascii")
     ok = report.passed and nonmin.hit_fraction >= 0.9
-    return EXIT_OK if ok else EXIT_INVARIANT
+    return (EXIT_OK if ok else EXIT_INVARIANT), {}
 
 
 def _cdf_row(density, xs: np.ndarray, theta) -> np.ndarray:
@@ -159,7 +165,7 @@ def _u_arcs(atlas, theta) -> dict:
     return {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]] for n in atlas.order}
 
 
-def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> int:
+def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
     system = manifest.base_system()
     lift = Lift(system)
     n_rot = max(1000, 10 * manifest.fibers)
@@ -174,18 +180,39 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> int:
                          in enumerate(zip(trace.devs, trace.sup_growth))])
     records = [{"target": "base", "rho": est.value, "verdict": verdict.verdict,
                 "ratio": verdict.ratio, "sup_dev": verdict.sup_full}]
-    # blowup target: build the pipeline at the configured grids and classify f
+    # blowup target: build the pipeline at the configured grids, then classify f
+    # here while a forked child builds the minimal set, which reads only pi
     pipeline = _run_blowup(manifest, system)
-    f_verdict = classify_rho_boundedness(Lift(pipeline.tmap.as_system()), 512, 4)
+    branch = _Branch(partial(_minimal_branch, manifest, system, pipeline, out, emit_svg))
+    try:
+        t0 = time.perf_counter()
+        f_verdict = classify_rho_boundedness(Lift(pipeline.tmap.as_system()), 512, 4)
+        f_seconds = time.perf_counter() - t0
+        minimal_record, minimal_seconds = branch.result()
+    except BaseException:
+        # f's error wins over the child's; a failed run leaves no fiber set
+        branch.cancel()
+        for name in ("fiberset.rle.txt", "fiberset.svg"):
+            (out / name).unlink(missing_ok=True)
+        raise
     records.append({"target": "blowup-f", "rho": f_verdict.rho,
                     "verdict": f_verdict.verdict, "ratio": f_verdict.ratio})
+    records.append(minimal_record)
+    artifacts.write_jsonl(out / "verdict.jsonl", records)
+    return EXIT_OK, {"f_branch_s": f_seconds, "minimal_branch_s": minimal_seconds}
+
+
+def _minimal_branch(manifest: Manifest, system, pipeline, out: Path, emit_svg: bool):
+    """analyze's minimal set K, lifted through pi: it writes the fiber set and
+    returns the verdict record and its own wall seconds."""
+    t0 = time.perf_counter()
     fs = minimal_set_via_projection(pipeline.projection, system, iters=manifest.iters,
                                     burnin=min(manifest.burnin, manifest.iters // 10),
                                     fiber_grid=manifest.fibers, bins=manifest.bins,
                                     seed=manifest.seed)
     comp = fiber_component_count(fs)
     diag = structure_diagnostics(fs, beta=float(pipeline.weights.beta))
-    records.append({
+    record = {
         "target": "blowup-f-minimal-set",
         "c_min": comp.c_min,
         "attaining_fraction": comp.attaining_fraction,
@@ -194,15 +221,88 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> int:
         "max_fiber_measure": diag.max_fiber_measure,
         "fiber_measure_bound": diag.fiber_measure_bound,
         "open_question": diag.open_question_flag,
-    })
-    artifacts.write_jsonl(out / "verdict.jsonl", records)
+    }
     artifacts.write_rle(out / "fiberset.rle.txt", fs.to_rle_lines(), fs.resolution)
     if emit_svg:
         (out / "fiberset.svg").write_text(artifacts.fiberset_svg(fs), encoding="ascii")
-    return EXIT_OK
+    return record, time.perf_counter() - t0
 
 
-def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> int:
+class _Branch:
+    """fn() run in a forked child process, its value sent back through a pipe.
+
+    fork, not spawn: the child reads the parent's tables in place, and nothing
+    but the value is pickled.  The CLI starts no thread of its own, so the
+    child inherits no lock that another of its threads holds.  The child
+    always leaves through os._exit, never through its caller's stack.  A
+    QpfLabError of fn() is sent back and raised again by result(); any other
+    exception is printed by the child, which then exits without a value.
+    """
+
+    def __init__(self, fn):
+        sys.stdout.flush()          # else the child would write the buffers again
+        sys.stderr.flush()
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            _run_child(fn, write_fd)
+        os.close(write_fd)
+        self._pipe = os.fdopen(read_fd, "rb")
+
+    def result(self):
+        """Wait for the child: fn()'s value, or the QpfLabError that fn() raised."""
+        with self._pipe:
+            payload = self._pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        pid, self.pid = self.pid, None
+        if os.WIFSIGNALED(status):
+            how = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+        elif os.WEXITSTATUS(status):
+            how = f"exit status {os.WEXITSTATUS(status)}"
+        else:
+            ok, value = pickle.loads(payload)
+            if not ok:
+                raise value
+            return value
+        raise BranchLost(f"the forked branch (pid {pid}) ended without a result: {how}")
+
+    def cancel(self) -> None:
+        """Kill the child and wait for it, unless result() has waited for it."""
+        self._pipe.close()
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _run_child(fn, write_fd: int):
+    """The forked child's whole life: run fn, send its outcome, exit."""
+    code = 1
+    try:
+        try:
+            payload = (True, fn())
+        except QpfLabError as exc:
+            payload = (False, exc)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(payload, pipe)
+        code = 0
+    except BaseException:
+        sys.excepthook(*sys.exc_info())         # the traceback, as if uncaught
+    finally:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+
+
+def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
     fam = manifest.cocycle_family
     omega = manifest.omega
     if fam == "harper":
@@ -229,7 +329,7 @@ def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> int:
         "modal_fraction": rep.modal_fraction, "occupancy": rep.occupancy_fraction,
         "flag": rep.flag, "lyapunov": est.value,
     }])
-    return EXIT_OK
+    return EXIT_OK, {}
 
 
 if __name__ == "__main__":

@@ -87,3 +87,9 @@ class EtaNotInvertible(QpfLabError):
 
 class ManifestError(ConfigError):
     """Malformed or unknown manifest content."""
+
+
+# -- CLI -------------------------------------------------------------------
+
+class BranchLost(QpfLabError):
+    """A command's forked branch ended without sending its result (a signal, or out of memory)."""

@@ -147,7 +147,10 @@ def load_manifest(path, seed: int | None = None, grid: int | None = None) -> Man
     """The manifest at path, with the command line's seed and grid (all three grids)
     put over its own, validated once they are in place."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ManifestError(f"malformed manifest: {exc}") from exc
     if not read:
         raise ManifestError(f"manifest {path} not found or unreadable")
     m = Manifest()
@@ -182,8 +185,10 @@ def _validate(m: Manifest) -> None:
     for name, val in (("fibers", m.fibers), ("vertical", m.vertical), ("bins", m.bins)):
         if val < 16 or val > 2**20:
             raise ManifestError(f"grid {name}={val} out of range")
-    if m.seed < 0:
-        raise ManifestError(f"seed {m.seed} out of range: it must be >= 0")
+    for name, val, least in (("seed", m.seed, 0), ("crossings", m.crossings, 0),
+                             ("burnin", m.burnin, 0), ("probe_points", m.probe_points, 1)):
+        if val < least:
+            raise ManifestError(f"{name} {val} out of range: it must be >= {least}")
     if not (0 < m.epsilon < 1):
         raise ManifestError("epsilon must lie in (0,1)")
     if m.cocycle_family not in ("constant", "rotation", "diagonal", "harper"):

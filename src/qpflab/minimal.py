@@ -35,7 +35,8 @@ _GIVE_UP = 8
 _MIN_WALK = 1 << 10
 _CHUNK = 1 << 10
 # The projection lift walks its samples in blocks of _LIFT_BLOCK; the
-# diagnostics read the occupancy _ROW_BLOCK fibers at a time.
+# diagnostics and the run-length lines read the occupancy _ROW_BLOCK fibers
+# at a time.
 _LIFT_BLOCK = 1 << 14
 _ROW_BLOCK = 64
 
@@ -232,15 +233,27 @@ class FiberSet:
     def to_rle_lines(self):
         """Run-length encoding, one line per fiber: 'i: start+len start+len ...'.
 
-        The lines are made one at a time, as they are consumed.
+        The runs are formed _ROW_BLOCK rows at a time, from `np.diff` of the
+        rows padded with zeros, and the lines are made as they are consumed.
+        Every number is one of the strings of 0..resolution, made once.
         """
-        edges = np.zeros(self.resolution + 2, dtype=np.int8)
-        for i, row in enumerate(self.bins):
-            edges[1:-1] = row
-            d = np.diff(edges)
-            starts = np.flatnonzero(d > 0)
-            lengths = np.flatnonzero(d < 0) - starts
-            yield f"{i}: " + " ".join(map("{}+{}".format, starts.tolist(), lengths.tolist()))
+        names = [str(i) for i in range(self.resolution + 1)]
+        width = self.bins.shape[1] + 1          # the diff of a padded row
+        edges = np.zeros((_ROW_BLOCK, width + 1), dtype=np.int8)
+        for lo in range(0, self.resolution, _ROW_BLOCK):
+            rows = self.bins[lo:lo + _ROW_BLOCK]
+            edges[:len(rows), 1:-1] = rows
+            d = np.diff(edges[:len(rows)], axis=1).ravel()
+            up, down = np.flatnonzero(d > 0), np.flatnonzero(d < 0)
+            row_of, starts = np.divmod(up, width)
+            # the zero padding ends every run in its own row: down - up are the lengths
+            tokens = [names[s] + "+" + names[n]
+                      for s, n in zip(starts.tolist(), (down - up).tolist())]
+            ends = np.searchsorted(row_of, np.arange(1, len(rows) + 1)).tolist()
+            first = 0
+            for i, last in enumerate(ends):
+                yield names[lo + i] + ": " + " ".join(tokens[first:last])
+                first = last
 
     @staticmethod
     def from_rle_lines(lines, resolution: int) -> "FiberSet":

@@ -2,8 +2,11 @@ import contextlib
 import filecmp
 import io
 import json
+import os
 import re
+import signal
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
 from qpflab import cli, surgery
 from qpflab.cli import main
-from qpflab.errors import LambdaNotFound, ManifestError, QpfLabError
+from qpflab.errors import (InvariantViolation, LambdaNotFound, ManifestError,
+                           PreconditionError, QpfLabError)
 from qpflab.manifest import _SCHEMA, Manifest, load_manifest
 from qpflab.plgraph import PLGraph
 
@@ -179,6 +183,27 @@ def test_cli_overrides_are_validated_before_any_work(tmp_path, capsys, flags, bo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["probe_points = 0", "probe_points = -4",
+                                  "crossings = -1", "burnin = -1"])
+def test_run_counts_below_their_range_exit_2(tmp_path, capsys, line):
+    key = line.split()[0]
+    body = re.sub(rf"^{key} = .*\n", "", SMALL, flags=re.M) + line + "\n"
+    out = tmp_path / "o"
+    assert main(["blowup", "--manifest", str(write_manifest(tmp_path, body)),
+                 "--out", str(out)]) == 2
+    value = line.split()[-1]
+    assert capsys.readouterr().err.startswith(f"config error: {key} {value} out of range")
+    assert not out.exists()
+
+
+def test_repeated_key_exits_2(tmp_path, capsys):
+    p = write_manifest(tmp_path, "[weights]\nn = 2\nn = 3\n")
+    with pytest.raises(ManifestError, match="'n'"):
+        load_manifest(p)
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: malformed manifest: ")
+
+
 def test_blowup_artifacts_and_determinism(tmp_path):
     p = write_manifest(tmp_path, SMALL)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -212,6 +237,9 @@ def test_analyze_and_cocycle_commands(tmp_path):
     assert (out / "rotation.csv").exists()
     assert (out / "verdict.jsonl").exists()
     assert (out / "fiberset.rle.txt").exists()
+    log = (out / "run.log").read_text().splitlines()
+    assert [line.split("=")[0] for line in log] == [
+        "command", "elapsed_s", "f_branch_s", "minimal_branch_s", "finished_at"]
     # rotation of the default translation base is exact
     line = (out / "rotation.csv").read_text().splitlines()[1]
     est = float(line.split(",")[1])
@@ -315,6 +343,89 @@ def test_analyze_reads_f_once_per_classifier_step(tmp_path, monkeypatch):
     p = write_manifest(tmp_path, SMALL)
     assert main(["analyze", "--manifest", str(p), "--out", str(tmp_path / "an")]) == 0
     assert len(calls) == 2048 and set(calls) == {3}
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once it has run for the given seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def run_analyze(tmp_path):
+    """analyze on SMALL, then check that it left no child process behind."""
+    out = tmp_path / "an"
+    with deadline(60):
+        code = main(["analyze", "--manifest", str(write_manifest(tmp_path, SMALL)),
+                     "--out", str(out)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, out
+
+
+def wait_for(path):
+    for _ in range(1000):
+        if path.exists():
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"{path} never appeared")
+
+
+def test_analyze_minimal_branch_error_keeps_its_exit(tmp_path, monkeypatch, capsys):
+    def fails(*args, **kwargs):
+        raise PreconditionError("stubbed K")
+
+    monkeypatch.setattr(cli, "minimal_set_via_projection", fails)
+    code, out = run_analyze(tmp_path)
+    assert (code, capsys.readouterr().err) == (3, "precondition failed: stubbed K\n")
+    assert not (out / "verdict.jsonl").exists()
+    assert not (out / "fiberset.rle.txt").exists()
+
+
+@pytest.mark.parametrize("k_fails", [True, False])
+def test_analyze_f_error_wins_and_leaves_no_fiber_set(tmp_path, monkeypatch, capsys, k_fails):
+    # f fails only once the child has failed too, or has written its fiber set
+    marker = tmp_path / ("k_failed" if k_fails else "an/fiberset.rle.txt")
+    minimal_set = cli.minimal_set_via_projection
+    classify = cli.classify_rho_boundedness
+    calls = []
+
+    def k_stub(*args, **kwargs):
+        if k_fails:
+            marker.touch()
+            raise PreconditionError("stubbed K")
+        return minimal_set(*args, **kwargs)
+
+    def f_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:                     # the base's classification
+            return classify(*args, **kwargs)
+        wait_for(marker)
+        raise InvariantViolation("stubbed f")
+
+    monkeypatch.setattr(cli, "minimal_set_via_projection", k_stub)
+    monkeypatch.setattr(cli, "classify_rho_boundedness", f_fails)
+    code, out = run_analyze(tmp_path)
+    assert (code, capsys.readouterr().err) == (4, "invariant violation: stubbed f\n")
+    assert not {"verdict.jsonl", "fiberset.rle.txt"} & {f.name for f in out.iterdir()}
+
+
+def test_analyze_lost_child_is_a_named_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "minimal_set_via_projection",
+                        lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
+    code, out = run_analyze(tmp_path)
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("error: the forked branch (pid ")
+    assert err.endswith(" ended without a result: killed by SIGKILL\n")
+    assert not (out / "verdict.jsonl").exists()
 
 
 STEEP_TENT = """
