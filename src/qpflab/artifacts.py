@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .chamber import grid_pass
+from .errors import InvariantViolation
 from .plgraph import PLGraph
 
 # the side of every SVG image, in pixels
@@ -44,9 +45,12 @@ def read_curve(path: Path) -> PLGraph:
 
 
 def write_jsonl(path: Path, records) -> None:
+    """One line per record: json.dumps(rec, sort_keys=True, allow_nan=False), or rec
+    itself when it is a str, a line its writer has already encoded so."""
     with path.open("w", encoding="ascii") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+            line = rec if isinstance(rec, str) else json.dumps(rec, sort_keys=True, allow_nan=False)
+            fh.write(line + "\n")
 
 
 def write_csv(path: Path, header, rows) -> None:
@@ -65,19 +69,24 @@ def _fmt(x) -> str:
 def write_cdf_tables(path: Path, knots: np.ndarray, values) -> None:
     """fiber count, knot count (u64 LE), then per fiber: knots, cdf values (f64 LE).
 
-    values is an array or any iterable of one row per fiber, written as it
-    is consumed.
+    values is any iterable of one row per fiber, each the row's knot-count
+    values as little-endian float64 bytes, written as it is consumed.  A row
+    of another length, or another number of rows than fibers, raises
+    InvariantViolation.
     """
     fibers, nk = knots.shape
     written = 0
     with path.open("wb") as fh:
         fh.write(struct.pack("<QQ", fibers, nk))
-        for i, row in enumerate(values):
-            assert i < fibers and len(row) == nk
-            fh.write(knots[i].astype("<f8").tobytes())
-            fh.write(np.asarray(row).astype("<f8").tobytes())
+        for row in values:
+            if written == fibers or len(row) != 8 * nk:
+                raise InvariantViolation(f"{path.name}: row {written} has {len(row)} bytes "
+                                         f"where {fibers} rows of {8 * nk} are due")
+            fh.write(knots[written].astype("<f8").tobytes())
+            fh.write(row)
             written += 1
-    assert written == fibers
+    if written != fibers:
+        raise InvariantViolation(f"{path.name}: {written} rows for {fibers} fibers")
 
 
 def read_cdf_tables(path: Path):

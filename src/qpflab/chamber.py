@@ -202,30 +202,43 @@ class Chamber:
         self.constant = not _has_affine(template)
         self.fixed = None           # the finished fiber of a constant template
         self.rows = {}              # (leaves, reduce) -> compiled floats, made on first use
+        self.reader = None          # the reader that ChamberTable.fiber made for this chamber
 
-    def floats(self, t: Fraction, leaves, reduce=False) -> list:
-        """float() of the numbers leaves(template) lists, at t in [0, 1]; of them mod 1 with reduce.
-
-        A theta-dependent number c0 + c1*t over the common denominator m of c0
-        and c1 is the integer row (c0*m, c1*m, m), and at t = p/q its value is
-        (c0*m*q + c1*m*p) / (m*q).  Python's int division rounds that quotient
-        correctly, as float() of the Fraction does, so the two agree bit for
-        bit.  Constant numbers are rounded once.
-        """
+    def compiled(self, leaves, reduce=False) -> tuple:
+        """(floats, rows) of the numbers leaves(template) lists, made once: _compile's."""
         key = (leaves, reduce)
         if key not in self.rows:
             self.rows[key] = _compile(leaves(self.template), reduce)
-        fixed, rows = self.rows[key]
+        return self.rows[key]
+
+    def floats(self, t: Fraction, leaves, reduce=False) -> list:
+        """float() of the numbers leaves(template) lists, at t in [0, 1]; of them mod 1 with reduce."""
+        fixed, rows = self.compiled(leaves, reduce)
         out = fixed.copy()
-        p, q = t.numerator, t.denominator
-        for i, a, c, m in rows:
-            num, den = a * q + c * p, m * q
-            out[i] = (num % den if reduce else num) / den
+        for i, x in row_values(rows, t, reduce):
+            out[i] = x
         return out
 
 
+def row_values(rows, t: Fraction, reduce=False):
+    """(index, float) of each compiled row's number at t in [0, 1]; mod 1 with reduce.
+
+    A theta-dependent number c0 + c1*t over the common denominator m of c0
+    and c1 is the integer row (c0*m, c1*m, m), and at t = p/q its value is
+    (c0*m*q + c1*m*p) / (m*q).  Python's int division rounds that quotient
+    correctly, as float() of the Fraction does, so the two agree bit for bit.
+    """
+    p, q = t.numerator, t.denominator
+    for i, a, c, m in rows:
+        num, den = a * q + c * p, m * q
+        yield i, (num % den if reduce else num) / den
+
+
 def _compile(numbers, reduce: bool) -> tuple:
-    """Floats of the constant numbers, and a row (index, c0*m, c1*m, m) per Affine."""
+    """Floats of the numbers, 0 for each Affine, and a row (index, c0*m, c1*m, m) per Affine.
+
+    Constant numbers are rounded here, once.
+    """
     fixed, rows = [], []
     for i, x in enumerate(numbers):
         if isinstance(x, Affine):
@@ -274,6 +287,7 @@ class ChamberTable:
         self.chambers.sort(key=lambda c: c.a)
         self.exact = exact
         self.points = {}                # cut -> its one-point chamber, made on first read
+        self.maps = {}                  # (grid, shift, step) -> grid_map's list, made on first use
 
     def locate(self, theta):
         """(chamber holding theta, theta mod 1); on a cut point, the cut's own chamber."""
@@ -290,32 +304,59 @@ class ChamberTable:
             return self.points[r], r
         return self.chambers[i], r
 
-    def constant_at(self, theta):
-        """The constant chamber holding theta (a cut point's own one included), else None."""
-        if not self.cuts:               # one constant chamber, the whole circle
-            return self.chambers[0]
-        ch, _ = self.locate(theta)
-        return ch if ch.constant else None
+    def grid_map(self, grid: int, shift, step: int = 1) -> list:
+        """For each g in range(0, grid, step), the constant chamber holding g/grid + shift, else None.
+
+        None stands for a cut point (a chamber of that point alone) and for a
+        non-constant chamber.  The list is made once per (grid, shift, step)
+        and shared by every pass that asks for it.  A table without cuts
+        answers with its one chamber; otherwise each constant chamber (a, b)
+        takes the g with a < g/grid + shift - k < b for k = 0, 1 (shift
+        reduced mod 1), found from its ends with one floor and one ceiling.
+        """
+        key = (grid, shift, step)
+        if key in self.maps:
+            return self.maps[key]
+        n = len(range(0, grid, step))
+        if not self.cuts:
+            out = [self.chambers[0]] * n
+        else:
+            out, s = [None] * n, mod1(shift)
+            for ch in self.chambers:
+                if not ch.constant:
+                    continue
+                for k in (0, 1):
+                    lo = max(0, math.floor(grid * (ch.a + k - s)) + 1)
+                    hi = min(grid - 1, math.ceil(grid * (ch.b + k - s)) - 1)
+                    i, j = -(-lo // step), hi // step       # the multiples of step in [lo, hi]
+                    if i <= j:
+                        out[i:j + 1] = [ch] * (j + 1 - i)
+        self.maps[key] = out
+        return out
 
     def template_on(self, probe: Probe):
         """The template of the chamber holding the probe's (whose table has all our cuts)."""
         return self.locate(probe.ref)[0].template
 
-    def fiber(self, theta, finish=None, leaves=None):
+    def fiber(self, theta, reader=None):
         """The fiber at theta: the template of the chamber holding it, at theta.
 
-        Given finish and leaves, it is finish(theta, floats) of the floats
-        of the numbers leaves(template) lists (Chamber.floats).  A constant
-        chamber, a cut point's included, makes its fiber once and hands out
-        that one object.
+        Given reader, it is reader(chamber)(theta, t) at t = theta mod 1:
+        reader runs once per chamber, at its first read, and the chamber
+        keeps what it returns.  A constant chamber, a cut point's included,
+        makes its fiber once and hands out that one object.
         """
         if not isinstance(theta, Fraction):
             theta = Fraction(theta)
         ch, t = self.locate(theta)
         if ch.fixed is not None:
             return ch.fixed
-        fiber = (finish(theta, ch.floats(t, leaves)) if leaves
-                 else map_leaves(ch.template, lambda x: x.at(t)))
+        if reader is None:
+            fiber = map_leaves(ch.template, lambda x: x.at(t))
+        else:
+            if ch.reader is None:
+                ch.reader = reader(ch)
+            fiber = ch.reader(theta, t)
         if ch.constant:
             ch.fixed = fiber
         return fiber
@@ -326,24 +367,21 @@ def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
 
     A grid pass reads, at theta, the fiber of each table at theta + shift
     for the (table, shift) pairs in reads.  g and g' are in one class when
-    every table holds their two thetas in the same constant chamber (chambers
-    keyed by identity) and tag(g) == tag(g'): then every fiber the pass reads
-    is its chamber's one fiber object, and so is its result.  A g with some
-    theta + shift on a cut point (a chamber of that point alone) or in a
+    every table holds their two thetas in the same constant chamber (the
+    tables' grid maps, ChamberTable.grid_map) and tag(g) == tag(g'): then
+    every fiber the pass reads is its chamber's one fiber object, and so is
+    its result.  A g with some theta + shift on a cut point or in a
     non-constant chamber is its own class.
     """
+    gs = range(0, grid, step)
+    maps = [table.grid_map(grid, shift, step) for table, shift in reads]
     first: dict = {}
     out = []
-    shifts = list({shift for _, shift in reads})
-    slots = [(table, shifts.index(shift)) for table, shift in reads]
-    for g in range(0, grid, step):
-        theta = Fraction(g, grid)
-        at = [theta + shift for shift in shifts]     # one Fraction sum per distinct shift
-        key = [table.constant_at(at[i]) for table, i in slots]
-        if None in key:
+    for g, chambers in zip(gs, zip(*maps) if maps else [()] * len(gs)):
+        if None in chambers:
             out.append(g)
             continue
-        key = (*map(id, key), tag(g) if tag else None)
+        key = (*map(id, chambers), tag(g) if tag else None)     # the maps hold the chambers
         out.append(first.setdefault(key, g))
     return out
 

@@ -12,6 +12,7 @@ the one the error class carries (qpflab.errors): 2 config, 3 precondition,
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import pickle
 import signal
@@ -121,8 +122,9 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict
     step = max(1, manifest.fibers // 256)
     arcs = grid_pass(manifest.fibers, [(pipeline.atlas.chambers, 0)],
                      partial(_u_arcs, pipeline.atlas), step=step)
-    artifacts.write_jsonl(out / "atlas.jsonl", [{"fiber": g, "u": u} for g, u
-                                                in zip(range(0, manifest.fibers, step), arcs)])
+    # the line json.dumps makes of {"fiber": g, "u": u}, around the class's text of u
+    artifacts.write_jsonl(out / "atlas.jsonl", (f'{{"fiber": {g}, "u": {u}}}' for g, u
+                                                in zip(range(0, manifest.fibers, step), arcs)))
     artifacts.write_csv(out / "residual.csv", ["fiber", "residual"],
                         [(i, float(r)) for i, r in enumerate(report.residual_per_fiber)])
     summary = {
@@ -151,18 +153,19 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict
     return (EXIT_OK if ok else EXIT_INVARIANT), {}
 
 
-def _cdf_row(density, xs: np.ndarray, theta) -> np.ndarray:
-    """The nu CDF of the fiber at theta on the vertical grid xs."""
+def _cdf_row(density, xs: np.ndarray, theta) -> bytes:
+    """The nu CDF of the fiber at theta on the vertical grid xs, as its <f8 bytes."""
     fd = density.fiber(theta)
     row = fd.mass_from(0.0, xs)
     row[-1] = fd.total
-    return row
+    return row.astype("<f8").tobytes()
 
 
-def _u_arcs(atlas, theta) -> dict:
-    """The U arcs of the atlas fiber at theta, as the atlas.jsonl row holds them."""
+def _u_arcs(atlas, theta) -> str:
+    """The JSON text of the U arcs of the atlas fiber at theta, as the atlas.jsonl row holds them."""
     fa = atlas.fiber(theta)
-    return {str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]] for n in atlas.order}
+    return json.dumps({str(n): [[float(lo), float(hi)] for lo, hi in fa.u[n]]
+                       for n in atlas.order}, sort_keys=True, allow_nan=False)
 
 
 def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:

@@ -18,9 +18,9 @@ from operator import itemgetter
 
 import numpy as np
 
-from .chamber import ChamberTable, class_thetas
+from .chamber import ChamberTable, class_thetas, row_values
 from .circle import mod1, mod1_array
-from .errors import BumpBoundViolation, DensityNonpositive, EtaNotInvertible
+from .errors import BumpBoundViolation, DensityNonpositive, EtaNotInvertible, InvariantViolation
 from .atlas import PartitionAtlas
 from .weights import WeightScheme
 
@@ -127,7 +127,8 @@ class DensityField:
             self._fiber_uncached)
 
     def fiber(self, theta) -> FiberDensity:
-        return self.chambers.fiber(theta, _density_fiber, _density_leaves)
+        return self.chambers.fiber(theta, lambda ch: _DensityRows(
+            *ch.compiled(_density_leaves), f"theta in [{float(ch.a)}, {float(ch.b)}]"))
 
     def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
         exact = self._knots(self.atlas.projection.fiber(theta), self.bumps._fiber_uncached(theta))
@@ -158,22 +159,40 @@ def _density_leaves(exact: tuple) -> tuple:
 
 
 def _density_fiber(theta, floats: list) -> FiberDensity:
-    """The float fiber from the floats of _density_leaves (s0 is the first knot).
+    """The float fiber at theta from the floats of _density_leaves."""
+    return _DensityRows(floats, [], f"theta={float(theta)}")(theta, None)
 
-    Every fiber is built here, so h > 0 and the invertibility of the mass
-    coordinate are checked once per build: a constant chamber's fiber once.
+
+class _DensityRows:
+    """The float fibers of one density chamber, from the floats and rows of _density_leaves.
+
+    h is constant on a chamber, which its rows confirm, so its array, its
+    minimum and the check h > 0 are made once.  A read fills in the affine
+    knots (chamber.row_values), s0 being the first, and checks that the
+    mass coordinate it integrates is invertible.
     """
-    k = len(floats) // 2
-    values = np.array(floats)
-    kn, hv = values[:k], values[k:]
-    min_h = float(hv.min())
-    if min_h <= 0:
-        raise DensityNonpositive(f"h <= 0 at theta={float(theta)}")
-    cum = np.zeros(k)
-    np.cumsum(0.5 * (hv[1:] + hv[:-1]) * (kn[1:] - kn[:-1]), out=cum[1:])
-    if cum[-1] <= 0 or np.any(np.diff(cum) < 0):
-        raise EtaNotInvertible(f"nu mass coordinate is not invertible at theta={float(theta)}")
-    return FiberDensity(s0=floats[0], knots=kn, hvals=hv, cum=cum, min_h=min_h)
+
+    def __init__(self, floats: list, rows: list, where: str):
+        k = len(floats) // 2
+        self.rows, self.affine = rows, [i for i, *_ in rows]
+        if any(i >= k for i in self.affine):
+            raise InvariantViolation(f"h is not constant on {where}")
+        self.knots, self.hvals = np.array(floats[:k]), np.array(floats[k:])
+        self.min_h = float(self.hvals.min())
+        if self.min_h <= 0:
+            raise DensityNonpositive(f"h <= 0 at {where}")
+        self.mean_h = 0.5 * (self.hvals[1:] + self.hvals[:-1])     # the trapezoids' mean heights
+
+    def __call__(self, theta, t) -> FiberDensity:
+        kn = self.knots
+        if self.rows:
+            kn = kn.copy()
+            kn[self.affine] = [x for _, x in row_values(self.rows, t)]
+        cum = np.zeros(len(kn))
+        np.cumsum(self.mean_h * (kn[1:] - kn[:-1]), out=cum[1:])
+        if cum[-1] <= 0 or (cum[1:] < cum[:-1]).any():
+            raise EtaNotInvertible(f"nu mass coordinate is not invertible at theta={float(theta)}")
+        return FiberDensity(s0=float(kn[0]), knots=kn, hvals=self.hvals, cum=cum, min_h=self.min_h)
 
 
 def audit_density(field: DensityField, grid: int, vertical: int = 4096) -> dict:

@@ -234,6 +234,22 @@ def _displacements(orbit: list, x) -> np.ndarray:
     return np.array([float(v) for v in orbit]) - float(x)
 
 
+def _walk_displacements(lift: Lift, theta, x, n: int) -> np.ndarray:
+    """F^k_theta(x) - x for k = 1..n, in floats: _displacements of the orbit walk.
+
+    Over a translation base from an exact start, F^k(x) = x + k*mod1(rho)
+    exactly.  Over a common denominator that is (a + k*b) / d in integers,
+    and int / int rounds the quotient correctly, as float() of the Fraction
+    does, so no Fraction is summed.
+    """
+    if lift.base.kind != "translation" or type(x) is float:
+        return _displacements(_orbit(lift, theta, [x], n)[0], x)
+    x, step = Fraction(x), mod1(lift.base.rho)
+    d = x.denominator * step.denominator
+    a, b = x.numerator * step.denominator, step.numerator * x.denominator
+    return np.array([(a + k * b) / d for k in range(1, n + 1)]) - float(x)
+
+
 def _deviation_trace(disp: np.ndarray, rho) -> DeviationTrace:
     devs = disp - np.arange(1, len(disp) + 1) * float(rho)
     return DeviationTrace(rho_estimate=float(rho), devs=devs,
@@ -256,7 +272,7 @@ def rotation_number(lift: Lift, theta0, x0, n: int) -> RotationEstimate:
     """Birkhoff estimate (F^n(x)-x)/n with the N vs N/2 Cauchy gap."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    disp = _displacements(_orbit(lift, theta0, [x0], n)[0], x0)
+    disp = _walk_displacements(lift, theta0, x0, n)
     half = max(1, n // 2)
     est = float(disp[-1]) / n
     est_half = float(disp[half - 1]) / half
@@ -265,7 +281,7 @@ def rotation_number(lift: Lift, theta0, x0, n: int) -> RotationEstimate:
 
 def deviations(lift: Lift, theta, x, n: int, rho: float | None = None) -> DeviationTrace:
     """D_k = F^k_theta(x) - x - k*rho for k = 1..n; rho defaults to (F^n(x) - x)/n."""
-    disp = _displacements(_orbit(lift, theta, [x], n)[0], x)
+    disp = _walk_displacements(lift, theta, x, n)
     return _deviation_trace(disp, float(disp[-1]) / n if rho is None else rho)
 
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qpflab import chamber, transport
 from qpflab.atlas import PartitionAtlas, audit_atlas
-from qpflab.chamber import Affine, Chamber, Probe, grid_classes
+from qpflab.chamber import Affine, Chamber, Probe, class_thetas, grid_classes, grid_pass
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
 from qpflab.density import audit_density
 from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
@@ -492,6 +492,7 @@ def test_grid_classes_give_the_per_fiber_results(stacks, shifted, curve):
     assert (density["min_h"], density["worst_layer_defect"]) == (min_h, worst)
     assert np.array_equal(report.residual_per_fiber, res)
     assert report.shifted_residual == shifted_res
+    assert report.tv_defect == max(transport._tv_at(pipe.tmap, F(2 * s + 1, 16)) for s in range(8))
 
 
 @pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew"])
@@ -526,7 +527,7 @@ def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
              (pipe.mu.chambers, omega)]
 
     def chambers(g):
-        return [table.constant_at(F(g, grid) + shift) for table, shift in reads]
+        return [constant_at(table, F(g, grid) + shift) for table, shift in reads]
 
     subsample = range(0, grid, grid // 64)
     assert set(ran) <= set(subsample) and len(ran) < len(subsample)
@@ -535,14 +536,72 @@ def test_every_subsampled_fiber_runs_the_shifted_check(stacks, monkeypatch):
             all(a is b for a, b in zip(chambers(g), chambers(r))) for r in ran)
 
 
+def constant_at(table, theta):
+    """The constant chamber holding theta, else None (a cut point, a non-constant chamber):
+    the per-fiber reference for ChamberTable.grid_map."""
+    ch, _ = table.locate(theta)
+    return ch if ch.constant and ch.a < ch.b else None
+
+
+def semiconjugacy_reads(pipe):
+    """The (table, shift) pairs that verify_semiconjugacy reads at theta + shift."""
+    omega = pipe.system.omega
+    return [(pipe.projection.chambers, 0), (pipe.projection.chambers, omega),
+            (pipe.density.chambers, omega), (pipe.mu.chambers, 0), (pipe.mu.chambers, omega)]
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew"])
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grid=st.integers(1, 300), step=st.integers(1, 5), stride=st.integers(1, 4))
+@example(grid=200, step=3, stride=3)
+@example(grid=96, step=1, stride=1)
+def test_grid_maps_equal_the_per_fiber_chambers(stacks, curve, grid, step, stride):
+    # every table at shifts 0 and omega, and the semiconjugacy's classes with its tag
+    pipe = stacks[curve]
+    gs = range(0, grid, step)
+    for table in (pipe.mu.chambers, pipe.projection.chambers, pipe.atlas.chambers,
+                  pipe.density.chambers):
+        for shift in (0, pipe.system.omega):
+            got = table.grid_map(grid, shift, step)
+            assert got == [constant_at(table, F(g, grid) + shift) for g in gs]
+            assert table.grid_map(grid, shift, step) is got
+    reads, tag = semiconjugacy_reads(pipe), lambda g: g % stride == 0
+    first = {}
+    for g, r in zip(gs, grid_classes(grid, reads, tag, step)):
+        chambers = [constant_at(table, F(g, grid) + shift) for table, shift in reads]
+        assert r == (g if None in chambers else first.setdefault((*map(id, chambers), tag(g)), g))
+    assert grid_classes(grid, [], lambda g: g, step) == list(gs)
+
+
+def test_a_second_pass_locates_and_reduces_nothing(stacks, monkeypatch):
+    # a cut-free table answers with no reduction at all; a cut table reduces its
+    # shift once per map, and a pass never locates a grid fiber
+    calls = []
+    locate, mod1_ = chamber.ChamberTable.locate, chamber.mod1
+    monkeypatch.setattr(chamber.ChamberTable, "locate",
+                        lambda self, theta: calls.append("locate") or locate(self, theta))
+    monkeypatch.setattr(chamber, "mod1", lambda x: calls.append("mod1") or mod1_(x))
+    plain = stacks["constant"]
+    reads = [(plain.density.chambers, 0), (plain.mu.chambers, plain.system.omega)]
+    assert grid_classes(331, reads, step=2) == [0] * 166
+    assert calls == []
+    reads = semiconjugacy_reads(stacks["crossed"])
+    first = grid_classes(331, reads, lambda g: g % 5 == 0)
+    assert calls == ["mod1"] * 5
+    calls.clear()
+    assert grid_classes(331, reads, lambda g: g % 5 == 0) == first
+    assert class_thetas(331, reads) and list(grid_pass(331, reads, lambda theta: theta))
+    assert calls == []
+
+
 def test_grid_class_members_share_constant_chambers(stacks):
     table = stacks["crossed"].density.chambers
     reps = grid_classes(200, [(table, 0)], tag=lambda g: g % 3)
     assert 0 < sum(r != g for g, r in enumerate(reps)) < 200
     for g, r in enumerate(reps):
-        ch = table.constant_at(F(g, 200))
+        ch = constant_at(table, F(g, 200))
         assert r <= g and g % 3 == r % 3
-        assert ch is table.constant_at(F(r, 200)) if ch else r == g
+        assert ch is constant_at(table, F(r, 200)) if ch else r == g
     assert grid_classes(200, [(stacks["constant"].density.chambers, 0)]) == [0] * 200
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpflab.artifacts import read_cdf_tables, read_curve, write_curve
+from qpflab.artifacts import read_cdf_tables, read_curve, write_cdf_tables, write_curve
 from qpflab import cli, surgery
 from qpflab.cli import main
 from qpflab.errors import (InvariantViolation, LambdaNotFound, ManifestError,
@@ -219,6 +219,43 @@ def test_blowup_artifacts_and_determinism(tmp_path):
     knots, values = read_cdf_tables(out_a / "nu_cdf.bin")
     assert knots.shape == values.shape == (128, 129)
     assert np.all(np.diff(values, axis=1) >= -1e-12)
+
+
+def test_cut_free_blowup_encodes_each_row_once(tmp_path, monkeypatch):
+    # one chamber and no cut: every grid fiber is in one class, so the nu CDF
+    # row and the atlas row's text are each made once and written 128 times
+    calls = []
+    for name in ("_cdf_row", "_u_arcs"):
+        monkeypatch.setattr(cli, name, lambda *args, fn=getattr(cli, name), name=name:
+                            calls.append(name) or fn(*args))
+    p = write_manifest(tmp_path, "[curve]\nkind = constant\nvalue = 1/5\n" + SMALL)
+    out = tmp_path / "o"
+    assert main(["blowup", "--manifest", str(p), "--out", str(out)]) == 0
+    assert sorted(calls) == ["_cdf_row", "_u_arcs"]
+    lines = (out / "atlas.jsonl").read_text().splitlines()
+    assert len(lines) == 128 and len(set(line.split(", ", 1)[1] for line in lines)) == 1
+    for line in lines:
+        assert line == json.dumps(json.loads(line), sort_keys=True, allow_nan=False)
+    _, values = read_cdf_tables(out / "nu_cdf.bin")
+    assert values.shape == (128, 129) and np.all(values == values[0])
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([bytes(24), bytes(16)], r"row 1 has 16 bytes where 2 rows of 24 are due"),
+    ([bytes(24)], r"1 rows for 2 fibers"),
+    ([bytes(24)] * 3, r"row 2 has 24 bytes where 2 rows of 24 are due"),
+])
+def test_cdf_table_rows_are_checked(tmp_path, rows, message):
+    # a short, a missing or a surplus row raises InvariantViolation, under python -O too
+    with pytest.raises(InvariantViolation, match=r"^t\.bin: " + message):
+        write_cdf_tables(tmp_path / "t.bin", np.zeros((2, 3)), iter(rows))
+
+
+def test_short_cdf_row_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cdf_row", lambda density, xs, theta: bytes(8))
+    p = write_manifest(tmp_path, SMALL)
+    assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 4
+    assert capsys.readouterr().err.startswith("invariant violation: nu_cdf.bin: row 0 has 8 bytes")
 
 
 def test_curve_roundtrip(tmp_path):

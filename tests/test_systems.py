@@ -76,6 +76,21 @@ def test_rotation_number_translation_exact():
     assert rotation_number(ident, F(0), F(0), 64).value == 0.0
 
 
+@settings(max_examples=60, deadline=None)
+@given(x=st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=10**30)),
+       rho=st.one_of(st.just(F(0)), st.fractions(-3, 3, max_denominator=10**40)),
+       n=st.integers(1, 400))
+def test_translation_displacements_from_an_exact_start_are_the_walk_s(x, rho, n):
+    # the closed form x + k*mod1(rho), rounded from integers, against the Fraction walk
+    lift = Lift(QpfSystem.translation(rho=rho))
+    walked = np.array([float(v) for v in _orbit(lift, F(0), [x], n)[0]]) - float(x)
+    est = rotation_number(lift, F(0), x, n)
+    assert est.displacements.tobytes() == walked.tobytes()
+    assert est.value == float(walked[-1]) / n
+    want = walked - np.arange(1, n + 1) * est.value
+    assert deviations(lift, F(0), x, n).devs.tobytes() == want.tobytes()
+
+
 def test_rotation_number_skew_birkhoff():
     # mean displacement 0.3; frozen constant C = 0.1 measured once (worst N*err ~ 0.038)
     phi = PLGraph.from_points([(0, F(1, 4)), (F(1, 2), F(1, 4) + F(1, 10))])
