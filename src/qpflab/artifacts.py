@@ -66,27 +66,34 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_cdf_tables(path: Path, knots: np.ndarray, values) -> None:
+def write_cdf_tables(path: Path, knots: np.ndarray, fibers: int, values) -> None:
     """fiber count, knot count (u64 LE), then per fiber: knots, cdf values (f64 LE).
 
-    values is any iterable of one row per fiber, each the row's knot-count
-    values as little-endian float64 bytes, written as it is consumed.  A row
-    of another length, or another number of rows than fibers, raises
-    InvariantViolation.
+    Every fiber shares the one row of knots, encoded once.  values is any
+    iterable of one row per fiber, each the row's knot-count values as
+    little-endian float64 bytes, written as it is consumed.  A row of
+    another length, or another number of rows than fibers, raises
+    InvariantViolation.  A write that raises, here or in values, removes
+    the file, so no table with a header that promises more rows than it
+    holds is left behind.
     """
-    fibers, nk = knots.shape
+    head = knots.astype("<f8").tobytes()
     written = 0
-    with path.open("wb") as fh:
-        fh.write(struct.pack("<QQ", fibers, nk))
-        for row in values:
-            if written == fibers or len(row) != 8 * nk:
-                raise InvariantViolation(f"{path.name}: row {written} has {len(row)} bytes "
-                                         f"where {fibers} rows of {8 * nk} are due")
-            fh.write(knots[written].astype("<f8").tobytes())
-            fh.write(row)
-            written += 1
-    if written != fibers:
-        raise InvariantViolation(f"{path.name}: {written} rows for {fibers} fibers")
+    try:
+        with path.open("wb") as fh:
+            fh.write(struct.pack("<QQ", fibers, len(knots)))
+            for row in values:
+                if written == fibers or len(row) != len(head):
+                    raise InvariantViolation(f"{path.name}: row {written} has {len(row)} bytes "
+                                             f"where {fibers} rows of {len(head)} are due")
+                fh.write(head)
+                fh.write(row)
+                written += 1
+        if written != fibers:
+            raise InvariantViolation(f"{path.name}: {written} rows for {fibers} fibers")
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
 
 
 def read_cdf_tables(path: Path):

@@ -2,20 +2,21 @@
 
 Commands: curve, blowup, analyze, cocycle.  Identical manifests and seeds
 produce byte-identical data artifacts; wall-clock timing lives only in the
-sidecar run.log, which also holds the seconds each handler reports (for
-analyze, those of its two branches, which run side by side in two
-processes).  Exit codes: 0 ok, 4 when a run fails its own audit, and else
-the one the error class carries (qpflab.errors): 2 config, 3 precondition,
-4 invariant violation, 5 timeout.
+sidecar run.log, which also holds the seconds each handler reports: for
+analyze, those of its two branches; for cocycle, those of lyapunov and of
+the cardinality verdict.  Two commands fork one child process each (POSIX,
+qpflab.branch): analyze runs its minimal-set branch there, beside f's
+classification, and cocycle's orbit (minimal.approximate_minimal_set) its
+second half.  A child that ends without a result is BranchLost; a failed
+command has reaped its child.  Exit codes: 0 ok, 4 when a run fails its
+own audit, and else the one the error class carries (qpflab.errors): 2
+config, 3 precondition, 4 invariant violation, 5 timeout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
-import signal
 import sys
 import time
 from fractions import Fraction
@@ -28,7 +29,8 @@ from . import artifacts
 from .atlas import audit_atlas
 from .chamber import grid_pass
 from .density import audit_density
-from .errors import BranchLost, QpfLabError
+from .branch import Branch
+from .errors import QpfLabError
 from .manifest import Manifest, load_manifest
 from .minimal import fiber_component_count, minimal_set_via_projection, structure_diagnostics
 from .pipeline import prepare_curve, run_blowup
@@ -115,8 +117,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict
                                   probe_points=manifest.probe_points)
     # per-fiber nu CDF tables on the uniform vertical grid, written row by row
     xs = np.linspace(0.0, 1.0, manifest.vertical + 1)
-    knots = np.broadcast_to(xs, (manifest.fibers, len(xs)))
-    artifacts.write_cdf_tables(out / "nu_cdf.bin", knots, grid_pass(
+    artifacts.write_cdf_tables(out / "nu_cdf.bin", xs, manifest.fibers, grid_pass(
         manifest.fibers, [(pipeline.density.chambers, 0)], partial(_cdf_row, pipeline.density, xs)))
     artifacts.write_curve(out / "curve.txt", pipeline.curve)
     step = max(1, manifest.fibers // 256)
@@ -186,7 +187,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dic
     # blowup target: build the pipeline at the configured grids, then classify f
     # here while a forked child builds the minimal set, which reads only pi
     pipeline = _run_blowup(manifest, system)
-    branch = _Branch(partial(_minimal_branch, manifest, system, pipeline, out, emit_svg))
+    branch = Branch(partial(_minimal_branch, manifest, system, pipeline, out, emit_svg))
     try:
         t0 = time.perf_counter()
         f_verdict = classify_rho_boundedness(Lift(pipeline.tmap.as_system()), 512, 4)
@@ -231,80 +232,6 @@ def _minimal_branch(manifest: Manifest, system, pipeline, out: Path, emit_svg: b
     return record, time.perf_counter() - t0
 
 
-class _Branch:
-    """fn() run in a forked child process, its value sent back through a pipe.
-
-    fork, not spawn: the child reads the parent's tables in place, and nothing
-    but the value is pickled.  The CLI starts no thread of its own, so the
-    child inherits no lock that another of its threads holds.  The child
-    always leaves through os._exit, never through its caller's stack.  A
-    QpfLabError of fn() is sent back and raised again by result(); any other
-    exception is printed by the child, which then exits without a value.
-    """
-
-    def __init__(self, fn):
-        sys.stdout.flush()          # else the child would write the buffers again
-        sys.stderr.flush()
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            os.close(read_fd)
-            _run_child(fn, write_fd)
-        os.close(write_fd)
-        self._pipe = os.fdopen(read_fd, "rb")
-
-    def result(self):
-        """Wait for the child: fn()'s value, or the QpfLabError that fn() raised."""
-        with self._pipe:
-            payload = self._pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        pid, self.pid = self.pid, None
-        if os.WIFSIGNALED(status):
-            how = f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
-        elif os.WEXITSTATUS(status):
-            how = f"exit status {os.WEXITSTATUS(status)}"
-        else:
-            ok, value = pickle.loads(payload)
-            if not ok:
-                raise value
-            return value
-        raise BranchLost(f"the forked branch (pid {pid}) ended without a result: {how}")
-
-    def cancel(self) -> None:
-        """Kill the child and wait for it, unless result() has waited for it."""
-        self._pipe.close()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-
-
-def _run_child(fn, write_fd: int):
-    """The forked child's whole life: run fn, send its outcome, exit."""
-    code = 1
-    try:
-        try:
-            payload = (True, fn())
-        except QpfLabError as exc:
-            payload = (False, exc)
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump(payload, pipe)
-        code = 0
-    except BaseException:
-        sys.excepthook(*sys.exc_info())         # the traceback, as if uncaught
-    finally:
-        try:
-            sys.stdout.flush()
-            sys.stderr.flush()
-        finally:
-            os._exit(code)
-
-
 def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
     fam = manifest.cocycle_family
     omega = manifest.omega
@@ -318,11 +245,14 @@ def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dic
         coc = Cocycle.constant(Mat2(manifest.cocycle_a, manifest.cocycle_b,
                                     manifest.cocycle_c, manifest.cocycle_d), omega=omega)
     _echo_manifest(manifest, out)
+    t0 = time.perf_counter()
     est = lyapunov(coc, max(1000, manifest.iters // 10))
+    t1 = time.perf_counter()
     rep = minimal_fiber_cardinality(coc, fiber_grid=manifest.fibers,
                                     vertical_grid=manifest.vertical, bins=manifest.bins,
                                     iters=manifest.iters, burnin=manifest.burnin,
                                     seed=manifest.seed)
+    t2 = time.perf_counter()
     artifacts.write_csv(out / "lyapunov.csv", ["n", "value", "det_drift"],
                         [(est.n, est.value, est.det_drift)])
     artifacts.write_csv(out / "cardinality_hist.csv", ["clusters", "fibers"],
@@ -332,7 +262,7 @@ def cmd_cocycle(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dic
         "modal_fraction": rep.modal_fraction, "occupancy": rep.occupancy_fraction,
         "flag": rep.flag, "lyapunov": est.value,
     }])
-    return EXIT_OK, {}
+    return EXIT_OK, {"lyapunov_s": t1 - t0, "cardinality_s": t2 - t1}
 
 
 if __name__ == "__main__":

@@ -89,7 +89,8 @@ class ManifestError(ConfigError):
     """Malformed or unknown manifest content."""
 
 
-# -- CLI -------------------------------------------------------------------
+# -- forked branches ---------------------------------------------------------
 
 class BranchLost(QpfLabError):
-    """A command's forked branch ended without sending its result (a signal, or out of memory)."""
+    """A forked branch (analyze's minimal set, or the second half of an orbit)
+    ended without sending its result (a signal, or out of memory)."""

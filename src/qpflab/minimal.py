@@ -2,17 +2,20 @@
 
 One long orbit is binned on a torus grid (the uniqueness of the minimal set
 for transitive or strip-free maps licenses the single-orbit shortcut; a
-second seed cross-checks it).  Diagnostics test the vertical-segment
-property and bound the occupied measure of each fiber (a Cantor proxy).
+second seed cross-checks it).  A long orbit's second half runs in a forked
+child process, whose bins count only when its guessed start has merged
+with the orbit.  Diagnostics test the vertical-segment property and bound
+the occupied measure of each fiber (a Cantor proxy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from .branch import Branch
 from .chamber import grid_pass
 from .circle import mod1_array, orbit_thetas
 from .errors import PreconditionError
@@ -26,7 +29,9 @@ from .systems import QpfSystem, flat_row_step, nearest_rows, pl_values_float, ro
 # pass has walked _MIN_WALK steps of a block and repaired more than
 # 1/_GIVE_UP of them, the speculation ends; the rest of the run walks in
 # chunks of _CHUNK steps, small enough that the chunk's Python lists (about
-# 130 bytes a step) add little to the peak memory.
+# 130 bytes a step) add little to the peak memory.  The child process of a
+# long orbit bins from _CHUNK steps after its guessed start, far past the
+# merge times above.
 _SEGMENTS = 512
 _SEGMENT = 128
 _WARMUP = 64
@@ -138,12 +143,15 @@ def _set_bins(occ, bi, xs):
     occ.reshape(-1)[bi] = True
 
 
-def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
-    """Occupancy of the orbit tail of the tabulated map on a bins x bins grid.
+def _orbit_steps(occ, table, omega, theta0, x, first, burnin, stop):
+    """Walk steps first..stop-1 of the orbit of the tabulated map from x, the
+    x before step first, and mark in occ the bins of the steps from burnin on.
 
-    The base orbit of each block, with the _WARMUP thetas before it, comes
-    in closed form from `orbit_thetas`.  The fiber recursion runs block by
-    block: guessed segment-parallel, then repaired by one scalar pass
+    Returns the x after the last step.  The base orbit of each block, with
+    the _WARMUP thetas before it, comes in closed form from `orbit_thetas`
+    at the absolute step indices, so any first step gives the thetas of the
+    run from step 0.  The fiber recursion runs block by block: guessed
+    segment-parallel, then repaired by one scalar pass
     (`_speculative_block`).  Every recorded x is either computed by the
     scalar step or equal to a value the true orbit reached, and
     `flat_row_step` does the scalar step's float operations in the same
@@ -163,14 +171,12 @@ def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
     flat = np.ascontiguousarray(table).reshape(-1)
     fv = memoryview(flat)
     row_dtype = _index_dtype(flat.size)
+    bins = occ.shape[0]
     bin_dtype = _index_dtype(bins * bins)
-    occ = np.zeros((bins, bins), dtype=np.bool_)
-    x = x0
-    total = burnin + iters
-    done = 0
+    done = first
     speculate = True
-    while done < total:
-        n = min(_BLOCK if speculate else _CHUNK, total - done)
+    while done < stop:
+        n = min(_BLOCK if speculate else _CHUNK, stop - done)
         # ths[lead + k] is theta before step done + k, for k from -lead to n
         # and, when speculating, on to the end of the last segment, which is
         # guessed whole
@@ -197,7 +203,70 @@ def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
             _set_bins(occ, bi[skip:n], xs[skip:])
         del xs, bi              # not held while the next block is built
         done += n
+    return x
+
+
+def _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins):
+    """Occupancy of the orbit tail of the tabulated map on a bins x bins grid.
+
+    One process walks the whole orbit from x0 (`_orbit_steps`), and the
+    steps from burnin on are binned.
+    """
+    occ = np.zeros((bins, bins), dtype=np.bool_)
+    _orbit_steps(occ, table, omega, theta0, x0, 0, burnin, burnin + iters)
     return occ
+
+
+def _two_process_occupancy(table, omega, theta0, x0, burnin, iters, bins):
+    """`_orbit_occupancy`'s occupancy, the second half of the binned steps
+    walked by a forked child (`branch.Branch`).
+
+    The child starts at step split = burnin + iters // 2 from a guess, x0,
+    and bins the steps from split + _CHUNK on.  Meanwhile this process
+    walks the orbit from x0 up to split + _CHUNK, binning as one process
+    does, and walks the guess from split by the scalar step up to that same
+    step.  Both are exact walks, of the orbit and of the guess.  If the two
+    x agree there, every later step of the child is the orbit's, and its
+    bins, packed 8 a byte, are OR-ed in _ROW_BLOCK rows at a time.  If they
+    do not (the orbits did not merge: a rotation, or a cocycle that
+    contracts too slowly), the child is killed and reaped, and this process
+    walks the rest itself.  Either way the occupancy is bit-identical to one process's.  Runs whose
+    halves are shorter than one _BLOCK stay in one process.
+    """
+    if iters // 2 < _BLOCK:
+        return _orbit_occupancy(table, omega, theta0, x0, burnin, iters, bins)
+    split = burnin + iters // 2
+    join = split + _CHUNK
+    stop = burnin + iters
+    tail = Branch(partial(_packed_tail, table, omega, theta0, x0, split, join, stop, bins))
+    try:
+        occ = np.zeros((bins, bins), dtype=np.bool_)
+        x = _orbit_steps(occ, table, omega, theta0, x0, 0, burnin, join)
+        g, vk = table.shape
+        offsets = nearest_rows(orbit_thetas(theta0, omega, split, join), g) * vk
+        guess = _walk(memoryview(np.ascontiguousarray(table).reshape(-1)), vk - 1,
+                      offsets.tolist(), x0)[-1]
+        if x == guess:
+            packed = tail.result()
+            for lo in range(0, bins, _ROW_BLOCK):
+                rows = occ[lo:lo + _ROW_BLOCK]
+                rows |= np.unpackbits(packed[lo:lo + _ROW_BLOCK], axis=1,
+                                      count=bins).view(np.bool_)
+        else:
+            tail.cancel()
+            _orbit_steps(occ, table, omega, theta0, x, join, burnin, stop)
+    except BaseException:
+        tail.cancel()
+        raise
+    return occ
+
+
+def _packed_tail(table, omega, theta0, x, first, burnin, stop, bins):
+    """The bins of steps burnin..stop-1 of the orbit from x, the x before
+    step first, each row packed 8 bins a byte (`np.packbits`)."""
+    occ = np.zeros((bins, bins), dtype=np.bool_)
+    _orbit_steps(occ, table, omega, theta0, x, first, burnin, stop)
+    return np.packbits(occ, axis=1)
 
 
 @dataclass(eq=False)
@@ -272,15 +341,20 @@ def approximate_minimal_set(system: QpfSystem, burnin: int = 10**5, iters: int =
                             fiber_grid: int = 4096, vertical_grid: int = 4096,
                             bins: int = 4096, seed: int = 0,
                             start: tuple | None = None) -> FiberSet:
-    """Binned closure of one long orbit tail; deterministic given the seed."""
+    """Binned closure of one long orbit tail; deterministic given the seed.
+
+    A run with iters >= 2 * _BLOCK forks a child process for the second half
+    of its orbit (`_two_process_occupancy`), so the caller must run no other
+    thread at the call (see `qpflab.branch`).
+    """
     if iters < 10 * fiber_grid:
         raise PreconditionError("iters must be at least 10x the fiber grid")
     table = system.sample(fiber_grid, vertical_grid)
     if start is None:
         rng = np.random.default_rng(seed)
         start = (rng.random(), rng.random())
-    occ = _orbit_occupancy(table, float(system.omega), float(start[0]),
-                           float(start[1]), burnin, iters, bins)
+    occ = _two_process_occupancy(table, float(system.omega), float(start[0]),
+                                 float(start[1]), burnin, iters, bins)
     return FiberSet(bins=occ)
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpflab.artifacts import read_cdf_tables, read_curve, write_cdf_tables, write_curve
-from qpflab import cli, surgery
+from qpflab import cli, minimal, surgery
 from qpflab.cli import main
 from qpflab.errors import (InvariantViolation, LambdaNotFound, ManifestError,
                            PreconditionError, QpfLabError)
@@ -246,9 +246,11 @@ def test_cut_free_blowup_encodes_each_row_once(tmp_path, monkeypatch):
     ([bytes(24)] * 3, r"row 2 has 24 bytes where 2 rows of 24 are due"),
 ])
 def test_cdf_table_rows_are_checked(tmp_path, rows, message):
-    # a short, a missing or a surplus row raises InvariantViolation, under python -O too
+    # a short, a missing or a surplus row raises InvariantViolation, under
+    # python -O too, and leaves no file
     with pytest.raises(InvariantViolation, match=r"^t\.bin: " + message):
-        write_cdf_tables(tmp_path / "t.bin", np.zeros((2, 3)), iter(rows))
+        write_cdf_tables(tmp_path / "t.bin", np.zeros(3), 2, iter(rows))
+    assert not (tmp_path / "t.bin").exists()
 
 
 def test_short_cdf_row_exits_4(tmp_path, monkeypatch, capsys):
@@ -256,6 +258,7 @@ def test_short_cdf_row_exits_4(tmp_path, monkeypatch, capsys):
     p = write_manifest(tmp_path, SMALL)
     assert main(["blowup", "--manifest", str(p), "--out", str(tmp_path / "o")]) == 4
     assert capsys.readouterr().err.startswith("invariant violation: nu_cdf.bin: row 0 has 8 bytes")
+    assert not (tmp_path / "o" / "nu_cdf.bin").exists()
 
 
 def test_curve_roundtrip(tmp_path):
@@ -299,6 +302,9 @@ burnin = 100
     assert main(["cocycle", "--manifest", str(pc), "--out", str(outc)]) == 0
     hist = (outc / "cardinality_hist.csv").read_text().splitlines()
     assert hist[0] == "clusters,fibers"
+    log = (outc / "run.log").read_text().splitlines()
+    assert [line.split("=")[0] for line in log] == [
+        "command", "elapsed_s", "lyapunov_s", "cardinality_s", "finished_at"]
 
 
 @pytest.mark.parametrize("family", ["family = constant\na = 2\nd = 1",
@@ -459,6 +465,25 @@ def test_analyze_lost_child_is_a_named_error(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "minimal_set_via_projection",
                         lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL))
     code, out = run_analyze(tmp_path)
+    err = capsys.readouterr().err
+    assert code == 4 and err.startswith("error: the forked branch (pid ")
+    assert err.endswith(" ended without a result: killed by SIGKILL\n")
+    assert not (out / "verdict.jsonl").exists()
+
+
+def test_cocycle_lost_orbit_child_is_a_named_error(tmp_path, monkeypatch, capsys):
+    # Harper lambda=2 contracts, so the parent waits for the orbit's child,
+    # which is the only process that runs the packed tail
+    monkeypatch.setattr(minimal, "_packed_tail",
+                        lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+    p = write_manifest(tmp_path, "[cocycle]\nfamily = harper\nenergy = 0\nlam = 2\n"
+                                 "[grids]\nfibers = 128\nvertical = 128\nbins = 128\n"
+                                 f"[run]\niters = {2 * minimal._BLOCK}\nburnin = 100\n")
+    out = tmp_path / "coc"
+    with deadline(60):
+        code = main(["cocycle", "--manifest", str(p), "--out", str(out)])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     err = capsys.readouterr().err
     assert code == 4 and err.startswith("error: the forked branch (pid ")
     assert err.endswith(" ended without a result: killed by SIGKILL\n")

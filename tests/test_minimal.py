@@ -1,11 +1,12 @@
 import functools
 import math
+import os
 import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qpflab.circle import orbit_thetas
 from qpflab.errors import PreconditionError
@@ -199,6 +200,59 @@ def test_repair_pass_gives_up_inside_the_first_block(monkeypatch):
 def test_contracting_cocycle_speculates_every_block(monkeypatch):
     counts = count_orbit_steps(monkeypatch, HARPER, 3 * _BLOCK)
     assert counts == {"array": 3 * (_WARMUP + _SEGMENT), "plain": 0}
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@settings(derandomize=True, max_examples=12, deadline=None)
+@given(system=st.sampled_from([HARPER, HARPER_PARTIAL]),
+       burnin=st.integers(0, 300),
+       iters=st.integers(2 * _BLOCK - 3, 2 * _BLOCK + 3),
+       seed=st.integers(0, 2**16),
+       start=st.none() | st.tuples(st.floats(0, 1, exclude_max=True),
+                                   st.floats(0, 1, exclude_max=True)))
+def test_two_process_orbit_is_the_one_process_orbit(system, burnin, iters, seed, start):
+    # iters straddles the split threshold: one process below it, two from it on
+    fs = approximate_minimal_set(system, burnin=burnin, iters=iters, fiber_grid=64,
+                                 vertical_grid=64, bins=128, seed=seed, start=start)
+    assert_no_child_left()
+    if start is None:
+        rng = np.random.default_rng(seed)
+        start = (rng.random(), rng.random())
+    ref = reference_orbit(system.sample(64, 64), float(system.omega), start[0], start[1],
+                          burnin, iters, 128)
+    assert np.array_equal(fs.bins, ref)
+
+
+@pytest.mark.parametrize("system, calls", [
+    (ROTATION, ["cancel"]),             # the orbits never merge: this process walks on
+    (HARPER, ["result"]),               # they merge within _CHUNK: the child's bins count
+])
+def test_orbit_child_is_joined_only_where_the_orbits_merge(monkeypatch, system, calls):
+    seen = []
+
+    class Recorded(minimal.Branch):
+        def result(self):
+            seen.append("result")
+            return super().result()
+
+        def cancel(self):
+            if self.pid is not None:            # a live child, not one already waited for
+                seen.append("cancel")
+            super().cancel()
+
+    monkeypatch.setattr(minimal, "Branch", Recorded)
+    fs = approximate_minimal_set(system, burnin=100, iters=2 * _BLOCK, fiber_grid=256,
+                                 vertical_grid=256, bins=256, seed=5)
+    assert seen == calls
+    assert_no_child_left()
+    rng = np.random.default_rng(5)
+    ref = reference_orbit(system.sample(256, 256), float(system.omega), rng.random(),
+                          rng.random(), 100, 2 * _BLOCK, 256)
+    assert np.array_equal(fs.bins, ref)
 
 
 @pytest.mark.parametrize("x", [0.0, 0.5, 1.0 - 2.0**-53])
