@@ -182,9 +182,9 @@ def audit_atlas(atlas: PartitionAtlas, grid: int) -> AtlasAudit:
 
     The certificate covers each chamber through its closed ends and each cut
     point through its one-point chamber.  The grid audit reads the atlas and
-    projection fibers, so it reads one theta per grid class of those two
-    tables (chamber.class_thetas): the other members of a class have the
-    same fibers.  Raises AtlasInvariantViolation on the first failure.
+    projection fibers, so it reads one theta per run of those two tables
+    (chamber.class_thetas): the other grid fibers of a run read the same
+    fibers.  Raises AtlasInvariantViolation on the first failure.
     """
     table = atlas.chambers
     for ch in table.chambers:

@@ -14,10 +14,12 @@ exactly otherwise.  A run that records no root strictly inside its chamber has
 the same combinatorics at every point of it; otherwise the chamber is split at
 the roots and run again.  An Affine holds no probe, so a stage reads the
 templates of the stage below as they are.  ``fiber(theta)`` evaluates the
-template of the chamber holding theta mod 1.  A cut point is a chamber of one
-point: its first read runs the stage's direct builder there, once, and keeps
-that fiber.  Float readers skip the Fractions: ``floats`` reads a template's
-numbers from integer rows, rounded as float() rounds them.
+template of the chamber holding theta mod 1, through the table's reader when
+it has one.  A cut point is a chamber of one point: its first read runs the
+stage's direct builder there, once, and keeps that fiber.  Float readers skip
+the Fractions: ``floats`` reads a template's numbers from integer rows,
+rounded as float() rounds them.  A grid pass computes once per run of grid
+fibers that read the same constant chambers (``grid_pass``).
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ class Chamber:
         self.constant = not _has_affine(template)
         self.fixed = None           # the finished fiber of a constant template
         self.rows = {}              # (leaves, reduce) -> compiled floats, made on first use
-        self.reader = None          # the reader that ChamberTable.fiber made for this chamber
+        self.reader = None          # the table's reader made for this chamber, on its first read
 
     def compiled(self, leaves, reduce=False) -> tuple:
         """(floats, rows) of the numbers leaves(template) lists, made once: _compile's."""
@@ -258,9 +260,11 @@ class ChamberTable:
     cuts the one chamber is the whole circle and its template is constant.
     Each cut point is a chamber [cut, cut] of its own: its first read keeps
     exact(cut), the stage's direct build, as its template and its one fiber.
+    Given reader, a read in any other chamber is reader(chamber)(theta, t)
+    at t = theta mod 1; without one it evaluates the template at t.
     """
 
-    def __init__(self, cuts, build, exact):
+    def __init__(self, cuts, build, exact, reader=None):
         cuts = set(cuts)
         ends = sorted(cuts | {Fraction(0)})
         todo = list(zip(ends, ends[1:] + [Fraction(1)]))
@@ -285,7 +289,7 @@ class ChamberTable:
         self.cuts = sorted(cuts)
         self.float_cuts = [float(c) for c in self.cuts]
         self.chambers.sort(key=lambda c: c.a)
-        self.exact = exact
+        self.exact, self.reader = exact, reader
         self.points = {}                # cut -> its one-point chamber, made on first read
         self.maps = {}                  # (grid, shift, step) -> grid_map's list, made on first use
 
@@ -293,10 +297,7 @@ class ChamberTable:
         """(chamber holding theta, theta mod 1); on a cut point, the cut's own chamber."""
         r = mod1(theta if isinstance(theta, Fraction) else Fraction(theta))
         x = float(r)
-        i = bisect_right(self.float_cuts, x) - 1
-        # float() is monotone, so only a cut that rounds to x itself can lie past r or on it
-        while i >= 0 and self.float_cuts[i] == x and self.cuts[i] > r:
-            i -= 1
+        i = screened_bisect(self.cuts, self.float_cuts, r, x)
         if i >= 0 and self.float_cuts[i] == x and self.cuts[i] == r:
             if r not in self.points:
                 ch = self.points[r] = Chamber(r, r, self.exact(r))
@@ -338,11 +339,10 @@ class ChamberTable:
         """The template of the chamber holding the probe's (whose table has all our cuts)."""
         return self.locate(probe.ref)[0].template
 
-    def fiber(self, theta, reader=None):
-        """The fiber at theta: the template of the chamber holding it, at theta.
+    def fiber(self, theta):
+        """The fiber at theta, read from the chamber holding it (see the class).
 
-        Given reader, it is reader(chamber)(theta, t) at t = theta mod 1:
-        reader runs once per chamber, at its first read, and the chamber
+        The reader runs once per chamber, at its first read, and the chamber
         keeps what it returns.  A constant chamber, a cut point's included,
         makes its fiber once and hands out that one object.
         """
@@ -351,57 +351,52 @@ class ChamberTable:
         ch, t = self.locate(theta)
         if ch.fixed is not None:
             return ch.fixed
-        if reader is None:
+        if self.reader is None:
             fiber = map_leaves(ch.template, lambda x: x.at(t))
         else:
             if ch.reader is None:
-                ch.reader = reader(ch)
+                ch.reader = self.reader(ch)
             fiber = ch.reader(theta, t)
         if ch.constant:
             ch.fixed = fiber
         return fiber
 
 
-def grid_classes(grid: int, reads, tag=None, step: int = 1) -> list:
-    """For each g in range(0, grid, step), the first such g' whose fiber g'/grid has g's inputs.
+def screened_bisect(exact: list, floats: list, x: Fraction, f: float) -> int:
+    """bisect_right(exact, x) - 1 for sorted exact points, by a bisect of their floats.
 
-    A grid pass reads, at theta, the fiber of each table at theta + shift
-    for the (table, shift) pairs in reads.  g and g' are in one class when
-    every table holds their two thetas in the same constant chamber (the
-    tables' grid maps, ChamberTable.grid_map) and tag(g) == tag(g'): then
-    every fiber the pass reads is its chamber's one fiber object, and so is
-    its result.  A g with some theta + shift on a cut point or in a
-    non-constant chamber is its own class.
+    floats[i] is float(exact[i]) and f is float(x).  float() is monotone, so
+    only a point that rounds to f itself can lie past x, and only those are
+    compared exactly.
+    """
+    i = bisect_right(floats, f) - 1
+    while i >= 0 and floats[i] == f and exact[i] > x:
+        i -= 1
+    return i
+
+
+def grid_pass(grid: int, reads, fn, step: int = 1):
+    """A row pass: fn(g/grid) for each g in range(0, grid, step), computed once per run.
+
+    A pass reads, at theta, the fiber of each table at theta + shift for the
+    (table, shift) pairs in reads.  A run is a maximal stretch of consecutive
+    grid fibers whose reads land in the same constant chambers (the tables'
+    grid maps, ChamberTable.grid_map): every fiber the pass reads there is
+    its chamber's one fiber object, so fn's value holds for the run.  A g
+    with some read on a cut point or in a non-constant chamber is a run of
+    its own, and with reads None so is every g.
     """
     gs = range(0, grid, step)
-    maps = [table.grid_map(grid, shift, step) for table, shift in reads]
-    first: dict = {}
-    out = []
-    for g, chambers in zip(gs, zip(*maps) if maps else [()] * len(gs)):
-        if None in chambers:
-            out.append(g)
-            continue
-        key = (*map(id, chambers), tag(g) if tag else None)     # the maps hold the chambers
-        out.append(first.setdefault(key, g))
-    return out
-
-
-def grid_pass(grid: int, reads, fn, tag=None, step: int = 1):
-    """A row pass: fn(g/grid) for each g in range(0, grid, step), computed once per grid class.
-
-    A class's value is held only until its last member has taken it.
-    """
-    gs = range(0, grid, step)
-    reps = grid_classes(grid, reads, tag, step)
-    last = dict(zip(reps, gs))
-    held: dict = {}
-    for g, r in zip(gs, reps):
-        value = held.pop(r) if r in held else fn(Fraction(g, grid))
-        if last[r] > g:
-            held[r] = value
+    keys = zip(*(table.grid_map(grid, shift, step) for table, shift in reads)) if reads \
+        else [(None,)] * len(gs)
+    last = None
+    for g, key in zip(gs, keys):
+        if key != last:
+            value = fn(Fraction(g, grid))
+        last = None if None in key else key
         yield value
 
 
 def class_thetas(grid: int, reads) -> list:
-    """For a pass that reduces (a maximum, a check): the theta of each grid class's first member."""
-    return [Fraction(g, grid) for g, r in enumerate(grid_classes(grid, reads)) if r == g]
+    """For a pass that reduces (a maximum, a check): the theta of each run's first fiber."""
+    return list(dict.fromkeys(grid_pass(grid, reads, lambda theta: theta)))

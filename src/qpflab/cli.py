@@ -123,7 +123,7 @@ def cmd_blowup(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict
     step = max(1, manifest.fibers // 256)
     arcs = grid_pass(manifest.fibers, [(pipeline.atlas.chambers, 0)],
                      partial(_u_arcs, pipeline.atlas), step=step)
-    # the line json.dumps makes of {"fiber": g, "u": u}, around the class's text of u
+    # the line json.dumps makes of {"fiber": g, "u": u}, around the run's text of u
     artifacts.write_jsonl(out / "atlas.jsonl", (f'{{"fiber": {g}, "u": {u}}}' for g, u
                                                 in zip(range(0, manifest.fibers, step), arcs)))
     artifacts.write_csv(out / "residual.csv", ["fiber", "residual"],

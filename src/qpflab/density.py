@@ -124,11 +124,11 @@ class DensityField:
         return ChamberTable(self.atlas.chambers.cuts, lambda probe: self._knots(
             self.atlas.projection.chambers.template_on(probe),
             self.bumps._bumps(None, self.atlas.chambers.template_on(probe))),
-            self._fiber_uncached)
+            self._fiber_uncached, lambda ch: _DensityRows(
+                *ch.compiled(_density_leaves), f"theta in [{float(ch.a)}, {float(ch.b)}]"))
 
     def fiber(self, theta) -> FiberDensity:
-        return self.chambers.fiber(theta, lambda ch: _DensityRows(
-            *ch.compiled(_density_leaves), f"theta in [{float(ch.a)}, {float(ch.b)}]"))
+        return self.chambers.fiber(theta)
 
     def _fiber_uncached(self, theta: Fraction) -> FiberDensity:
         exact = self._knots(self.atlas.projection.fiber(theta), self.bumps._fiber_uncached(theta))
@@ -201,7 +201,7 @@ def audit_density(field: DensityField, grid: int, vertical: int = 4096) -> dict:
     Layer integrals are recomputed from the assembled knot table (the
     trapezoid rule is exact on the PL density), not from the identity that
     produced them.  The audit reads the density and atlas fibers, so it reads
-    one theta per grid class of those two tables (chamber.class_thetas).
+    one theta per run of those two tables (chamber.class_thetas).
     """
     w = field.weights
     floor = float(w.min_density_bound())

@@ -186,7 +186,8 @@ def _validate(m: Manifest) -> None:
         if val < 16 or val > 2**20:
             raise ManifestError(f"grid {name}={val} out of range")
     for name, val, least in (("seed", m.seed, 0), ("crossings", m.crossings, 0),
-                             ("burnin", m.burnin, 0), ("probe_points", m.probe_points, 1)):
+                             ("burnin", m.burnin, 0), ("iters", m.iters, 1),
+                             ("probe_points", m.probe_points, 1)):
         if val < least:
             raise ManifestError(f"{name} {val} out of range: it must be >= {least}")
     if not (0 < m.epsilon < 1):

@@ -10,14 +10,13 @@ data is recorded exactly and reused by the partition atlas.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .chamber import ChamberTable, Probe, affine
+from .chamber import ChamberTable, Probe, affine, screened_bisect
 from .circle import mod1, mod1_array
 from .errors import LiftAmbiguous, PreconditionError
 from .geometry import OrbitIntersections, _branch_sign_near, intersection_projection
@@ -103,13 +102,8 @@ class CurveLines:
         self.float_starts = [float(t) for t in self.starts]
 
     def at(self, ref: Fraction) -> tuple:
-        """(c0, c1) of the piece holding ref in (theta_0 - 1, theta_0 + 1), by a float bisect."""
-        x = float(ref)
-        i = bisect_right(self.float_starts, x) - 1
-        # float() is monotone, so only a start that rounds to x itself can lie past ref
-        while self.float_starts[i] == x and self.starts[i] > ref:
-            i -= 1
-        return self.lines[i]
+        """(c0, c1) of the piece holding ref in (theta_0 - 1, theta_0 + 1)."""
+        return self.lines[screened_bisect(self.starts, self.float_starts, ref, float(ref))]
 
 
 @dataclass(eq=False)

@@ -133,47 +133,41 @@ def verify_semiconjugacy(tmap: TransportedMap, grid: int, vertical: int) -> Semi
     Over a translation base R_theta is the same rotation at every theta, so
     the residual at theta reads only fibers: pi and mu (for R_* mu) at theta,
     and pi, nu and mu (for gamma_1) at theta + w.  It is then computed
-    once per grid class of those tables (chamber.grid_pass), split by
-    whether the fiber is in the subsample of the R_* mu check.  Over other bases
-    every fiber is its own class.
+    once per run of those tables (chamber.grid_pass), and so is the check
+    against R_* mu, a pass over every (grid // 64)-th fiber.  Over other
+    bases every fiber is its own run.
     """
     system = tmap.system
     pi = tmap.projection
     w = pi.mu.weights
     omega = system.omega
     xs = np.arange(vertical) / vertical
-    stride = max(1, grid // 64)
 
-    def residuals(theta):
-        """The residual at theta, and the one against R_* mu (0 off the subsample)."""
-        theta_next = theta + omega
+    def sides(theta):
+        """f_theta on the vertical grid, and R o pi there."""
         fvals = tmap.fiber_values(theta, xs)
-        lhs = pi.fiber(theta_next).map_array(fvals)
-        pivals = pi.fiber(theta).map_array(xs)
-        rhs = system.circle_values(theta, pivals)
-        res = float(np.max(circ_dist_array(lhs, rhs)))
-        if (theta * grid) % stride:
-            return res, 0.0
-        # identity pi' o f = R o pi at a subsample of fibers, pi' the quantile of R_* mu
-        gamma1 = pi.mu.curves[1].circle_value(theta_next)
+        return fvals, system.circle_values(theta, pi.fiber(theta).map_array(xs))
+
+    def residual(theta):
+        fvals, rhs = sides(theta)
+        return float(np.max(circ_dist_array(pi.fiber(theta + omega).map_array(fvals), rhs)))
+
+    def shifted_residual(theta):
+        """The residual of the identity pi' o f = R o pi, pi' the quantile of R_* mu."""
+        theta_next = theta + omega
+        fvals, rhs = sides(theta)
         quant = quantile_table(pushed(pi.mu.fiber(theta), system.displacement(theta)),
-                               gamma1, Fraction(0))
+                               pi.mu.curves[1].circle_value(theta_next), Fraction(0))
         fd = tmap.nu.fiber(theta_next)
-        p1 = tmap.phi_minus(theta_next, 1)
-        masses = fd.mass_from(p1, fvals) / fd.total
-        lhs_shift = quant.map_array(masses)
-        return res, float(np.max(circ_dist_array(lhs_shift, rhs)))
+        masses = fd.mass_from(tmap.phi_minus(theta_next, 1), fvals) / fd.total
+        return float(np.max(circ_dist_array(quant.map_array(masses), rhs)))
 
     reads = [(pi.chambers, 0), (pi.chambers, omega), (tmap.nu.chambers, omega),
              (pi.mu.chambers, 0), (pi.mu.chambers, omega)]
-    tag = lambda g: g % stride == 0
     if system.kind != "translation":
-        reads, tag = [], lambda g: g        # R_theta varies with theta: no reuse
-    res = np.empty(grid)
-    shifted_sup = 0.0
-    for g, (r, shifted) in enumerate(grid_pass(grid, reads, residuals, tag)):
-        res[g] = r
-        shifted_sup = max(shifted_sup, shifted)
+        reads = None                        # R_theta varies with theta: no reuse
+    res = np.fromiter(grid_pass(grid, reads, residual), dtype=float, count=grid)
+    shifted_sup = max(grid_pass(grid, reads, shifted_residual, step=max(1, grid // 64)))
     # truncation defect: positionwise atom masses of pi_* nu vs R_* mu
     tv = _tv_defect(tmap, fibers=8)
     bound = float(w.a(w.half_width) / w.beta) + 4.0 / vertical if w is not None else float("nan")
@@ -190,17 +184,16 @@ def _tv_defect(tmap: TransportedMap, fibers: int) -> float:
 
     The fibers are theta = (2s+1)/(2*fibers), s < fibers, that is s/fibers
     + half.  Over a translation base the TV at theta reads only nu and pi at
-    theta and mu at theta - w, so it is computed once per grid class of
-    those tables at the shift half (chamber.grid_pass); over other bases
-    every fiber is its own class.
+    theta and mu at theta - w, so it is computed once per run of those
+    tables at the shift half (chamber.grid_pass); over other bases every
+    fiber is its own run.
     """
     pi, omega = tmap.projection, tmap.system.omega
     half = Fraction(1, 2 * fibers)
     reads = [(tmap.nu.chambers, half), (pi.chambers, half), (pi.mu.chambers, half - omega)]
-    tag = None
     if tmap.system.kind != "translation":
-        reads, tag = [], lambda g: g
-    return max(grid_pass(fibers, reads, lambda theta: _tv_at(tmap, theta + half), tag))
+        reads = None
+    return max(grid_pass(fibers, reads, lambda theta: _tv_at(tmap, theta + half)))
 
 
 def _tv_at(tmap: TransportedMap, theta: Fraction) -> float:
@@ -248,8 +241,8 @@ def verify_nonminimality(tmap: TransportedMap, witnesses=(), grid: int = 256,
     reaches the annulus height a_0) is certified for every theta: the start and
     length are affine on a projection chamber, so both closed ends of each
     chamber and each cut point (its one-point chamber) cover it.  The grid check
-    follows as a cross-check, on one theta per grid class of the projection
-    table (chamber.class_thetas).
+    follows as a cross-check, on one theta per run of the projection table
+    (chamber.class_thetas).
     """
     pi = tmap.projection
     height = pi.mu.masses[0]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -20,9 +21,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from qpflab import chamber, transport
 from qpflab.atlas import PartitionAtlas, audit_atlas
-from qpflab.chamber import Affine, Chamber, Probe, class_thetas, grid_classes, grid_pass
+from qpflab.chamber import Affine, Chamber, Probe, class_thetas, grid_pass
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
-from qpflab.density import audit_density
+from qpflab.density import FiberDensity, audit_density
 from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
                            LiftAmbiguous)
 from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu,
@@ -550,13 +551,34 @@ def semiconjugacy_reads(pipe):
             (pipe.density.chambers, omega), (pipe.mu.chambers, 0), (pipe.mu.chambers, omega)]
 
 
+def run_starts(pipe_reads, grid, gs):
+    """The g of gs that start a run: groupby over the per-fiber constant chambers of the reads,
+    each fiber with a None among them (a cut point, a non-constant chamber) a group of its own."""
+    keys = [(g, tuple(constant_at(table, F(g, grid) + shift) for table, shift in pipe_reads))
+            for g in gs]
+    return [next(group)[0] for _, group in groupby(
+        keys, key=lambda gk: ("own", gk[0]) if None in gk[1] else gk[1])]
+
+
+def recorded_pass(grid, reads, step=1):
+    """grid_pass with fn recording the g it runs at, and returning it: (values, calls)."""
+    calls = []
+
+    def fn(theta):
+        calls.append(int(theta * grid))
+        return calls[-1]
+
+    return list(grid_pass(grid, reads, fn, step=step)), calls
+
+
 @pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew"])
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(grid=st.integers(1, 300), step=st.integers(1, 5), stride=st.integers(1, 4))
-@example(grid=200, step=3, stride=3)
-@example(grid=96, step=1, stride=1)
-def test_grid_maps_equal_the_per_fiber_chambers(stacks, curve, grid, step, stride):
-    # every table at shifts 0 and omega, and the semiconjugacy's classes with its tag
+@given(grid=st.integers(1, 300), step=st.integers(1, 5))
+@example(grid=200, step=3)
+@example(grid=96, step=1)
+def test_grid_maps_equal_the_per_fiber_chambers(stacks, curve, grid, step):
+    # every table at shifts 0 and omega; then the semiconjugacy's reads, whose pass runs fn
+    # once per maximal run of equal per-fiber constant chambers, and every fiber without reads
     pipe = stacks[curve]
     gs = range(0, grid, step)
     for table in (pipe.mu.chambers, pipe.projection.chambers, pipe.atlas.chambers,
@@ -565,12 +587,13 @@ def test_grid_maps_equal_the_per_fiber_chambers(stacks, curve, grid, step, strid
             got = table.grid_map(grid, shift, step)
             assert got == [constant_at(table, F(g, grid) + shift) for g in gs]
             assert table.grid_map(grid, shift, step) is got
-    reads, tag = semiconjugacy_reads(pipe), lambda g: g % stride == 0
-    first = {}
-    for g, r in zip(gs, grid_classes(grid, reads, tag, step)):
-        chambers = [constant_at(table, F(g, grid) + shift) for table, shift in reads]
-        assert r == (g if None in chambers else first.setdefault((*map(id, chambers), tag(g)), g))
-    assert grid_classes(grid, [], lambda g: g, step) == list(gs)
+    reads = semiconjugacy_reads(pipe)
+    starts = run_starts(reads, grid, gs)
+    values, calls = recorded_pass(grid, reads, step)
+    assert calls == starts
+    assert values == [max(r for r in starts if r <= g) for g in gs]
+    assert recorded_pass(grid, None, step) == (list(gs), list(gs))
+    assert class_thetas(grid, reads) == [F(g, grid) for g in run_starts(reads, grid, range(grid))]
 
 
 def test_a_second_pass_locates_and_reduces_nothing(stacks, monkeypatch):
@@ -583,26 +606,47 @@ def test_a_second_pass_locates_and_reduces_nothing(stacks, monkeypatch):
     monkeypatch.setattr(chamber, "mod1", lambda x: calls.append("mod1") or mod1_(x))
     plain = stacks["constant"]
     reads = [(plain.density.chambers, 0), (plain.mu.chambers, plain.system.omega)]
-    assert grid_classes(331, reads, step=2) == [0] * 166
+    assert recorded_pass(331, reads, step=2) == ([0] * 166, [0])
     assert calls == []
     reads = semiconjugacy_reads(stacks["crossed"])
-    first = grid_classes(331, reads, lambda g: g % 5 == 0)
-    assert calls == ["mod1"] * 5
+    first = class_thetas(331, reads), recorded_pass(331, reads, step=5)
+    assert calls == ["mod1"] * 10
     calls.clear()
-    assert grid_classes(331, reads, lambda g: g % 5 == 0) == first
-    assert class_thetas(331, reads) and list(grid_pass(331, reads, lambda theta: theta))
+    assert (class_thetas(331, reads), recorded_pass(331, reads, step=5)) == first
+    assert recorded_pass(331, reads)[1] == [theta * 331 for theta in first[0]]
     assert calls == []
 
 
 def test_grid_class_members_share_constant_chambers(stacks):
+    # each fiber takes the value of its run's first fiber, and every fiber of a run
+    # reads the same constant chamber
     table = stacks["crossed"].density.chambers
-    reps = grid_classes(200, [(table, 0)], tag=lambda g: g % 3)
+    reps, _ = recorded_pass(200, [(table, 0)])
     assert 0 < sum(r != g for g, r in enumerate(reps)) < 200
     for g, r in enumerate(reps):
         ch = constant_at(table, F(g, 200))
-        assert r <= g and g % 3 == r % 3
-        assert ch is constant_at(table, F(r, 200)) if ch else r == g
-    assert grid_classes(200, [(stacks["constant"].density.chambers, 0)]) == [0] * 200
+        assert r <= g
+        assert all(constant_at(table, F(h, 200)) is ch for h in range(r, g)) if ch else r == g
+    assert recorded_pass(200, [(stacks["constant"].density.chambers, 0)]) == ([0] * 200, [0])
+
+
+@pytest.mark.parametrize("table_first", [True, False])
+def test_the_density_table_and_field_read_one_fiber(stacks, table_first):
+    # the table's own fiber() reads through the field's reader: a constant chamber keeps
+    # one FiberDensity whichever read comes first, and a non-constant one reads the same floats
+    density = default_pipeline(half_width=2).density
+    reads = (density.chambers.fiber, density.fiber)
+    first, second = reads if table_first else reads[::-1]
+    fd = first(F(1, 3))
+    assert isinstance(fd, FiberDensity) and second(F(1, 3)) is fd
+    crossed = stacks["crossed"].density
+    ch = next(c for c in crossed.chambers.chambers if not c.constant)
+    theta = (ch.a + ch.b) / 2
+    first, second = ((crossed.chambers.fiber, crossed.fiber) if table_first
+                     else (crossed.fiber, crossed.chambers.fiber))
+    a, b = first(theta), second(theta)
+    assert isinstance(a, FiberDensity) and isinstance(b, FiberDensity)
+    assert np.array_equal(a.knots, b.knots) and np.array_equal(a.cum, b.cum)
 
 
 def test_reuse_cannot_hide_an_atlas_failure():

@@ -184,7 +184,7 @@ def test_cli_overrides_are_validated_before_any_work(tmp_path, capsys, flags, bo
 
 
 @pytest.mark.parametrize("line", ["probe_points = 0", "probe_points = -4",
-                                  "crossings = -1", "burnin = -1"])
+                                  "crossings = -1", "burnin = -1", "iters = 0", "iters = -5"])
 def test_run_counts_below_their_range_exit_2(tmp_path, capsys, line):
     key = line.split()[0]
     body = re.sub(rf"^{key} = .*\n", "", SMALL, flags=re.M) + line + "\n"

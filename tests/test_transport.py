@@ -78,7 +78,7 @@ def test_semiconjugacy_report(small4):
 
 
 def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
-    # one grid class in the subsample of the R_* mu check and one outside it
+    # one run for the residual and one for the R_* mu check: f is read at two fibers
     calls = []
     fiber_values = TransportedMap.fiber_values
     monkeypatch.setattr(TransportedMap, "fiber_values",
