@@ -36,6 +36,8 @@ class FiberAtlas:
 
 def _allocate_plateau(members, masses, t_split, start: Fraction, length: Fraction):
     """Sequential within-plateau allocation; returns n -> list of closed arcs."""
+    if len(members) == 1:       # the plateau is its one member's mass long
+        return {members[0]: [(start, start + length)]}
     allocated: list = []   # disjoint closed arcs already assigned, sorted
     out = {}
     for idx, m in enumerate(members):

@@ -3,11 +3,11 @@
 Commands: curve, blowup, analyze, cocycle.  Identical manifests and seeds
 produce byte-identical data artifacts; wall-clock timing lives only in the
 sidecar run.log, which also holds the seconds each handler reports: for
-analyze, those of its two branches; for cocycle, those of lyapunov and of
-the cardinality verdict.  Two commands fork one child process each (POSIX,
-qpflab.branch): analyze runs its minimal-set branch there, beside f's
-classification, and cocycle's orbit (minimal.approximate_minimal_set) its
-second half.  A child that ends without a result is BranchLost; a failed
+analyze, those of its serial head and of its two branches; for cocycle,
+those of lyapunov and of the cardinality verdict.  Two commands fork one
+child process each (POSIX, qpflab.branch): analyze runs its minimal-set
+branch there, beside f's classification, and cocycle's orbit
+(minimal.approximate_minimal_set) its second half.  A child that ends without a result is BranchLost; a failed
 command has reaped its child.  Exit codes: 0 ok, 4 when a run fails its
 own audit, and else the one the error class carries (qpflab.errors): 2
 config, 3 precondition, 4 invariant violation, 5 timeout.
@@ -170,6 +170,7 @@ def _u_arcs(atlas, theta) -> str:
 
 
 def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dict]:
+    start = time.perf_counter()
     system = manifest.base_system()
     lift = Lift(system)
     n_rot = max(1000, 10 * manifest.fibers)
@@ -187,6 +188,7 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dic
     # blowup target: build the pipeline at the configured grids, then classify f
     # here while a forked child builds the minimal set, which reads only pi
     pipeline = _run_blowup(manifest, system)
+    head_seconds = time.perf_counter() - start
     branch = Branch(partial(_minimal_branch, manifest, system, pipeline, out, emit_svg))
     try:
         t0 = time.perf_counter()
@@ -203,7 +205,8 @@ def cmd_analyze(manifest: Manifest, out: Path, emit_svg: bool) -> tuple[int, dic
                     "verdict": f_verdict.verdict, "ratio": f_verdict.ratio})
     records.append(minimal_record)
     artifacts.write_jsonl(out / "verdict.jsonl", records)
-    return EXIT_OK, {"f_branch_s": f_seconds, "minimal_branch_s": minimal_seconds}
+    return EXIT_OK, {"head_s": head_seconds, "f_branch_s": f_seconds,
+                     "minimal_branch_s": minimal_seconds}
 
 
 def _minimal_branch(manifest: Manifest, system, pipeline, out: Path, emit_svg: bool):

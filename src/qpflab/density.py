@@ -14,12 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
 from .chamber import ChamberTable, class_thetas, row_values
-from .circle import mod1, mod1_array
+from .circle import mod1_array
 from .errors import BumpBoundViolation, DensityNonpositive, EtaNotInvertible, InvariantViolation
 from .atlas import PartitionAtlas
 from .weights import WeightScheme
@@ -30,7 +29,6 @@ _LAYER_TOL_CELLS = 10.0
 
 @dataclass(frozen=True)
 class FiberBump:
-    index: int
     knots: tuple        # ((u0,g0),(u1,g1),...) per component, unrolled coords
     integral: Fraction  # b_n(theta), exact
 
@@ -64,7 +62,7 @@ class BumpFamily:
                 raise BumpBoundViolation(
                     f"b_{m}({theta}) = {float(total)} outside "
                     f"[(1-eps)a, a] = [{float((1-epsilon)*masses[m])}, {float(masses[m])}]")
-            out[m] = FiberBump(index=m, knots=tuple(knots), integral=total)
+            out[m] = FiberBump(knots=tuple(knots), integral=total)
         return out
 
 
@@ -135,21 +133,27 @@ class DensityField:
         return _density_fiber(theta, [float(x) for x in _density_leaves(exact)])
 
     def _knots(self, fp, fb) -> tuple:
-        """Exact (sorted knots from s0 to s0 + 1, h at the knots) of one fiber."""
+        """Exact (knots from s0 to s0 + 1, h at the knots) of one fiber, in pi's plateau order.
+
+        Only the U arcs of a plateau with several members are sorted.  A knot equal to
+        the one before (two arcs that meet, h = 1 at both) is dropped, and a smaller one
+        raises InvariantViolation: in a chamber build that comparison cuts where knots cross.
+        """
         w = self.weights
-        s0 = fp.start
-        pieces = []  # (u, h) knot pairs, exact
-        for m in self.bumps.indices():
-            coef = (w.a(m) - w.a(m - 1)) / fb[m].integral
-            for comp in fb[m].knots:
-                for (u, g) in comp:
-                    pieces.append((u, 1 - coef * g))
-        # each knot is hashed once, here or by setdefault; the ends take h = 1
-        val_map = {_unrolled(s0, u): h for u, h in pieces}
-        val_map.setdefault(s0, Fraction(1))
-        val_map.setdefault(s0 + 1, Fraction(1))
-        knots, hvals = zip(*sorted(val_map.items(), key=itemgetter(0)))
-        return knots, hvals
+        pairs = []
+        for p in fp.plateaus:
+            arcs = sorted(((comp, (w.a(m) - w.a(m - 1)) / fb[m].integral)
+                           for m in p.members if m in fb for comp in fb[m].knots),
+                          key=lambda arc: arc[0][0][0])
+            pairs += [(u, 1 - coef * g) for comp, coef in arcs for u, g in comp]
+        knots, hvals = [fp.start], [Fraction(1)]
+        for u, h in pairs + [(fp.start + 1, Fraction(1))]:
+            if knots[-1] < u:
+                knots.append(u)
+                hvals.append(h)
+            elif u < knots[-1]:
+                raise InvariantViolation(f"density knot {float(u)} before {float(knots[-1])}")
+        return tuple(knots), tuple(hvals)
 
 
 def _density_leaves(exact: tuple) -> tuple:
@@ -224,9 +228,4 @@ def audit_density(field: DensityField, grid: int, vertical: int = 4096) -> dict:
     if worst_layer > _LAYER_TOL_CELLS / vertical:
         raise DensityNonpositive(f"layer integral defect {worst_layer}")
     return {"min_h": min_h, "floor": floor, "worst_layer_defect": worst_layer}
-
-
-def _unrolled(base: Fraction, u) -> Fraction:
-    """The exact point u moved into [base, base + 1)."""
-    return base + mod1(u - base)
 

@@ -31,7 +31,7 @@ def allocation_rank(n: int) -> int:
 
 @dataclass(frozen=True)
 class OverlapRecord:
-    """One flat-overlap component of curves i and j with lift side data.
+    """One flat-overlap component lo < hi of curves i and j with lift side data.
 
     t_left/t_right give the fraction of curve j's mass lifted below curve i
     at the component endpoints (1 when j enters from below).
@@ -45,8 +45,6 @@ class OverlapRecord:
     t_right: int
 
     def t_at(self, theta: Fraction) -> Fraction:
-        if self.hi == self.lo:
-            return Fraction(self.t_left)
         w = mod1(theta - self.lo) / (self.hi - self.lo)
         return Fraction(self.t_left) + (Fraction(self.t_right) - Fraction(self.t_left)) * w
 
@@ -120,9 +118,6 @@ class MeasureFamily:
         total = self.beta + sum(self.masses.values())
         if total != 1:
             raise PreconditionError(f"total mass {float(total)} != 1")
-
-    def indices(self):
-        return sorted(self.curves.keys())
 
     @cached_property
     def chambers(self) -> ChamberTable:
@@ -284,22 +279,32 @@ class FiberProjection:
 
     @property
     def inverse_knots(self) -> tuple:
-        """(target, source) knots of map_array inverted off the plateaus.
-
-        The targets run over positions lifted from the anchor, one turn from
-        tk[0]; an atom's position is a double knot at both ends of its
-        plateau.  A target y has the source point
-        mod1(interp(mod1(y - tk[0]) + tk[0], tk, sk)).
-        """
-        tk = np.append(np.repeat(self.seg_target[1::2], 2), self.seg_target[1] + 1.0)
-        sk = np.append(self.seg_starts, self.seg_starts[0] + 1.0)
-        return tk, sk
+        """(target, source) knots of map_array inverted off the plateaus (_inverse_knots)."""
+        return _inverse_knots([float(x) for x in _knot_leaves(self)])
 
     def plateau_of(self, curve: int) -> Plateau:
         for p in self.plateaus:
             if curve in p.members:
                 return p
         raise KeyError(curve)
+
+
+def _knot_leaves(fp: FiberProjection) -> list:
+    """The numbers of the inverse knots: the anchor position, each plateau's start, end, chat."""
+    return [fp.anchor_pos, *(x for p in fp.plateaus for x in (p.start, p.start + p.length, p.chat))]
+
+
+def _inverse_knots(floats: list) -> tuple:
+    """(target, source) knots of map_array inverted off the plateaus, from _knot_leaves' floats.
+
+    The targets run over positions lifted from the anchor, one turn from
+    tk[0]; an atom's position is a double knot at both ends of its plateau.
+    A target y has the source point mod1(interp(mod1(y - tk[0]) + tk[0], tk, sk)).
+    """
+    rows = np.array(floats[1:]).reshape(-1, 3)          # start, end, chat of each plateau
+    tk = np.repeat(floats[0] + rows[:, 2], 2)
+    sk = rows[:, :2].ravel()
+    return np.append(tk, tk[0] + 1.0), np.append(sk, sk[0] + 1.0)
 
 
 def quantile_table(fm: FiberMeasure, anchor_pos: Fraction, top: Fraction) -> FiberProjection:
@@ -350,6 +355,11 @@ class Projection:
 
     def fiber(self, theta) -> FiberProjection:
         return self.chambers.fiber(theta)
+
+    def inverse_knots(self, theta) -> tuple:
+        """fiber(theta).inverse_knots, read from the chamber's integer rows (Chamber.floats)."""
+        ch, t = self.chambers.locate(theta)
+        return _inverse_knots(ch.floats(t, _knot_leaves))
 
 
 def build_pi(mu: MeasureFamily) -> Projection:

@@ -379,9 +379,9 @@ def minimal_set_via_projection(projection, system: QpfSystem, iters: int = 2 * 1
     rng = np.random.default_rng(seed)
     theta0, target0 = rng.random(), rng.random()
     omega = float(system.omega)
-    # the grid fibers of a run of the projection table read their constant chamber's one fiber
+    # one row read of the inverse knots per run of grid fibers in one constant chamber
     knots = StackedKnots.stack(grid_pass(fiber_grid, [(projection.chambers, 0)],
-                                         lambda theta: projection.fiber(theta).inverse_knots))
+                                         projection.inverse_knots))
     occ = np.zeros(bins * bins, dtype=bool)
     t = target0
     for lo in range(burnin, burnin + iters, _LIFT_BLOCK):

@@ -28,6 +28,8 @@ from .systems import QpfSystem
 
 # a witness's hitting-time probe walks f at most this many steps past its m
 _PROBE_SLACK = 64
+# rounding bound of the exact identities shifted_residual = 0 and tv_defect = tv_expected
+_EXACT_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -117,7 +119,9 @@ class SemiconjugacyReport:
 
     @property
     def passed(self) -> bool:
-        return self.residual <= self.bound
+        """The residual within its bound, and the two exact identities within _EXACT_TOL."""
+        return (self.residual <= self.bound and self.shifted_residual <= _EXACT_TOL
+                and abs(self.tv_defect - self.tv_expected) <= _EXACT_TOL)
 
 
 def pushed(fm: FiberMeasure, d) -> FiberMeasure:

@@ -1,7 +1,8 @@
 """The bytes of every data artifact, pinned by sha256.
 
-Two small manifests, one on a constant curve and one with two certified
-crossings, each run through blowup, analyze and cocycle.  A change meant to
+Three small manifests: one on a constant curve and one with two certified
+crossings, each run through blowup, analyze and cocycle, and one on a tent
+curve, whose chambers are all non-constant, run through blowup and analyze.  A change meant to
 keep the artifacts byte-identical must leave these hashes as they are; a
 change meant to alter an artifact updates its hash here and says so in
 CHANGES.md.  run.log holds wall-clock times and is not pinned.
@@ -55,8 +56,28 @@ family = rotation
 angle = 0.5
 """
 
+TENT = """
+[curve]
+kind = tent
+base = 1/5
+amplitude = 7/10
+peak = 1/2
+[weights]
+n = 2
+[grids]
+fibers = 96
+vertical = 64
+bins = 64
+[run]
+seed = 1
+crossings = 0
+iters = 20000
+burnin = 100
+"""
+
 CONSTANT_ECHO = "1d70b6bba80a1070790c08c442eb06c02254516d4d796dd624edb64252afba01"
 CROSSED_ECHO = "d8218e99e425b421b4978f949cc1daeb0417bf4121525829260b79b13d771b22"
+TENT_ECHO = "76034c21629a9f3f9ce3675df35b39db9849781599d9e617d7de9ef0e661eb1a"
 
 PINS = {
     ("constant", "blowup"): {
@@ -101,13 +122,28 @@ PINS = {
         "manifest.echo.txt": CROSSED_ECHO,
         "verdict.jsonl": "5429630644358eb35529b156c42da42cc77e0965f2c8e72e2df95b85b965f983",
     },
+    ("tent", "blowup"): {
+        "atlas.jsonl": "558e5f93c55b5b4f2b6e04449b4d351b4b4eded4b48193e43b58f65b109747f3",
+        "curve.txt": "8b76b0be50b3b354a1c1ec89ee48666bfbd73ff018ca9faf8394717f02d424c8",
+        "manifest.echo.txt": TENT_ECHO,
+        "nu_cdf.bin": "1e8e856d807240fd0af24faffed2b2a94da322130bfb74835340010e8a54751a",
+        "report.jsonl": "4661dc842b4d2908aea85bfe9eeb3edf8f595ad0841c3109931a066c5f8025c4",
+        "residual.csv": "90511793cbbc54bcdbca701106bd469a869ec70625d4b5dc4004862f2ece72d1",
+    },
+    ("tent", "analyze"): {
+        "deviations.csv": "f59969cf0faffd9652358377c3edc946983e5a07f1fa3e6a259ca01124fc8b52",
+        "fiberset.rle.txt": "632a822f3ec4c853b057726b97859f93c3feb8e1bd432d71a483a8bd44dd3e02",
+        "manifest.echo.txt": TENT_ECHO,
+        "rotation.csv": "32520548d35b04a2b23a621a01533f77a1765cce1f2783b4a9ab0e7f6c4b59eb",
+        "verdict.jsonl": "b511c9cd82b2108ec037e2ebde42e020ec18c5ff8a113712259bfeec0c799cac",
+    },
 }
 
 
 @pytest.mark.parametrize("manifest, command", sorted(PINS))
 def test_artifact_bytes_are_pinned(tmp_path, manifest, command):
     path = tmp_path / "m.ini"
-    path.write_text({"constant": CONSTANT, "crossed": CROSSED}[manifest], encoding="ascii")
+    path.write_text({"constant": CONSTANT, "crossed": CROSSED, "tent": TENT}[manifest], encoding="ascii")
     out = tmp_path / "out"
     assert main([command, "--manifest", str(path), "--out", str(out)]) == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()

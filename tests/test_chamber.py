@@ -17,15 +17,15 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from qpflab import chamber, transport
 from qpflab.atlas import PartitionAtlas, audit_atlas
 from qpflab.chamber import Affine, Chamber, Probe, class_thetas, grid_pass
 from qpflab.circle import OMEGA_GOLDEN, mod1, mod1_array
-from qpflab.density import FiberDensity, audit_density
+from qpflab.density import DensityField, FiberDensity, audit_density
 from qpflab.errors import (AtlasInvariantViolation, DensityNonpositive, InvariantViolation,
-                           LiftAmbiguous)
+                           LiftAmbiguous, QpfLabError)
 from qpflab.measure import (MeasureFamily, build_fiber_projection, build_mu,
                             build_pi, quantile_table)
 from qpflab.pipeline import default_pipeline, run_blowup
@@ -34,6 +34,7 @@ from qpflab.systems import Lift, QpfSystem, rotation_number
 from qpflab.transport import (TransportedMap, circ_dist_array, pushed, verify_nonminimality,
                               verify_semiconjugacy)
 from qpflab.weights import make_weights
+from test_atlas import overlap_pair
 
 
 @pytest.fixture(scope="module")
@@ -284,8 +285,20 @@ def test_locate_matches_fraction_bisect(stacks):
     assert degree_one.cuts[0] == 0
 
 
+@pytest.fixture(scope="module")
+def densities(stacks):
+    """The density fields of the stacks, and one over test_atlas's overlap pair (curve -1
+    a constant apart), whose plateaus hold curves 0 and 1 together on the overlap arcs."""
+    g1, g2 = overlap_pair()
+    weights = make_weights(k=4, half_width=1, epsilon=F(1, 2))
+    mu = build_mu({-1: PLGraph.constant(F(1, 10)), 0: g1, 1: g2}, weights=weights)
+    overlap = DensityField(weights, PartitionAtlas(build_pi(mu), weights.epsilon))
+    return {**{name: pipe.density for name, pipe in stacks.items()}, "overlap": overlap}
+
+
 def three_pass_knots(density, fp, fb):
-    """DensityField._knots hashing each knot three times: the reference for the one-pass build."""
+    """The (u, h) pairs of the bumps unrolled from s0, hashed once each and sorted with the
+    ends s0 and s0 + 1: the reference for DensityField._knots's plateau-order build."""
     w = density.weights
     s0 = fp.start
     pieces = []
@@ -299,19 +312,105 @@ def three_pass_knots(density, fp, fb):
     return tuple(knots), tuple(val_map.get(u, F(1)) for u in knots)
 
 
-@pytest.mark.parametrize("curve", ["constant", "tent", "crossed"])
-def test_density_knots_equal_three_pass_build(stacks, curve):
-    density = stacks[curve].density
+def assert_plateau_order_knots(density):
+    """On every chamber and cut point the knots equal the sorted assembly, and on every
+    chamber they rise strictly from s0 to s0 + 1 and record no root."""
     atlas, pi, bumps = density.atlas, density.atlas.projection, density.bumps
     for ch in density.chambers.chambers:
         with Probe(ch.a, ch.b) as probe:
             fp = pi.chambers.template_on(probe)
             fb = bumps._bumps(None, atlas.chambers.template_on(probe))
-            assert density._knots(fp, fb) == three_pass_knots(density, fp, fb) == ch.template
+            knots, _ = built = density._knots(fp, fb)
+            assert built == three_pass_knots(density, fp, fb) == ch.template
+            assert knots[0] == fp.start and knots[-1] == fp.start + 1
+            assert all(a < b for a, b in zip(knots, knots[1:]))
             assert probe.roots == set()
     for theta in density.chambers.cuts or [F(1, 3)]:     # the direct builds, on the cuts
         fp, fb = pi.fiber(theta), bumps._fiber_uncached(theta)
         assert density._knots(fp, fb) == three_pass_knots(density, fp, fb)
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew", "overlap"])
+def test_density_knots_equal_three_pass_build(densities, curve):
+    # the tent and the overlap pair have plateaus of several members, whose arcs are sorted
+    pi = densities[curve].atlas.projection
+    assert_plateau_order_knots(densities[curve])
+    shared = any(len(p.members) > 1 for ch in pi.chambers.chambers for p in ch.template.plateaus)
+    assert shared is (curve in ("tent", "overlap"))
+
+
+@settings(max_examples=12, deadline=None)
+@given(base=st.sampled_from(["tent", "skew"]), a=st.integers(1, 9), b=st.integers(1, 9),
+       c=st.integers(1, 9))
+def test_drawn_stacks_build_in_plateau_order(base, a, b, c):
+    # N = 1 stacks: a tent curve of base a/10, amplitude b/10 and peak c/10 over the
+    # translation base, or a constant curve c/10 over the skew base of phi a/10 to b/10
+    weights = make_weights(k=4, half_width=1, epsilon=F(1, 2))
+    if base == "tent":
+        system, curve = QpfSystem.translation(), PLGraph.tent(F(a, 10), F(b, 10), F(c, 10))
+    else:
+        system = QpfSystem.skew(PLGraph.from_points([(0, F(a, 10)), (F(1, 2), F(b, 10))]))
+        curve = PLGraph.constant(F(c, 10))
+    try:
+        density = run_blowup(system, curve, weights).density
+        density.chambers
+    except QpfLabError:
+        assume(False)       # a curve the surgery cannot flatten at this depth
+    assert_plateau_order_knots(density)
+    assert_inverse_knots_at_every_cut(density.atlas.projection)
+
+
+@pytest.mark.parametrize("curve", ["tent", "crossed", "skew", "overlap"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_density_knots_rise_in_plateau_order(densities, curve, data):
+    # at theta the plateau-order knots rise strictly from s0 to s0 + 1, equal the sorted
+    # assembly of the same (u, h) pairs, and are the chamber template's there
+    density = densities[curve]
+    theta = mod1(data.draw(thetas(density.chambers.cuts)))
+    fp, fb = density.atlas.projection.fiber(theta), density.bumps._fiber_uncached(theta)
+    knots, hvals = density._knots(fp, fb)
+    assert knots[0] == fp.start and knots[-1] == fp.start + 1
+    assert all(a < b for a, b in zip(knots, knots[1:]))
+    assert (knots, hvals) == three_pass_knots(density, fp, fb)
+    ch, t = density.chambers.locate(theta)
+    if ch.a < ch.b:
+        assert chamber.map_leaves(ch.template, lambda x: x.at(t)) == (knots, hvals)
+
+
+def test_density_knots_that_decrease_raise():
+    # a knot below the one before it is an InvariantViolation, not a sorted knot
+    density = default_pipeline(half_width=2).density
+    fp, fb = density.atlas.projection.fiber(F(1, 3)), density.bumps._fiber_uncached(F(1, 3))
+    m = next(iter(fb))
+    (_, g), *rest = fb[m].knots[0]
+    fb = {**fb, m: replace(fb[m], knots=(((fp.start - F(1, 100), g), *rest),))}
+    with pytest.raises(InvariantViolation, match="^density knot "):
+        density._knots(fp, fb)
+
+
+def assert_inverse_knots_bitwise(pi, theta):
+    got, want = pi.inverse_knots(theta), pi.fiber(theta).inverse_knots
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+def assert_inverse_knots_at_every_cut(pi):
+    """At every cut point (a chamber of its own) and at every chamber's midpoint."""
+    for theta in pi.chambers.cuts + [(ch.a + ch.b) / 2 for ch in pi.chambers.chambers]:
+        assert_inverse_knots_bitwise(pi, theta)
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew", "overlap"])
+def test_row_read_inverse_knots_at_every_cut(densities, curve):
+    assert_inverse_knots_at_every_cut(densities[curve].atlas.projection)
+
+
+@pytest.mark.parametrize("curve", ["constant", "tent", "crossed", "skew", "overlap"])
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_row_read_inverse_knots_at_random_theta(densities, curve, data):
+    pi = densities[curve].atlas.projection
+    assert_inverse_knots_bitwise(pi, data.draw(thetas(pi.chambers.cuts or [F(0)])))
 
 
 def test_chamber_cuts(stacks):

@@ -277,9 +277,13 @@ def test_analyze_and_cocycle_commands(tmp_path):
     assert (out / "rotation.csv").exists()
     assert (out / "verdict.jsonl").exists()
     assert (out / "fiberset.rle.txt").exists()
-    log = (out / "run.log").read_text().splitlines()
-    assert [line.split("=")[0] for line in log] == [
-        "command", "elapsed_s", "f_branch_s", "minimal_branch_s", "finished_at"]
+    log = dict(line.split("=", 1) for line in (out / "run.log").read_text().splitlines())
+    assert list(log) == [
+        "command", "elapsed_s", "head_s", "f_branch_s", "minimal_branch_s", "finished_at"]
+    # the serial head and the longer branch fit in the run, to the logged rounding
+    head, f_s, minimal_s, elapsed = (float(log[k]) for k in (
+        "head_s", "f_branch_s", "minimal_branch_s", "elapsed_s"))
+    assert 0 < head and head + max(f_s, minimal_s) <= elapsed + 0.002
     # rotation of the default translation base is exact
     line = (out / "rotation.csv").read_text().splitlines()[1]
     est = float(line.split(",")[1])

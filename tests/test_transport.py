@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from qpflab import transport
 from qpflab.measure import build_mu, build_pi, kolmogorov_distance
 from qpflab.plgraph import PLGraph
 from qpflab.systems import Lift, QpfSystem
@@ -75,6 +76,19 @@ def test_semiconjugacy_report(small4):
     assert abs(rep.tv_defect - rep.tv_expected) < 1e-9
     w = small4.weights
     assert rep.bound == pytest.approx(float(w.a(4) / w.beta) + 4 / 512)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.008])
+def test_a_shifted_f_fails_the_exact_identity_gate(plain4, monkeypatch, shift):
+    # f moved by 0.008 keeps the residual inside its bound (0.0324 < 0.0370 at 256
+    # vertical cells), but pi' o f = R o pi is exact on a healthy stack: the gate fails
+    fiber_values = TransportedMap.fiber_values
+    monkeypatch.setattr(TransportedMap, "fiber_values",
+                        lambda self, theta, xs: (fiber_values(self, theta, xs) + shift) % 1.0)
+    rep = verify_semiconjugacy(plain4.tmap, 256, 256)
+    assert rep.residual <= rep.bound
+    assert abs(rep.tv_defect - rep.tv_expected) <= transport._EXACT_TOL
+    assert (rep.shifted_residual <= transport._EXACT_TOL) is (shift == 0) is rep.passed
 
 
 def test_constant_stack_report_computes_two_fibers(plain8, monkeypatch):
